@@ -7,58 +7,61 @@
 //
 //	prefix-analyze -trace mcf.trace -o mcf.plan.json
 //	prefix-analyze -trace mcf.trace -variant hds -miner sequitur -v
-//	prefix-analyze -trace mcf.trace -stream -o mcf.plan.json
-//	prefix-analyze -trace mcf.trace -stream -shards 8 -o mcf.plan.json
 //	prefix-analyze -trace mcf.trace -ledger mcf.ledger.json  # record every decision
 //	prefix-analyze -trace mcf.trace -trace-out phases.json -metrics-out plan.prom
 //
-// Both trace formats are accepted (the classic header-counted file and
-// the chunked stream prefix-trace -stream writes). With -stream the
-// analysis runs off the file without materializing the event slice, so
-// traces far larger than memory are fine. -shards N decodes and
-// analyzes the trace on N parallel workers (default: one per CPU);
-// the merged analysis is byte-identical to -shards 1.
+// The analysis decodes the trace file as a stream without materializing
+// the event slice, so traces far larger than memory are fine.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"prefix/internal/obs"
 	"prefix/internal/obsflags"
 	core "prefix/internal/prefix"
 	"prefix/internal/report"
 	"prefix/internal/trace"
 )
 
-func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "prefix-analyze:", err)
-		os.Exit(1)
-	}
-}
+// errUsage marks bad invocations; main exits 2 for them, matching flag
+// parsing errors.
+var errUsage = errors.New("usage")
 
-func run() (err error) {
-	var (
-		in      = flag.String("trace", "", "input trace file (required)")
-		out     = flag.String("o", "", "output plan JSON (default: stdout)")
-		bench   = flag.String("bench", "unknown", "benchmark name recorded in the plan")
-		variant = flag.String("variant", "hds+hot", "placement variant: hot, hds, hds+hot")
-		miner   = flag.String("miner", "lcs", "hot-data-stream miner: lcs or sequitur")
-		summary = flag.Bool("summary", false, "print the analysis summary (OHDS/RHDS) to stderr")
-		stream  = flag.Bool("stream", false, "analyze the trace incrementally without materializing it (bounded memory)")
-		ledger  = flag.String("ledger", "", "record every planning decision (classification, sharing, recycling, placement) and write the ledger JSON to this file")
-		obsf    = obsflags.Register(flag.CommandLine)
-	)
-	obsf.RegisterShards(flag.CommandLine)
-	flag.Parse()
-	if *in == "" {
-		flag.Usage()
+func main() {
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil {
+		return
+	}
+	if errors.Is(err, errUsage) {
 		os.Exit(2)
 	}
-	if obsf.Shards < 1 {
-		return fmt.Errorf("-shards must be at least 1 (got %d)", obsf.Shards)
+	fmt.Fprintln(os.Stderr, "prefix-analyze:", err)
+	os.Exit(1)
+}
+
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("prefix-analyze", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		in      = fs.String("trace", "", "input trace file (required)")
+		out     = fs.String("o", "", "output plan JSON (default: stdout)")
+		bench   = fs.String("bench", "unknown", "benchmark name recorded in the plan")
+		variant = fs.String("variant", "hds+hot", "placement variant: hot, hds, hds+hot")
+		miner   = fs.String("miner", "lcs", "hot-data-stream miner: lcs or sequitur")
+		summary = fs.Bool("summary", false, "print the analysis summary (OHDS/RHDS) to stderr")
+		ledger  = fs.String("ledger", "", "record every planning decision (classification, sharing, recycling, placement) and write the ledger JSON to this file")
+		obsf    = obsflags.Register(fs)
+	)
+	if err := fs.Parse(args); err != nil {
+		return errUsage
+	}
+	if *in == "" {
+		fs.Usage()
+		return errUsage
 	}
 
 	var v core.Variant
@@ -101,62 +104,20 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	prog := sess.Progress()
-	benchName := *bench
-	shardCfg := trace.ShardConfig{
-		Shards: obsf.Shards,
-		Perf:   sess.Perf,
-		Progress: func(ev obs.JobEvent) {
-			ev.Benchmark = benchName
-			prog(ev)
-		},
-	}
+	anSpan := root.Child("analyze")
 	var a *trace.Analysis
-	if *stream {
-		// Incremental: decode straight off the file. -shards N > 1 decodes
-		// and analyzes chunks on a parallel worker pool; the merged result
-		// is identical to the single-pass analysis.
-		anSpan := root.Child("analyze")
-		anSpan.Set("shards", shardCfg.Shards)
-		if obsf.Shards > 1 {
-			a, err = trace.AnalyzeStreamSharded(f, shardCfg)
-		} else {
-			var sr *trace.StreamReader
-			sr, err = trace.NewStreamReader(f)
-			if err == nil {
-				a, err = trace.AnalyzeSource(sr)
-			}
-		}
-		f.Close()
-		if err != nil {
-			anSpan.End()
-			return err
-		}
-		anSpan.Set("objects", len(a.Objects))
-		anSpan.Set("heap_accesses", a.HeapAccesses)
-		anSpan.End()
-	} else {
-		readSpan := root.Child("read-trace")
-		tr, rerr := trace.Read(f)
-		f.Close()
-		if rerr != nil {
-			readSpan.End()
-			return rerr
-		}
-		readSpan.Set("events", len(tr.Events))
-		readSpan.End()
-
-		anSpan := root.Child("analyze")
-		anSpan.Set("shards", shardCfg.Shards)
-		if obsf.Shards > 1 {
-			a = trace.AnalyzeTraceSharded(tr, shardCfg)
-		} else {
-			a = trace.Analyze(tr)
-		}
-		anSpan.Set("objects", len(a.Objects))
-		anSpan.Set("heap_accesses", a.HeapAccesses)
-		anSpan.End()
+	sr, err := trace.NewStreamReader(f)
+	if err == nil {
+		a, err = trace.AnalyzeSource(sr)
 	}
+	f.Close()
+	if err != nil {
+		anSpan.End()
+		return fmt.Errorf("%s: %w", *in, err)
+	}
+	anSpan.Set("objects", len(a.Objects))
+	anSpan.Set("heap_accesses", a.HeapAccesses)
+	anSpan.End()
 
 	perfScope.AddEvents(uint64(a.Events))
 
@@ -183,7 +144,7 @@ func run() (err error) {
 		if lerr := lf.Close(); lerr != nil {
 			return lerr
 		}
-		fmt.Fprintf(os.Stderr, "decision ledger (%d decisions) written to %s\n", cfg.Ledger.Len(), *ledger)
+		fmt.Fprintf(stderr, "decision ledger (%d decisions) written to %s\n", cfg.Ledger.Len(), *ledger)
 	}
 
 	if reg := sess.Metrics; reg != nil {
@@ -199,22 +160,21 @@ func run() (err error) {
 	}
 
 	if *summary {
-		fmt.Fprintf(os.Stderr, "trace: %d events, %d objects, %d heap accesses\n",
+		fmt.Fprintf(stderr, "trace: %d events, %d objects, %d heap accesses\n",
 			a.Events, len(a.Objects), a.HeapAccesses)
-		fmt.Fprintf(os.Stderr, "hot: %d objects covering %.1f%% of heap accesses, %d in streams\n",
+		fmt.Fprintf(stderr, "hot: %d objects covering %.1f%% of heap accesses, %d in streams\n",
 			sum.HotObjects, sum.CoveragePct, sum.HotInHDS)
-		fmt.Fprintf(os.Stderr, "context: %s, %d sites, %d counters\n",
+		fmt.Fprintf(stderr, "context: %s, %d sites, %d counters\n",
 			plan.KindsString(), plan.NumSites(), plan.NumCounters())
-		fmt.Fprintf(os.Stderr, "region: %d bytes, %d placed objects\n",
+		fmt.Fprintf(stderr, "region: %d bytes, %d placed objects\n",
 			plan.RegionSize, plan.PlacedObjects)
 		ohds := sum.OHDS
 		if len(ohds) > 8 {
 			ohds = ohds[:8]
 		}
-		report.Figure2(os.Stderr, ohds, sum.Recon)
+		report.Figure2(stderr, ohds, sum.Recon)
 	}
 
-	w := os.Stdout
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
@@ -227,5 +187,5 @@ func run() (err error) {
 		// A close error on the output file means a truncated plan; report it.
 		return f.Close()
 	}
-	return plan.WriteJSON(w)
+	return plan.WriteJSON(stdout)
 }

@@ -9,7 +9,6 @@
 //	prefix-bench -bench mcf,health    # a subset of benchmarks
 //	prefix-bench -scale bench         # faster, reduced-scale runs
 //	prefix-bench -jobs 8              # parallel benchmark/seed evaluation
-//	prefix-bench -shards 8            # parallel trace analysis (same output)
 //	prefix-bench -heatmap-dir out/    # also write Figure 9 CSVs
 //	prefix-bench -attrib              # per-site attribution + decision ledgers
 //	prefix-bench -attrib -only attribution   # just the attribution table
@@ -67,7 +66,7 @@ func main() {
 
 // validateArgs checks every flag combination that can be rejected before
 // any benchmark burns cycles.
-func validateArgs(only, scale string, seeds, jobs int, record bool, baseline string, regressPct float64, stream bool, streamChunk int, attrib bool, shards int) error {
+func validateArgs(only, scale string, seeds, jobs int, record bool, baseline string, regressPct float64, stream bool, streamChunk int, attrib bool) error {
 	if only != "" {
 		known := false
 		for _, a := range artifacts {
@@ -85,9 +84,6 @@ func validateArgs(only, scale string, seeds, jobs int, record bool, baseline str
 	}
 	if jobs < 1 {
 		return fmt.Errorf("-jobs must be at least 1 (got %d)", jobs)
-	}
-	if shards < 1 {
-		return fmt.Errorf("-shards must be at least 1 (got %d)", shards)
 	}
 	if seeds < 0 {
 		return fmt.Errorf("-seeds must be non-negative (got %d)", seeds)
@@ -141,13 +137,12 @@ func run() (err error) {
 		obsf        = obsflags.Register(flag.CommandLine)
 	)
 	obsf.RegisterServe(flag.CommandLine)
-	obsf.RegisterShards(flag.CommandLine)
 	flag.Parse()
 
 	if *recordOut != "" {
 		*record = true
 	}
-	if err := validateArgs(*only, *scale, *seeds, *jobs, *record, *baseline, *regressPct, *stream, *streamChunk, *attrib, obsf.Shards); err != nil {
+	if err := validateArgs(*only, *scale, *seeds, *jobs, *record, *baseline, *regressPct, *stream, *streamChunk, *attrib); err != nil {
 		return err
 	}
 	names, err := workloads.ResolveList(*benchList)
@@ -174,7 +169,6 @@ func run() (err error) {
 	opt.Perf = sess.Perf
 	opt.Stream = *stream
 	opt.StreamChunkEvents = *streamChunk
-	opt.Shards = obsf.Shards
 	opt.Attribution = *attrib
 	opt.Explain = sess.Explain
 

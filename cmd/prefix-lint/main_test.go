@@ -283,6 +283,23 @@ func Leak2() *uint64 {
 	if code != 1 || !strings.Contains(out, "no escape-budget entry for prefix/internal/sim.Leak2") {
 		t.Fatalf("grown-escape check: code=%d\nstdout:\n%s\nstderr:\n%s", code, out, serr)
 	}
+
+	// A package whose hot-path functions are all gone drops its entries
+	// on the next recording.
+	plain := strings.ReplaceAll(grown, "//prefix:hotpath\n", "")
+	if err := os.WriteFile(filepath.Join(dir, "internal/sim/leak.go"), []byte(plain), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if code, _, serr = lint("-analyzers", "escapebudget", "-record", "./..."); code != 0 {
+		t.Fatalf("record after removal failed: code=%d\nstderr:\n%s", code, serr)
+	}
+	pruned, err := os.ReadFile(budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(string(pruned), "prefix/internal/sim.") {
+		t.Fatalf("stale entries survived re-recording:\n%s", pruned)
+	}
 }
 
 func TestVettoolFlagsHandshake(t *testing.T) {

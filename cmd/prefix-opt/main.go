@@ -47,7 +47,6 @@ func run() (err error) {
 		obsf     = obsflags.Register(flag.CommandLine)
 	)
 	obsf.RegisterServe(flag.CommandLine)
-	obsf.RegisterShards(flag.CommandLine)
 	flag.Parse()
 	if *bench == "" {
 		flag.Usage()
@@ -58,9 +57,6 @@ func run() (err error) {
 	}
 	if *jobs < 1 {
 		return fmt.Errorf("-jobs must be at least 1 (got %d)", *jobs)
-	}
-	if obsf.Shards < 1 {
-		return fmt.Errorf("-shards must be at least 1 (got %d)", obsf.Shards)
 	}
 	names, err := workloads.ResolveList(*bench)
 	if err != nil {
@@ -90,7 +86,6 @@ func run() (err error) {
 	opt.Tracer = sess.Tracer
 	opt.Perf = sess.Perf
 	opt.Stream = *stream
-	opt.Shards = obsf.Shards
 	opt.Attribution = *attrib
 	opt.Explain = sess.Explain
 	if *attrib && *planPath != "" {

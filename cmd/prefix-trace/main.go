@@ -11,9 +11,9 @@
 //	prefix-trace -bench mcf -o mcf.trace -metrics-out run.prom -v
 //
 // With -stream the trace never materializes: the machine records through
-// the spill recorder straight into the output file in the chunked stream
-// format, holding at most -chunk-events events in memory. prefix-analyze
-// reads both formats.
+// the spill recorder straight into the output file, holding at most
+// -chunk-events events in memory. Both modes write the same chunked
+// format, so at the same -chunk-events the files are byte-identical.
 package main
 
 import (
@@ -57,7 +57,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		scale       = fs.String("scale", "profile", "run scale: profile, bench or long")
 		text        = fs.Bool("text", false, "write a human-readable text dump instead of the binary format")
 		stream      = fs.Bool("stream", false, "record through the bounded-memory spill recorder straight into the output file (chunked stream format)")
-		chunkEvents = fs.Int("chunk-events", trace.DefaultChunkEvents, "events buffered per chunk in -stream mode (the trace memory budget)")
+		chunkEvents = fs.Int("chunk-events", trace.DefaultChunkEvents, "events per chunk of the output file (in -stream mode, the trace memory budget)")
 		list        = fs.Bool("list", false, "list benchmarks and exit")
 		attrib      = fs.Bool("attrib", false, "attribute the profiling run's misses to allocation sites and print the top sites (trace output is identical)")
 		obsf        = obsflags.Register(fs)
@@ -77,7 +77,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		return errUsage
 	}
 	if *stream && *text {
-		return errors.New("-stream writes the chunked binary format; it cannot be combined with -text")
+		return errors.New("-stream writes the binary format; it cannot be combined with -text")
 	}
 	if *chunkEvents < 1 {
 		return fmt.Errorf("-chunk-events must be positive (got %d)", *chunkEvents)
@@ -147,7 +147,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *text {
 		writeErr = tr.WriteText(f)
 	} else {
-		writeErr = tr.Write(f)
+		writeErr = writeBinary(f, tr, *chunkEvents)
 	}
 	if writeErr == nil {
 		writeErr = f.Close()
@@ -170,6 +170,19 @@ func run(args []string, stdout io.Writer) (err error) {
 		*bench, s.Events, s.Allocs, s.Sites, s.Accesses, metrics.Instr, *out)
 	printAttrib(stdout, m.Attrib(), *bench, sess)
 	return nil
+}
+
+// writeBinary encodes tr in chunks of chunkEvents events.
+func writeBinary(w io.Writer, tr *trace.Trace, chunkEvents int) error {
+	sw, err := trace.NewStreamWriter(w, chunkEvents)
+	if err != nil {
+		return err
+	}
+	if err := sw.AppendBatch(tr.Events); err != nil {
+		return err
+	}
+	sw.SetInstr(tr.Instr)
+	return sw.Close()
 }
 
 // printAttrib prints the attributed top sites and publishes the

@@ -46,12 +46,14 @@ func TestRunWritesReadableTrace(t *testing.T) {
 	}
 }
 
+// TestRunStreamMatchesInMemory: both modes write the one chunked format,
+// so at the same -chunk-events the files match byte for byte.
 func TestRunStreamMatchesInMemory(t *testing.T) {
 	dir := t.TempDir()
 	memPath := filepath.Join(dir, "mem.pfxt")
 	streamPath := filepath.Join(dir, "stream.pfxt")
 	var out bytes.Buffer
-	if err := run([]string{"-bench", "ft", "-o", memPath}, &out); err != nil {
+	if err := run([]string{"-bench", "ft", "-o", memPath, "-chunk-events", "64"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-bench", "ft", "-o", streamPath, "-stream", "-chunk-events", "64"}, &out); err != nil {
@@ -76,6 +78,17 @@ func TestRunStreamMatchesInMemory(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "streamed") {
 		t.Errorf("stream summary missing: %q", out.String())
+	}
+	memBytes, err := os.ReadFile(memPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	streamBytes, err := os.ReadFile(streamPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(memBytes, streamBytes) {
+		t.Fatalf("files differ: %d bytes in memory, %d streamed", len(memBytes), len(streamBytes))
 	}
 }
 

@@ -1,8 +1,7 @@
 // Command prefix-trajectory reads the committed benchstore snapshots
 // (BENCH_*.json) and prints each benchmark's trajectory across them:
-// host events/sec, the analyze stage's own throughput and shard count
-// (schema 4; "n/a" on older snapshots), and simulated L1/LLC miss
-// rates per run, oldest
+// host events/sec, the analyze stage's own throughput (schema 4; "n/a"
+// on older snapshots), and simulated L1/LLC miss rates per run, oldest
 // first, with the first-to-last drift summarized. It answers "is the
 // harness getting faster or slower over the project's history" from
 // artifacts already in the repository — no benchmarks are run.
@@ -164,14 +163,13 @@ func eventsPerSec(b benchstore.Benchmark) string {
 	return fmt.Sprintf("%.0f", b.Host.EventsPerSec)
 }
 
-// analysisEPS renders the analyze stage's own throughput with its shard
-// count, e.g. "1234567 (x4)"; pre-v4 snapshots have no analysis section
-// and render "n/a".
+// analysisEPS renders the analyze stage's own throughput; pre-v4
+// snapshots have no analysis section and render "n/a".
 func analysisEPS(b benchstore.Benchmark) string {
 	if b.Analysis == nil {
 		return "n/a"
 	}
-	return fmt.Sprintf("%.0f (x%d)", b.Analysis.EventsPerSec, b.Analysis.Shards)
+	return fmt.Sprintf("%.0f", b.Analysis.EventsPerSec)
 }
 
 // trendPct formats a first-to-last relative change, tolerating schema-1

@@ -26,7 +26,7 @@ func snapshot(t *testing.T, dir string, ts time.Time, eps, llcPct float64, host 
 	}
 	if host {
 		b.Host = &benchstore.HostStats{WallNanos: 1e9, Events: uint64(eps), EventsPerSec: eps}
-		b.Analysis = &benchstore.AnalysisStats{WallNanos: 1e8, Events: uint64(eps), EventsPerSec: 10 * eps, Shards: 4}
+		b.Analysis = &benchstore.AnalysisStats{WallNanos: 1e8, Events: uint64(eps), EventsPerSec: 10 * eps}
 	}
 	run := &benchstore.Run{
 		Schema:     benchstore.Schema,
@@ -63,7 +63,7 @@ func TestTrajectory(t *testing.T) {
 		"analysis ev/s",
 		"500000",
 		"750000",
-		"7500000 (x4)",
+		"7500000",
 		"trend over 3 runs: events/sec +50.0%",
 		"LLC miss -1.000pp",
 	} {

@@ -75,6 +75,11 @@ type budgetFile struct {
 func runEscapeBudget(pass *Pass) error {
 	hot := hotFuncDecls(pass)
 	if len(hot) == 0 {
+		if EscapeBudgetRecord {
+			// A package that lost its last hot-path function drops its
+			// stale entries.
+			return recordBudget(budgetPathFor(pass), pass.Pkg.Path(), nil)
+		}
 		return nil
 	}
 	dir := filepath.Dir(pass.Fset.Position(pass.Files[0].Pos()).Filename)
@@ -115,11 +120,7 @@ func runEscapeBudget(pass *Pass) error {
 		declPos[q] = decl
 	}
 
-	budgetPath := filepath.Join(dir, "escape-budget.json")
-	if _, err := os.Stat(budgetPath); err != nil {
-		budgetPath = EscapeBudgetFile
-	}
-
+	budgetPath := budgetPathFor(pass)
 	if EscapeBudgetRecord {
 		return recordBudget(budgetPath, pass.Pkg.Path(), current)
 	}
@@ -163,20 +164,37 @@ func runEscapeBudget(pass *Pass) error {
 	return nil
 }
 
+// budgetPathFor returns the budget file governing pass's package: a
+// package-local escape-budget.json when present, else EscapeBudgetFile.
+func budgetPathFor(pass *Pass) string {
+	dir := filepath.Dir(pass.Fset.Position(pass.Files[0].Pos()).Filename)
+	path := filepath.Join(dir, "escape-budget.json")
+	if _, err := os.Stat(path); err != nil {
+		return EscapeBudgetFile
+	}
+	return path
+}
+
 // recordBudget rewrites pkgPath's entries in the budget file, leaving
 // other packages' entries untouched. The output is deterministic
 // (sorted keys, fixed indentation), so two consecutive -record runs
-// over an unchanged tree produce byte-identical files.
+// over an unchanged tree produce byte-identical files. With nothing to
+// record and nothing to drop the file is left alone.
 func recordBudget(path, pkgPath string, current map[string]budgetEntry) error {
 	budget, err := loadBudget(path)
 	if err != nil {
 		return err
 	}
 	prefix := pkgPath + "."
+	dropped := false
 	for q := range budget.Functions {
 		if rest, ok := strings.CutPrefix(q, prefix); ok && !strings.Contains(rest, "/") {
 			delete(budget.Functions, q)
+			dropped = true
 		}
+	}
+	if len(current) == 0 && !dropped {
+		return nil
 	}
 	for q, e := range current {
 		e.noInlineReason = ""

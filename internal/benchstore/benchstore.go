@@ -7,8 +7,8 @@
 // PreFix capture precision, and peak memory — plus, since schema 2, the
 // per-benchmark host cost (wall time, events/sec throughput, heap
 // allocation, GC pauses) and, since schema 4, the analyze stage's own
-// throughput and shard count, so the simulator's own performance
-// trajectory is gated alongside the simulated results.
+// throughput, so the simulator's own performance trajectory is gated
+// alongside the simulated results.
 package benchstore
 
 import (
@@ -30,9 +30,9 @@ import (
 // Version 2 added the per-benchmark "host" section; version 3 the
 // optional per-benchmark "attrib" section (recorded only by attributed
 // runs); version 4 the per-benchmark "analysis" section (the analyze
-// stage's own wall time, events/sec, and shard count). Version 1
-// documents (no host stats) still load, so old baselines keep gating
-// the simulated metrics.
+// stage's own wall time and events/sec). Version 1 documents (no host
+// stats) still load, so old baselines keep gating the simulated
+// metrics.
 const Schema = 4
 
 // minReadSchema is the oldest document version Read still accepts.
@@ -79,7 +79,7 @@ type Benchmark struct {
 	Attrib *AttribStats `json:"attrib,omitempty"`
 	// Analysis is the profiling analyze stage's own host cost (schema 4;
 	// nil in older documents and in runs recorded without a perfstat
-	// collector) — the series the sharded-analysis path is gated on.
+	// collector).
 	Analysis *AnalysisStats `json:"analysis,omitempty"`
 }
 
@@ -112,15 +112,12 @@ type AttribStats struct {
 }
 
 // AnalysisStats is the per-benchmark analyze-stage section: what the
-// trace analysis alone cost on the host, and how many shards produced
-// it (1 = the legacy single-pass analyzer). EventsPerSec divides the
-// profiling trace's event count by the stage's wall time — the number
-// the sharded path exists to raise.
+// trace analysis alone cost on the host. EventsPerSec divides the
+// profiling trace's event count by the stage's wall time.
 type AnalysisStats struct {
 	WallNanos    int64   `json:"wall_nanos"`
 	Events       uint64  `json:"events"`
 	EventsPerSec float64 `json:"events_per_sec"`
-	Shards       int     `json:"shards"`
 }
 
 // Meta is the run-level metadata recorded alongside the results.
@@ -188,7 +185,6 @@ func FromComparisons(cmps []*pipeline.Comparison, meta Meta) *Run {
 				WallNanos:    p.AnalysisHost.WallNanos,
 				Events:       p.AnalysisHost.Events,
 				EventsPerSec: p.AnalysisHost.EventsPerSec(),
-				Shards:       p.AnalysisShards,
 			}
 		}
 		if h := c.Host; h != nil {

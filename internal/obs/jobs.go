@@ -36,14 +36,8 @@ type JobEvent struct {
 	Seed  int `json:"seed"`
 	Seeds int `json:"seeds,omitempty"`
 	// Threads is the evaluated thread count for multithreaded-sweep jobs.
-	Threads int `json:"threads,omitempty"`
-	// Shards marks shard-stage events from the parallel analysis path
-	// (phases "analyze-decode", "analyze-shard", "analyze-merge"): the
-	// shard pool size of the run this worker belongs to. Zero for
-	// regular harness jobs; consumers use it to fold per-shard progress
-	// into /status without printing a stderr line per shard.
-	Shards int      `json:"shards,omitempty"`
-	State  JobState `json:"state"`
+	Threads int      `json:"threads,omitempty"`
+	State   JobState `json:"state"`
 	// Err carries the job's error text on a failed event.
 	Err string `json:"err,omitempty"`
 }
@@ -84,15 +78,11 @@ type JobTracker struct {
 	order []jobKey
 }
 
-// jobKey identifies one tracked job. The benchmark is part of the key
-// because shard-stage phases ("analyze-decode", "analyze-shard",
-// "analyze-merge") reuse worker indexes across concurrently-running
-// benchmarks; harness phases number jobs uniquely, so the extra field
-// is inert for them.
+// jobKey identifies one tracked job: harness phases number their jobs
+// uniquely.
 type jobKey struct {
-	phase     string
-	benchmark string
-	job       int
+	phase string
+	job   int
 }
 
 type trackedJob struct {
@@ -130,7 +120,7 @@ func (t *JobTracker) Observe(ev JobEvent) {
 	if t.start.IsZero() {
 		t.start = now
 	}
-	k := jobKey{ev.Phase, ev.Benchmark, ev.Job}
+	k := jobKey{ev.Phase, ev.Job}
 	j, ok := t.jobs[k]
 	if !ok {
 		j = &trackedJob{started: now}

@@ -49,11 +49,6 @@ func TestJobEventString(t *testing.T) {
 			JobEvent{Phase: "suite", Benchmark: "mcf", Job: 0, Jobs: 1, Seed: -1},
 			"[suite 1/1] mcf",
 		},
-		{
-			"shard worker",
-			JobEvent{Phase: "analyze-shard", Benchmark: "mcf", Job: 2, Jobs: 4, Seed: -1, Shards: 4, State: JobRunning},
-			"[analyze-shard 3/4] mcf running",
-		},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -193,32 +188,6 @@ func TestStatusJSON(t *testing.T) {
 	for _, key := range []string{`"phases"`, `"jobs"`, `"queued"`, `"running"`, `"elapsed_seconds"`, `"eta_seconds"`, `"benchmark":"mcf"`} {
 		if !strings.Contains(string(raw), key) {
 			t.Errorf("status JSON missing %s: %s", key, raw)
-		}
-	}
-}
-
-// TestJobTrackerShardEventsPerBenchmark: shard-stage phases reuse
-// worker indexes across concurrently-analyzed benchmarks, so the
-// tracker must key jobs by benchmark too — the same (phase, job) pair
-// from two benchmarks is two jobs, not one overwriting the other.
-func TestJobTrackerShardEventsPerBenchmark(t *testing.T) {
-	tr := NewJobTracker()
-	for _, bench := range []string{"mcf", "health"} {
-		for job := 0; job < 2; job++ {
-			tr.Observe(JobEvent{Phase: "analyze-shard", Benchmark: bench, Job: job, Jobs: 2, Seed: -1, Shards: 2, State: JobRunning})
-			tr.Observe(JobEvent{Phase: "analyze-shard", Benchmark: bench, Job: job, Jobs: 2, Seed: -1, Shards: 2, State: JobDone})
-		}
-	}
-	st := tr.Status()
-	if len(st.Jobs) != 4 {
-		t.Fatalf("tracked jobs = %d, want 4 (2 benchmarks x 2 shards)", len(st.Jobs))
-	}
-	if st.Done != 4 {
-		t.Errorf("done = %d, want 4", st.Done)
-	}
-	for _, j := range st.Jobs {
-		if j.Shards != 2 {
-			t.Errorf("job %+v lost its Shards marker", j.JobEvent)
 		}
 	}
 }

@@ -27,16 +27,7 @@ type Flags struct {
 	MemProfile string
 	Verbose    bool
 	Serve      string
-	Shards     int
 }
-
-// DefaultShards is the default -shards value: one shard per available
-// CPU, so the parallel analysis path scales with the machine while
-// producing output identical to -shards 1 (the merge is shard-count
-// invariant).
-//
-//lint:ignore nodeterminism shard count only paces the parallel analysis; MergeAnalyses output is shard-count-invariant
-func DefaultShards() int { return runtime.GOMAXPROCS(0) }
 
 // Register adds the common observability flags to fs and returns the
 // value struct (read after fs.Parse).
@@ -48,12 +39,6 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.StringVar(&f.MemProfile, "memprofile", "", "write a Go heap profile of this process to the file")
 	fs.BoolVar(&f.Verbose, "v", false, "print a phase-timing summary and per-phase host-cost table to stderr at the end of the run")
 	return f
-}
-
-// RegisterShards additionally adds -shards (the parallel-analysis shard
-// count; registered by the commands that analyze profiling traces).
-func (f *Flags) RegisterShards(fs *flag.FlagSet) {
-	fs.IntVar(&f.Shards, "shards", DefaultShards(), "analysis shard count: decode and analyze profiling traces on this many parallel workers (1 = single-pass; output is identical at every value)")
 }
 
 // RegisterServe additionally adds -serve (the live observability server;
@@ -131,13 +116,10 @@ func (f *Flags) Start() (*Session, error) {
 
 // Progress returns a pipeline progress callback that feeds the /status
 // tracker with every event and prints running/failed events to stderr.
-// Shard-stage events (ev.Shards > 0) reach the tracker but only print
-// when failed, so a -shards N run does not emit N stderr lines per
-// analyze stage.
 func (s *Session) Progress() func(obs.JobEvent) {
 	return func(ev obs.JobEvent) {
 		s.Tracker.Observe(ev)
-		if ev.State == obs.JobFailed || (ev.State == obs.JobRunning && ev.Shards == 0) {
+		if ev.State == obs.JobRunning || ev.State == obs.JobFailed {
 			fmt.Fprintln(s.stderr, ev)
 		}
 	}

@@ -120,38 +120,9 @@ func TestSessionNilSafe(t *testing.T) {
 	}
 }
 
-func TestRegisterShards(t *testing.T) {
-	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := Register(fs)
-	f.RegisterShards(fs)
-	if fs.Lookup("shards") == nil {
-		t.Fatal("flag -shards not registered")
-	}
-	if err := fs.Parse(nil); err != nil {
-		t.Fatal(err)
-	}
-	if f.Shards != DefaultShards() {
-		t.Errorf("default -shards = %d, want DefaultShards() = %d", f.Shards, DefaultShards())
-	}
-	if DefaultShards() < 1 {
-		t.Errorf("DefaultShards() = %d, want >= 1", DefaultShards())
-	}
-	fs2 := flag.NewFlagSet("test", flag.ContinueOnError)
-	f2 := Register(fs2)
-	f2.RegisterShards(fs2)
-	if err := fs2.Parse([]string{"-shards", "8"}); err != nil {
-		t.Fatal(err)
-	}
-	if f2.Shards != 8 {
-		t.Errorf("parsed -shards = %d, want 8", f2.Shards)
-	}
-}
-
-// TestProgressSuppressesShardRunningLines: shard-stage running events
-// feed the tracker but do not print (a -shards N suite would otherwise
-// emit N stderr lines per analyze stage); failed shard events always
-// print.
-func TestProgressSuppressesShardRunningLines(t *testing.T) {
+// TestProgressPrintsRunningAndFailed: every event feeds the tracker;
+// only running and failed events print a stderr line.
+func TestProgressPrintsRunningAndFailed(t *testing.T) {
 	f := &Flags{Serve: "127.0.0.1:0"}
 	sess, err := f.Start()
 	if err != nil {
@@ -161,20 +132,20 @@ func TestProgressSuppressesShardRunningLines(t *testing.T) {
 	var buf strings.Builder
 	sess.stderr = &buf
 	prog := sess.Progress()
-	prog(obs.JobEvent{Phase: "analyze-shard", Benchmark: "mcf", Job: 0, Jobs: 4, Seed: -1, Shards: 4, State: obs.JobRunning})
-	prog(obs.JobEvent{Phase: "analyze-shard", Benchmark: "mcf", Job: 0, Jobs: 4, Seed: -1, Shards: 4, State: obs.JobDone})
+	prog(obs.JobEvent{Phase: "suite", Benchmark: "mcf", Job: 0, Jobs: 2, Seed: -1, State: obs.JobRunning})
+	if !strings.Contains(buf.String(), "[suite 1/2] mcf running") {
+		t.Errorf("running event not printed: %q", buf.String())
+	}
+	buf.Reset()
+	prog(obs.JobEvent{Phase: "suite", Benchmark: "mcf", Job: 0, Jobs: 2, Seed: -1, State: obs.JobDone})
 	if got := buf.String(); got != "" {
-		t.Errorf("shard running/done events printed: %q", got)
+		t.Errorf("done event printed: %q", got)
 	}
-	prog(obs.JobEvent{Phase: "suite", Benchmark: "mcf", Job: 0, Jobs: 1, Seed: -1, State: obs.JobRunning})
-	if !strings.Contains(buf.String(), "[suite 1/1] mcf running") {
-		t.Errorf("harness running event not printed: %q", buf.String())
-	}
-	prog(obs.JobEvent{Phase: "analyze-shard", Benchmark: "mcf", Job: 1, Jobs: 4, Seed: -1, Shards: 4, State: obs.JobFailed, Err: "boom"})
+	prog(obs.JobEvent{Phase: "suite", Benchmark: "health", Job: 1, Jobs: 2, Seed: -1, State: obs.JobFailed, Err: "boom"})
 	if !strings.Contains(buf.String(), "failed: boom") {
-		t.Errorf("failed shard event suppressed: %q", buf.String())
+		t.Errorf("failed event not printed: %q", buf.String())
 	}
-	if st := sess.Tracker.Status(); st.Done != 1 {
-		t.Errorf("tracker done = %d, want 1 (shard events must still reach /status)", st.Done)
+	if st := sess.Tracker.Status(); st.Done != 1 || st.Failed != 1 {
+		t.Errorf("tracker done/failed = %d/%d, want 1/1", st.Done, st.Failed)
 	}
 }

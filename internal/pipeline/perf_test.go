@@ -105,3 +105,38 @@ func TestPerfScaleMonotone(t *testing.T) {
 		big = runScaled(pc, "scale_big", spec.Profile.Scale*4)
 	}
 }
+
+// TestProfileAnalysisHostSample: with a perfstat collector attached, the
+// profile carries the analyze stage's own host sample on both the
+// in-memory and the streaming path; without one it carries none.
+func TestProfileAnalysisHostSample(t *testing.T) {
+	spec, err := workloads.Get("swissmap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stream := range []bool{false, true} {
+		opt := fastOpt()
+		opt.Stream = stream
+		opt.StreamDir = t.TempDir()
+		opt.Perf = perfstat.New(nil)
+		prof, err := CollectProfile(spec, opt)
+		if err != nil {
+			t.Fatalf("stream=%v: %v", stream, err)
+		}
+		h := prof.AnalysisHost
+		if h == nil {
+			t.Fatalf("stream=%v: AnalysisHost not recorded with Perf attached", stream)
+		}
+		if h.Phase != "analyze" || h.Events == 0 {
+			t.Errorf("stream=%v: analysis sample = %+v", stream, h)
+		}
+
+		opt.Perf = nil
+		if prof, err = CollectProfile(spec, opt); err != nil {
+			t.Fatalf("stream=%v: %v", stream, err)
+		}
+		if prof.AnalysisHost != nil {
+			t.Errorf("stream=%v: AnalysisHost recorded without a collector", stream)
+		}
+	}
+}

@@ -78,15 +78,6 @@ type Options struct {
 	// per-benchmark Explain document as each suite job completes; the
 	// obshttp /explain endpoint serves its snapshot.
 	Explain *obs.ExplainStore
-	// Shards selects the analysis path for profiling traces. Values > 1
-	// route the analyze stage through the sharded pool (parallel chunk
-	// decode feeding per-shard analyzers with a deterministic merge),
-	// whose output is identical to the single-pass analyzer's at every
-	// shard count; 0 and 1 select the legacy single-pass path. Shard
-	// workers are bracketed by perfstat scopes ("analyze-decode",
-	// "analyze-shard", "analyze-merge") when Perf is attached and emit
-	// shard-stage JobEvents through Progress.
-	Shards int
 	// Stream routes profiling runs through the bounded-memory path: the
 	// machine records into a spill-to-disk chunked trace file and the
 	// analysis consumes it as a stream, so peak trace-buffer memory is
@@ -107,21 +98,6 @@ func (o Options) progress(ev obs.JobEvent) {
 	if o.Progress != nil {
 		o.Progress(ev)
 	}
-}
-
-// shardConfig assembles the trace-layer sharding configuration for one
-// benchmark's analyze stage: the shard count, the host-cost collector,
-// and a progress adapter stamping the benchmark name onto the shard
-// workers' JobEvents before forwarding them.
-func (o Options) shardConfig(benchmark string) trace.ShardConfig {
-	cfg := trace.ShardConfig{Shards: o.Shards, Perf: o.Perf}
-	if prog := o.Progress; prog != nil {
-		cfg.Progress = func(ev obs.JobEvent) {
-			ev.Benchmark = benchmark
-			prog(ev)
-		}
-	}
-	return cfg
 }
 
 // instrumentJob brackets one job body with running/done/failed progress
@@ -168,11 +144,9 @@ type Profile struct {
 	Stats trace.RecorderStats
 	// AnalysisHost is the analyze stage's own host-cost sample (wall
 	// time, allocation, events/sec over the trace's events), measured
-	// when Options.Perf is attached; nil otherwise. AnalysisShards is
-	// the shard count the analysis ran with (1 = single-pass). Neither
-	// feeds report output.
-	AnalysisHost   *perfstat.Sample
-	AnalysisShards int
+	// when Options.Perf is attached; nil otherwise. It never feeds report
+	// output.
+	AnalysisHost *perfstat.Sample
 }
 
 // CollectProfile runs the benchmark's profiling input under the tracing
@@ -250,12 +224,11 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 		Metrics:         metrics,
 		Stats:           stats,
 		AnalysisHost:    anHost,
-		AnalysisShards:  max(opt.Shards, 1),
 	}, nil
 }
 
 // memoryProfileRun is the reference profiling path: record the whole
-// trace in memory, then analyze it (sharded when Options.Shards > 1).
+// trace in memory, then analyze it.
 func memoryProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trace.Analysis, machine.Metrics, trace.RecorderStats, *perfstat.Sample) {
 	runSpan := parent.Child("profile-run")
 	rec := trace.NewRecorder()
@@ -270,17 +243,11 @@ func memoryProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trac
 
 	anSpan := parent.Child("analyze")
 	asc := opt.Perf.Begin("analyze").AttachSpan(anSpan)
-	var a *trace.Analysis
-	if opt.Shards > 1 {
-		a = trace.AnalyzeTraceSharded(tr, opt.shardConfig(spec.Program.Name()))
-	} else {
-		a = trace.Analyze(tr)
-	}
+	a := trace.Analyze(tr)
 	asc.AddEvents(stats.Events)
 	sample := asc.End()
 	anSpan.Set("objects", len(a.Objects))
 	anSpan.Set("heap_accesses", a.HeapAccesses)
-	anSpan.Set("shards", max(opt.Shards, 1))
 	anSpan.End()
 	var host *perfstat.Sample
 	if opt.Perf != nil {
@@ -291,10 +258,8 @@ func memoryProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trac
 
 // streamProfileRun is the bounded-memory profiling path: the machine
 // records through a spill-to-disk recorder into a temporary chunked
-// trace file, which is then analyzed as a stream (sharded when
-// Options.Shards > 1 — indexed spill files decode in parallel).
-// Trace-buffer memory never exceeds one chunk (StreamChunkEvents
-// events).
+// trace file, which is then analyzed as a stream. Trace-buffer memory
+// never exceeds one chunk (StreamChunkEvents events).
 func streamProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (_ *trace.Analysis, metrics machine.Metrics, stats trace.RecorderStats, host *perfstat.Sample, err error) {
 	runSpan := parent.Child("profile-run")
 	f, err := os.CreateTemp(opt.StreamDir, "prefix-spill-*.pfxt")
@@ -332,14 +297,9 @@ func streamProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (_ *tr
 	}
 	asc := opt.Perf.Begin("analyze").AttachSpan(anSpan)
 	var a *trace.Analysis
-	if opt.Shards > 1 {
-		a, err = trace.AnalyzeStreamSharded(f, opt.shardConfig(spec.Program.Name()))
-	} else {
-		var sr *trace.StreamReader
-		sr, err = trace.NewStreamReader(f)
-		if err == nil {
-			a, err = trace.AnalyzeSource(sr)
-		}
+	sr, err := trace.NewStreamReader(f)
+	if err == nil {
+		a, err = trace.AnalyzeSource(sr)
 	}
 	asc.AddEvents(stats.Events)
 	sample := asc.End()
@@ -352,7 +312,6 @@ func streamProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (_ *tr
 	}
 	anSpan.Set("objects", len(a.Objects))
 	anSpan.Set("heap_accesses", a.HeapAccesses)
-	anSpan.Set("shards", max(opt.Shards, 1))
 	anSpan.End()
 	return a, metrics, stats, host, nil
 }

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -9,55 +10,39 @@ import (
 	"prefix/internal/mem"
 )
 
-// Binary trace file format (all integers unsigned varints):
+// Binary trace file format: the PFXT container, version 2 (all integers
+// unsigned varints):
 //
-//	magic "PFXT" | version=1 | instr | eventCount | events...
+//	magic "PFXT" | version=2 | chunkSize |
+//	  chunk*: eventCount (1..chunkSize) | events... |
+//	  terminator: 0 | instr
 //
 // Each event starts with a tag byte (Kind, with the high bit carrying the
 // Write flag for accesses) followed by kind-specific fields. Addresses are
 // delta-encoded against the previous address of the same kind to keep files
-// compact — profiling traces reach tens of millions of events.
-//
-// Version 2 is the chunked stream container (see stream.go); it frames
-// the same event encoding into fixed-size chunks so it can be produced
-// and consumed incrementally. Version 3 keeps the chunk framing and
-// additionally stamps every chunk frame with its encoded byte length and
-// the delta-decoder state at the chunk's first event, so chunks can be
-// located and decoded independently (the parallel analysis path in
-// shard.go). Read accepts all three versions.
+// compact — profiling traces reach tens of millions of events. The delta
+// state runs continuously across chunk boundaries. Chunking bounds what
+// either end holds in memory to one chunk, so a file can be written and
+// read incrementally (see stream.go); the instruction count sits in the
+// terminator because a spilling recorder only learns it when the run
+// finishes. No other container version is written or read.
 const (
-	magic          = "PFXT"
-	version        = 1
-	versionChunked = 2
-	versionIndexed = 3
+	magic   = "PFXT"
+	version = 2
 )
 
-// maxEventEncodedBytes bounds one encoded event: tag byte plus at most
-// four 10-byte varints (address delta, site/old-address, stack/new-
-// address, size). The stream reader uses it to reject chunk frames whose
-// declared byte length could not possibly hold the declared event count.
-const maxEventEncodedBytes = 1 + 4*binary.MaxVarintLen64
-
 // maxPreallocEvents caps how many Events Read preallocates from the
-// untrusted header count: a corrupt or hostile file can claim 2⁶⁴
-// events, so the initial allocation is bounded and the slice grows only
-// as real events actually decode.
+// untrusted header's chunk size: a corrupt or hostile file can claim
+// 2⁶⁴, so the initial allocation is bounded and the slice grows only as
+// real events actually decode.
 const maxPreallocEvents = 1 << 16
-
-// byteWriter is what the event encoder needs from its destination; both
-// *bufio.Writer (classic Write) and *bytes.Buffer (chunk staging)
-// satisfy it.
-type byteWriter interface {
-	io.Writer
-	io.ByteWriter
-}
 
 // eventEncoder encodes events with per-kind address delta compression.
 // Its state must run continuously over the whole stream (chunk framing
 // does not reset it).
 type eventEncoder struct {
-	w        byteWriter
-	prevAddr [5]uint64 // previous address per kind, for delta encoding
+	w        *bytes.Buffer // the open chunk
+	prevAddr [5]uint64     // previous address per kind, for delta encoding
 	buf      [binary.MaxVarintLen64]byte
 }
 
@@ -160,34 +145,24 @@ func (d *eventDecoder) decode(i uint64) (Event, error) {
 	return ev, nil
 }
 
-// Write serializes the trace in the classic version-1 layout.
+// Write serializes the trace as a chunked stream of DefaultChunkEvents
+// events per chunk, byte-identical to what a StreamWriter (or a spill
+// recorder) at that chunk size produces for the same events.
 func (t *Trace) Write(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(magic); err != nil {
+	sw, err := NewStreamWriter(w, DefaultChunkEvents)
+	if err != nil {
 		return err
 	}
-	if err := writeUvarint(bw, version); err != nil {
+	if err := sw.AppendBatch(t.Events); err != nil {
 		return err
 	}
-	if err := writeUvarint(bw, t.Instr); err != nil {
-		return err
-	}
-	if err := writeUvarint(bw, uint64(len(t.Events))); err != nil {
-		return err
-	}
-	enc := eventEncoder{w: bw}
-	for _, ev := range t.Events {
-		if err := enc.encode(ev); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
+	sw.SetInstr(t.Instr)
+	return sw.Close()
 }
 
-// Read materializes a trace file written by Write or by a StreamWriter
-// (both container versions). It is the in-memory convenience over
-// NewStreamReader; use the stream reader directly to stay within a
-// bounded event buffer.
+// Read materializes a trace file written by Write or by a StreamWriter.
+// It is the in-memory convenience over NewStreamReader; use the stream
+// reader directly to stay within a bounded event buffer.
 func Read(r io.Reader) (*Trace, error) {
 	sr, err := NewStreamReader(r)
 	if err != nil {

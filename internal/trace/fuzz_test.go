@@ -10,8 +10,7 @@ import (
 // reader must agree with the materializing Read on every input — same
 // events in the same order, or an error on both sides.
 func FuzzRead(f *testing.F) {
-	// Seed with valid traces in both container versions and a few
-	// corruptions of them.
+	// Seed with a valid trace and a few corruptions of it.
 	var buf bytes.Buffer
 	if err := record().Write(&buf); err != nil {
 		f.Fatal(err)
@@ -27,7 +26,7 @@ func FuzzRead(f *testing.F) {
 		flipped[len(flipped)/2] ^= 0xff
 		f.Add(flipped)
 	}
-	// Chunked-container seeds: a valid stream and a truncated chunk.
+	// Multi-chunk seeds: a valid stream and a truncated chunk.
 	var chunked bytes.Buffer
 	sw, err := NewStreamWriter(&chunked, 4)
 	if err != nil {
@@ -44,6 +43,9 @@ func FuzzRead(f *testing.F) {
 	}
 	f.Add(chunked.Bytes())
 	f.Add(append([]byte(nil), chunked.Bytes()[:chunked.Len()-6]...))
+	// Retired container versions, which both decoders reject.
+	f.Add(v1Header())
+	f.Add(v3Header())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tr, err := Read(bytes.NewReader(data))

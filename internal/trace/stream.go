@@ -22,36 +22,9 @@ import (
 //	Sink   — incremental consumer (in-memory slice, or the chunked
 //	         stream writer that spills fixed-size chunks to disk)
 //
-// The chunked stream format (version 2 of the PFXT container) reuses the
-// version-1 event encoding byte for byte — the delta-encoder state runs
-// continuously across chunk boundaries — and frames events into chunks
-// of at most the writer's configured size, so both ends hold one chunk
-// at most:
-//
-//	magic "PFXT" | version=2 | chunkSize |
-//	  chunk*: eventCount (1..chunkSize) | events... |
-//	  terminator: 0 | instr
-//
-// The instruction count moves from the header to the terminator because
-// a spilling recorder only learns it when the run finishes.
-//
-// Version 3 — what the StreamWriter emits — is version 2 plus an indexed
-// chunk frame: each chunk additionally carries its encoded byte length
-// and the delta-decoder handoff (the per-kind previous addresses at the
-// chunk's first event), so a cheap sequential scanner can slice the file
-// into self-contained (bytes, start-state) units for the parallel decode
-// pool in shard.go without decoding anything itself:
-//
-//	magic "PFXT" | version=3 | chunkSize |
-//	  chunk*: eventCount (1..chunkSize) | byteLen |
-//	          prevAddr[Alloc] prevAddr[Free] prevAddr[Realloc] prevAddr[Access] |
-//	          events... (byteLen bytes)
-//	  terminator: 0 | instr
-//
-// The serial reader cross-checks the recorded handoff against its own
-// running decoder state, so a writer bug in the handoff snapshot can
-// never go unnoticed; the parallel path trusts it (that is the point:
-// decoding chunk k must not require decoding chunk k-1).
+// Both ends speak the one PFXT container (see encode.go): events framed
+// into chunks of at most the writer's configured size, so writer and
+// reader each hold one chunk at most.
 
 // Source is a pull iterator over an event stream in trace order.
 type Source interface {
@@ -180,14 +153,10 @@ type StreamWriter struct {
 	chunk       bytes.Buffer // encoded bytes of the open chunk
 	chunkEvents int
 	n           int // events in the open chunk
-	// handoff is the delta-encoder state at the open chunk's first
-	// event, snapshotted at every chunk boundary; the version-3 frame
-	// records it so chunks decode independently.
-	handoff [5]uint64
-	instr   uint64
-	stats   RecorderStats
-	closed  bool
-	err     error
+	instr       uint64
+	stats       RecorderStats
+	closed      bool
+	err         error
 }
 
 // NewStreamWriter starts a chunked stream on w. chunkEvents is the
@@ -202,7 +171,7 @@ func NewStreamWriter(w io.Writer, chunkEvents int) (*StreamWriter, error) {
 	if _, err := sw.w.WriteString(magic); err != nil {
 		return nil, err
 	}
-	if err := writeUvarint(sw.w, versionIndexed); err != nil {
+	if err := writeUvarint(sw.w, version); err != nil {
 		return nil, err
 	}
 	if err := writeUvarint(sw.w, uint64(chunkEvents)); err != nil {
@@ -273,28 +242,17 @@ func (sw *StreamWriter) AppendBatch(evs []Event) error {
 	return nil
 }
 
-// flushChunk frames and writes the open chunk: event count, encoded
-// byte length, the decoder handoff at the chunk's first event, then the
-// payload. The handoff snapshot rolls forward to the encoder's current
-// state for the next chunk.
+// flushChunk frames and writes the open chunk: its event count, then
+// the encoded events.
 func (sw *StreamWriter) flushChunk() error {
 	if err := writeUvarint(sw.w, uint64(sw.n)); err != nil {
 		return sw.fail(err)
-	}
-	if err := writeUvarint(sw.w, uint64(sw.chunk.Len())); err != nil {
-		return sw.fail(err)
-	}
-	for kind := KindAlloc; kind <= KindAccess; kind++ {
-		if err := writeUvarint(sw.w, sw.handoff[kind]); err != nil {
-			return sw.fail(err)
-		}
 	}
 	if _, err := sw.chunk.WriteTo(sw.w); err != nil {
 		return sw.fail(err)
 	}
 	sw.chunk.Reset()
 	sw.n = 0
-	sw.handoff = sw.enc.prevAddr
 	sw.stats.Chunks++
 	return nil
 }
@@ -334,72 +292,47 @@ func (sw *StreamWriter) Stats() RecorderStats { return sw.stats }
 
 var _ Sink = (*StreamWriter)(nil)
 
-// --- Chunked / classic stream reader ----------------------------------
+// --- Chunked stream reader ---------------------------------------------
 
 // StreamReader decodes a trace file incrementally, holding no event
-// buffer at all. It accepts every container version: the classic
-// version-1 file (header-counted) and the version-2/3 chunked streams.
+// buffer at all.
 type StreamReader struct {
 	dec       eventDecoder
-	version   uint64
 	instr     uint64
 	events    uint64 // events decoded so far
-	remaining uint64 // events left in the current chunk (v2) or file (v1)
-	declared  uint64 // v1 header event count
-	chunkSize uint64 // v2 declared chunk size
+	remaining uint64 // events left in the current chunk
+	chunkSize uint64 // declared chunk size
 	chunks    uint64
 	done      bool
 	err       error
 }
 
-// readContainerHeader consumes the magic and version from br.
-func readContainerHeader(br *bufio.Reader) (ver uint64, err error) {
-	head := make([]byte, len(magic))
-	if _, err := io.ReadFull(br, head); err != nil {
-		return 0, fmt.Errorf("trace: reading magic: %w", err)
-	}
-	if string(head) != magic {
-		return 0, errors.New("trace: bad magic (not a PreFix trace file)")
-	}
-	return binary.ReadUvarint(br)
-}
-
 // NewStreamReader reads the container header and returns a Source over
-// the file's events.
+// the file's events. Any version other than the one StreamWriter emits
+// is rejected.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	br := bufio.NewReader(r)
-	ver, err := readContainerHeader(br)
-	if err != nil {
-		return nil, err
+	head := make([]byte, len(magic))
+	if _, err := io.ReadFull(br, head); err != nil {
+		return nil, fmt.Errorf("trace: reading magic: %w", err)
 	}
-	return newStreamReader(br, ver)
-}
-
-// newStreamReader continues after the magic and version have been
-// consumed from br (the sharded path peeks the version first to decide
-// between serial and parallel decode).
-func newStreamReader(br *bufio.Reader, ver uint64) (*StreamReader, error) {
-	s := &StreamReader{version: ver}
+	if string(head) != magic {
+		return nil, errors.New("trace: bad magic (not a PreFix trace file)")
+	}
+	ver, err := binary.ReadUvarint(br)
+	if err != nil {
+		return nil, fmt.Errorf("trace: reading version: %w", err)
+	}
+	if ver != version {
+		return nil, fmt.Errorf("trace: unsupported version %d (want %d)", ver, version)
+	}
+	s := &StreamReader{}
 	s.dec.br = br
-	var err error
-	switch ver {
-	case version:
-		if s.instr, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-		if s.declared, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-		s.remaining = s.declared
-	case versionChunked, versionIndexed:
-		if s.chunkSize, err = binary.ReadUvarint(br); err != nil {
-			return nil, err
-		}
-		if s.chunkSize == 0 {
-			return nil, errors.New("trace: chunked stream declares zero chunk size")
-		}
-	default:
-		return nil, fmt.Errorf("trace: unsupported version %d", ver)
+	if s.chunkSize, err = binary.ReadUvarint(br); err != nil {
+		return nil, fmt.Errorf("trace: reading chunk size: %w", err)
+	}
+	if s.chunkSize == 0 {
+		return nil, errors.New("trace: chunked stream declares zero chunk size")
 	}
 	return s, nil
 }
@@ -416,11 +349,7 @@ func (s *StreamReader) Next() (Event, bool) {
 		return Event{}, false
 	}
 	if s.remaining == 0 {
-		if s.version == version {
-			s.done = true
-			return Event{}, false
-		}
-		// Chunked: next frame is a chunk header or the terminator.
+		// The next frame is a chunk header or the terminator.
 		n, err := binary.ReadUvarint(s.dec.br)
 		if err != nil {
 			s.fail(fmt.Errorf("trace: chunk %d header: %w", s.chunks, err))
@@ -441,33 +370,6 @@ func (s *StreamReader) Next() (Event, bool) {
 				s.chunks, n, s.chunkSize))
 			return Event{}, false
 		}
-		if s.version == versionIndexed {
-			// Indexed frame: byte length and decoder handoff. The
-			// serial decoder's state already runs continuously, so the
-			// recorded handoff must match it exactly — a mismatch means
-			// a corrupt file or a broken writer snapshot.
-			byteLen, err := binary.ReadUvarint(s.dec.br)
-			if err != nil {
-				s.fail(fmt.Errorf("trace: chunk %d byte length: %w", s.chunks, err))
-				return Event{}, false
-			}
-			if byteLen > n*maxEventEncodedBytes {
-				s.fail(fmt.Errorf("trace: chunk %d claims %d bytes for %d events", s.chunks, byteLen, n))
-				return Event{}, false
-			}
-			for kind := KindAlloc; kind <= KindAccess; kind++ {
-				state, err := binary.ReadUvarint(s.dec.br)
-				if err != nil {
-					s.fail(fmt.Errorf("trace: chunk %d handoff: %w", s.chunks, err))
-					return Event{}, false
-				}
-				if state != s.dec.prevAddr[kind] {
-					s.fail(fmt.Errorf("trace: chunk %d handoff mismatch for kind %d: recorded %#x, decoder at %#x",
-						s.chunks, kind, state, s.dec.prevAddr[kind]))
-					return Event{}, false
-				}
-			}
-		}
 		s.chunks++
 		s.remaining = n
 	}
@@ -484,26 +386,21 @@ func (s *StreamReader) Next() (Event, bool) {
 // Err implements Source.
 func (s *StreamReader) Err() error { return s.err }
 
-// Instr implements Source. For version-1 files it is valid immediately;
-// for chunked streams only after Next has returned false.
+// Instr implements Source. It is valid only after Next has returned
+// false: the count sits in the stream terminator.
 func (s *StreamReader) Instr() uint64 { return s.instr }
 
 // Events returns the number of events decoded so far.
 func (s *StreamReader) Events() uint64 { return s.events }
 
-// Chunks returns the number of chunk frames consumed (zero for
-// version-1 files).
+// Chunks returns the number of chunk frames consumed.
 func (s *StreamReader) Chunks() uint64 { return s.chunks }
 
 // capHint returns a bounded capacity hint for materializing the stream:
-// the declared event count where the header carries one, capped so a
-// doctored header cannot drive a huge allocation (satellite of the
-// untrusted-eventCount fix — real events grow the slice as they decode).
+// the declared chunk size, capped so a doctored header cannot drive a
+// huge allocation (real events grow the slice as they decode).
 func (s *StreamReader) capHint() int {
-	hint := s.declared
-	if s.version != version {
-		hint = s.chunkSize
-	}
+	hint := s.chunkSize
 	if hint > maxPreallocEvents {
 		hint = maxPreallocEvents
 	}

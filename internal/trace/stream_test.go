@@ -124,24 +124,6 @@ func TestReadAcceptsChunkedFormat(t *testing.T) {
 	}
 }
 
-func TestStreamReaderClassicFormat(t *testing.T) {
-	tr := record()
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := NewStreamReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Instr() != tr.Instr { // v1 carries instr in the header
-		t.Errorf("instr = %d, want %d", sr.Instr(), tr.Instr)
-	}
-	if got := drain(t, sr); !reflect.DeepEqual(got, tr.Events) {
-		t.Fatal("classic decode through StreamReader differs")
-	}
-}
-
 func TestStreamTruncatedChunk(t *testing.T) {
 	data := writeChunked(t, record(), 4)
 	sr, err := NewStreamReader(bytes.NewReader(data[:len(data)-6]))

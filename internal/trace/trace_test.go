@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -148,44 +149,88 @@ func TestEncodeDecodeRoundtrip(t *testing.T) {
 	}
 }
 
-func TestDecodeDoctoredEventCount(t *testing.T) {
-	// A header may claim any event count — it is untrusted input. A
-	// doctored count of 2^40 followed by a truncated body must fail
-	// cleanly without preallocating the claimed amount.
-	var buf bytes.Buffer
-	buf.WriteString(magic)
-	w := func(v uint64) {
-		var tmp [binary.MaxVarintLen64]byte
-		buf.Write(tmp[:binary.PutUvarint(tmp[:], v)])
+// container builds raw container bytes: the magic followed by each
+// value as an unsigned varint.
+func container(vals ...uint64) []byte {
+	buf := []byte(magic)
+	for _, v := range vals {
+		buf = binary.AppendUvarint(buf, v)
 	}
-	w(version) // version
-	w(0)       // instr
-	w(1 << 40) // eventCount: absurd
-	buf.WriteByte(byte(KindFree))
-	buf.WriteByte(0) // one real event, then EOF
-	tr, err := Read(&buf)
+	return buf
+}
+
+func TestDecodeDoctoredEventCount(t *testing.T) {
+	// The header's chunk size and every chunk's event count are untrusted
+	// input. A chunk size of 2^40 with a chunk claiming as many events,
+	// followed by a truncated body, must fail cleanly without
+	// preallocating the claimed amount.
+	data := container(version, 1<<40, 1<<40)
+	data = append(data, byte(KindFree), 0) // one real event, then EOF
+	tr, err := Read(bytes.NewReader(data))
 	if err == nil {
 		t.Fatalf("doctored header accepted: %d events", len(tr.Events))
 	}
 }
 
 func TestDecodeDoctoredCountBoundsPrealloc(t *testing.T) {
-	var buf bytes.Buffer
-	if err := record().Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sr, err := NewStreamReader(bytes.NewReader(buf.Bytes()))
+	sr, err := NewStreamReader(bytes.NewReader(writeChunked(t, record(), 4)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := sr.capHint(); got != len(record().Events) {
-		t.Errorf("capHint = %d, want declared count %d", got, len(record().Events))
+	if got := sr.capHint(); got != 4 {
+		t.Errorf("capHint = %d, want the declared chunk size 4", got)
 	}
-	// Forge a reader with a hostile declared count; the hint must cap.
-	sr.declared = 1 << 40
+	// A hostile declared chunk size must not drive the hint.
+	sr, err = NewStreamReader(bytes.NewReader(container(version, 1<<40)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := sr.capHint(); got != maxPreallocEvents {
 		t.Errorf("capHint = %d, want cap %d", got, maxPreallocEvents)
 	}
+	if _, ok := sr.Next(); ok || sr.Err() == nil {
+		t.Error("header with no chunk frame decoded an event or ended cleanly")
+	}
+}
+
+// TestStreamReaderRejectsBadHeaders: only the version StreamWriter emits
+// is accepted. The retired header-counted (1) and indexed-frame (3)
+// layouts, and a zero chunk size, fail with an error.
+func TestStreamReaderRejectsBadHeaders(t *testing.T) {
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"version 1", v1Header(), "unsupported version 1"},
+		{"version 3", v3Header(), "unsupported version 3"},
+		{"zero chunk size", container(version, 0), "zero chunk size"},
+		{"truncated version", []byte(magic), "reading version"},
+		{"truncated chunk size", container(version), "reading chunk size"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := NewStreamReader(bytes.NewReader(c.data))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("err = %v, want %q", err, c.want)
+			}
+			if _, err := Read(bytes.NewReader(c.data)); err == nil {
+				t.Fatal("Read accepted the header")
+			}
+		})
+	}
+}
+
+// v1Header is a header-counted version-1 file: instr, event count, then
+// one Free event.
+func v1Header() []byte {
+	return append(container(1, 100, 1), byte(KindFree), 0)
+}
+
+// v3Header is an indexed-frame version-3 file: chunk size, then one
+// chunk frame with its byte length and four-word decoder pre-state.
+func v3Header() []byte {
+	return append(container(3, 4, 1, 2, 0, 0, 0, 0), byte(KindFree), 0)
 }
 
 func TestDecodeRejectsGarbage(t *testing.T) {
