@@ -73,12 +73,13 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # One-iteration smoke of the inner-loop microbenchmarks (cache probe,
-# hierarchy walk, machine event loop, miners). Catches compile breakage
-# and gross regressions in CI without paying for a real measurement; use
-# `make bench` for numbers.
+# hierarchy walk, machine event loop, miners, simulated heap churn).
+# Catches compile breakage and gross regressions in CI without paying for
+# a real measurement; use `make bench` for numbers.
 bench-micro:
 	$(GO) test -bench=. -benchtime=1x -benchmem -run=^$$ \
-		./internal/cachesim ./internal/machine ./internal/hds ./internal/trace
+		./internal/cachesim ./internal/machine ./internal/hds ./internal/trace \
+		./internal/simalloc
 
 # Fast end-to-end smoke of the parallel harness.
 bench-smoke:

@@ -18,6 +18,13 @@
 //
 // The allocator also tracks the statistics the evaluation needs: live
 // bytes, peak footprint (paper Table 6), and operation counts.
+//
+// Every simulated malloc and free runs through this heap, so its host
+// cost is a large share of a simulation's. The bookkeeping is therefore
+// allocation-free in steady state: block records live in one slab and
+// link to their address-order neighbours by slab index, the bins hold
+// slab indices and remove in place, and a malloc or free makes one map
+// operation (see Heap).
 package simalloc
 
 import (
@@ -42,31 +49,42 @@ const (
 // 16-byte multiples up to 512 bytes, later bins are logarithmic.
 const numBins = 48
 
-// block is an allocated or free region of the simulated heap.
-// Blocks partition the heap: every byte between heapStart and brk belongs
-// to exactly one block.
+// nilIdx is the slab index of "no block": the prev of the lowest block,
+// the next of the highest, and last on an empty heap.
+const nilIdx int32 = -1
+
+// block is an allocated or free region of the simulated heap, stored by
+// value in Heap.slab. Blocks partition the heap: every byte between
+// heapStart and brk belongs to exactly one block. A record on the spare
+// list belongs to no block and has addr NilAddr.
 type block struct {
-	addr mem.Addr // payload address
-	size uint64   // payload size (aligned)
-	free bool
+	addr       mem.Addr // payload address
+	size       uint64   // payload size (aligned)
+	prev, next int32    // address-order neighbours' slab indices, or nilIdx
+	free       bool
 }
 
 // Heap is the simulated allocator. It is not safe for concurrent use; the
 // machine layer serializes access (the simulation interleaves logical
 // threads deterministically).
+//
+// A malloc makes exactly one map operation (recording the payload's slab
+// index) and a free makes exactly one (looking it up). Merging a block
+// away on coalescing does not delete its address: the map may keep stale
+// entries, and find treats an entry as valid only when the record it
+// names still holds a live block at that address. Records freed by
+// coalescing go on the spare list with addr NilAddr, so no stale entry
+// can resolve to a reused record.
 type Heap struct {
 	heapStart mem.Addr
 	brk       mem.Addr
 
-	// blocks maps payload address -> block, for O(1) free/realloc.
-	blocks map[mem.Addr]*block
-	// byStart is the address-ordered list of all blocks for neighbour
-	// coalescing; maps block start (addr) to the previous block's start.
-	next map[mem.Addr]mem.Addr
-	prev map[mem.Addr]mem.Addr
-	last mem.Addr // highest block start, NilAddr when heap empty
+	slab  []block            // every block record, indexed by int32
+	spare []int32            // slab indices free for reuse
+	index map[mem.Addr]int32 // payload address -> slab index (may be stale)
+	last  int32              // highest block, nilIdx when the heap is empty
 
-	bins [numBins][]mem.Addr // address-ordered free lists
+	bins [numBins][]int32 // free blocks' slab indices, address-ordered
 
 	stats Stats
 }
@@ -124,10 +142,8 @@ func New(base mem.Addr) *Heap {
 	return &Heap{
 		heapStart: base,
 		brk:       base,
-		blocks:    make(map[mem.Addr]*block),
-		next:      make(map[mem.Addr]mem.Addr),
-		prev:      make(map[mem.Addr]mem.Addr),
-		last:      mem.NilAddr,
+		index:     make(map[mem.Addr]int32),
+		last:      nilIdx,
 	}
 }
 
@@ -158,6 +174,49 @@ func binFor(size uint64) int {
 	return b
 }
 
+// find returns the slab index of the live block whose payload starts at
+// addr, or nilIdx when addr is not a live payload address.
+func (h *Heap) find(addr mem.Addr) int32 {
+	i, ok := h.index[addr]
+	if !ok || h.slab[i].addr != addr || h.slab[i].free {
+		return nilIdx
+	}
+	return i
+}
+
+// newRecord returns the slab index of a new, unlinked block record,
+// reusing a spare one when there is any.
+func (h *Heap) newRecord(addr mem.Addr, size uint64, free bool) int32 {
+	b := block{addr: addr, size: size, prev: nilIdx, next: nilIdx, free: free}
+	if n := len(h.spare); n > 0 {
+		i := h.spare[n-1]
+		h.spare = h.spare[:n-1]
+		h.slab[i] = b
+		return i
+	}
+	h.slab = append(h.slab, b)
+	return int32(len(h.slab) - 1)
+}
+
+// dropRecord unlinks block i, which coalescing merged into its lower
+// neighbour, and puts its record on the spare list. The record's addr
+// becomes NilAddr, so a stale index entry for the old address no longer
+// resolves.
+func (h *Heap) dropRecord(i int32) {
+	p, n := h.slab[i].prev, h.slab[i].next
+	if p != nilIdx {
+		h.slab[p].next = n
+	}
+	if n != nilIdx {
+		h.slab[n].prev = p
+	}
+	if h.last == i {
+		h.last = p
+	}
+	h.slab[i] = block{addr: mem.NilAddr, prev: nilIdx, next: nilIdx}
+	h.spare = append(h.spare, i)
+}
+
 // Malloc allocates size payload bytes and returns the payload address.
 // A size of zero allocates MinPayload bytes, matching common mallocs that
 // return distinct pointers for zero-byte requests.
@@ -165,129 +224,135 @@ func (h *Heap) Malloc(size uint64) mem.Addr {
 	h.stats.Mallocs++
 	size = mem.AlignUp(maxU64(size, MinPayload), Alignment)
 
-	if a := h.takeFree(size); a != mem.NilAddr {
-		b := h.blocks[a]
-		h.stats.LiveBytes += b.size
-		h.stats.LiveBlocks++
-		return a
+	i := h.takeFree(size)
+	if i == nilIdx {
+		// Extend the break.
+		i = h.newRecord(h.brk+HeaderSize, size, false)
+		h.linkAfter(h.last, i)
+		h.brk += HeaderSize + mem.Addr(size)
+		h.stats.BrkExtends++
+		h.stats.GrossBytes += size + HeaderSize
+		if h.stats.GrossBytes > h.stats.PeakBytes {
+			h.stats.PeakBytes = h.stats.GrossBytes
+		}
 	}
-
-	// Extend the break.
-	payload := h.brk + HeaderSize
-	b := &block{addr: payload, size: size}
-	h.blocks[payload] = b
-	h.linkAfter(h.last, payload)
-	h.brk = payload + mem.Addr(size)
-	h.stats.BrkExtends++
-	h.stats.GrossBytes += size + HeaderSize
-	if h.stats.GrossBytes > h.stats.PeakBytes {
-		h.stats.PeakBytes = h.stats.GrossBytes
-	}
-	h.stats.LiveBytes += size
+	b := &h.slab[i]
+	h.index[b.addr] = i
+	h.stats.LiveBytes += b.size
 	h.stats.LiveBlocks++
-	return payload
+	return b.addr
 }
 
 // takeFree pops the lowest-addressed free block that fits size, splitting
-// it when the remainder can hold another block.
-func (h *Heap) takeFree(size uint64) mem.Addr {
+// it when the remainder can hold another block, and returns its slab
+// index (nilIdx when no free block fits).
+func (h *Heap) takeFree(size uint64) int32 {
 	for bin := binFor(size); bin < numBins; bin++ {
 		list := h.bins[bin]
-		for i, a := range list {
-			b := h.blocks[a]
-			if b == nil || !b.free {
-				continue // stale entry, cleaned below
-			}
-			if b.size < size {
+		for k, i := range list {
+			if h.slab[i].size < size {
 				continue
 			}
-			// Remove from bin.
-			h.bins[bin] = append(list[:i:i], list[i+1:]...)
-			b.free = false
+			copy(list[k:], list[k+1:])
+			h.bins[bin] = list[:len(list)-1]
+			h.slab[i].free = false
 			// Split if worthwhile.
-			if b.size >= size+HeaderSize+MinPayload {
-				remAddr := b.addr + mem.Addr(size) + HeaderSize
-				rem := &block{addr: remAddr, size: b.size - size - HeaderSize, free: true}
-				b.size = size
-				h.blocks[remAddr] = rem
-				h.linkAfter(b.addr, remAddr)
-				h.pushFree(rem)
+			if rest := h.slab[i].size; rest >= size+HeaderSize+MinPayload {
+				h.slab[i].size = size
+				r := h.newRecord(h.slab[i].addr+mem.Addr(size)+HeaderSize, rest-size-HeaderSize, true)
+				h.linkAfter(i, r)
+				h.pushFree(r)
 			}
-			return a
+			return i
 		}
 	}
-	return mem.NilAddr
+	return nilIdx
 }
 
-func (h *Heap) pushFree(b *block) {
-	bin := binFor(b.size)
+// binSearch returns the position of the first entry of list whose block
+// starts at or above addr.
+func (h *Heap) binSearch(list []int32, addr mem.Addr) int {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if h.slab[list[m]].addr < addr {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+// pushFree files free block i in its bin.
+func (h *Heap) pushFree(i int32) {
+	bin := binFor(h.slab[i].size)
 	// Keep the bin address-ordered so reuse is lowest-address-first, the
 	// behaviour that interleaves recycled hot slots with cold data.
 	list := h.bins[bin]
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= b.addr })
+	k := h.binSearch(list, h.slab[i].addr)
 	list = append(list, 0)
-	copy(list[i+1:], list[i:])
-	list[i] = b.addr
+	copy(list[k+1:], list[k:])
+	list[k] = i
 	h.bins[bin] = list
 }
 
-func (h *Heap) removeFree(a mem.Addr, size uint64) {
-	bin := binFor(size)
+// removeFree takes free block i out of its bin.
+func (h *Heap) removeFree(i int32) {
+	bin := binFor(h.slab[i].size)
 	list := h.bins[bin]
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= a })
-	if i < len(list) && list[i] == a {
-		h.bins[bin] = append(list[:i:i], list[i+1:]...)
+	k := h.binSearch(list, h.slab[i].addr)
+	if k < len(list) && list[k] == i {
+		copy(list[k:], list[k+1:])
+		h.bins[bin] = list[:len(list)-1]
 	}
 }
 
 // Free releases the block at addr. Freeing an address the heap does not
 // own returns false (callers treat that as a bug in the workload).
 func (h *Heap) Free(addr mem.Addr) bool {
-	b := h.blocks[addr]
-	if b == nil || b.free {
+	i := h.find(addr)
+	if i == nilIdx {
 		h.stats.FailedFrees++
 		return false
 	}
-	h.stats.Frees++
-	h.stats.LiveBytes -= b.size
-	h.stats.LiveBlocks--
-	b.free = true
-	h.coalesce(b)
+	h.release(i)
 	return true
 }
 
-// coalesce merges b with free neighbours and files the result in a bin.
-func (h *Heap) coalesce(b *block) {
+// release frees live block i.
+func (h *Heap) release(i int32) {
+	h.stats.Frees++
+	h.stats.LiveBytes -= h.slab[i].size
+	h.stats.LiveBlocks--
+	h.slab[i].free = true
+	h.coalesce(i)
+}
+
+// coalesce merges free block i with free neighbours and files the result
+// in a bin.
+func (h *Heap) coalesce(i int32) {
 	// Merge with next neighbour(s).
 	for {
-		na, ok := h.next[b.addr]
-		if !ok {
+		n := h.slab[i].next
+		if n == nilIdx || !h.slab[n].free {
 			break
 		}
-		nb := h.blocks[na]
-		if nb == nil || !nb.free {
-			break
-		}
-		h.removeFree(na, nb.size)
-		h.unlink(na)
-		delete(h.blocks, na)
-		b.size += nb.size + HeaderSize
+		h.removeFree(n)
+		h.slab[i].size += h.slab[n].size + HeaderSize
+		h.dropRecord(n)
 		h.stats.Coalesces++
 	}
 	// Merge into previous neighbour if free.
-	if pa, ok := h.prev[b.addr]; ok {
-		pb := h.blocks[pa]
-		if pb != nil && pb.free {
-			h.removeFree(pa, pb.size)
-			h.unlink(b.addr)
-			delete(h.blocks, b.addr)
-			pb.size += b.size + HeaderSize
-			h.stats.Coalesces++
-			h.pushFree(pb)
-			return
-		}
+	if p := h.slab[i].prev; p != nilIdx && h.slab[p].free {
+		h.removeFree(p)
+		h.slab[p].size += h.slab[i].size + HeaderSize
+		h.dropRecord(i)
+		h.stats.Coalesces++
+		h.pushFree(p)
+		return
 	}
-	h.pushFree(b)
+	h.pushFree(i)
 }
 
 // Realloc resizes the block at addr to newSize, returning the (possibly
@@ -298,76 +363,54 @@ func (h *Heap) Realloc(addr mem.Addr, newSize uint64) (mem.Addr, uint64) {
 	if addr == mem.NilAddr {
 		return h.Malloc(newSize), 0
 	}
-	b := h.blocks[addr]
-	if b == nil || b.free {
+	i := h.find(addr)
+	if i == nilIdx {
 		h.stats.FailedFrees++
 		return h.Malloc(newSize), 0
 	}
 	newSize = mem.AlignUp(maxU64(newSize, MinPayload), Alignment)
-	if newSize <= b.size {
+	old := h.slab[i].size
+	if newSize <= old {
 		return addr, newSize // shrink in place (no block split for simplicity)
 	}
-	old := b.size
+	// Malloc cannot touch live block i, so its index stays valid.
 	na := h.Malloc(newSize)
-	h.Free(addr)
+	h.release(i)
 	return na, old
 }
 
 // SizeOf returns the payload size of the live block at addr, or 0 if addr
 // is not a live payload address.
 func (h *Heap) SizeOf(addr mem.Addr) uint64 {
-	b := h.blocks[addr]
-	if b == nil || b.free {
+	i := h.find(addr)
+	if i == nilIdx {
 		return 0
 	}
-	return b.size
+	return h.slab[i].size
 }
 
 // Owns reports whether addr is a payload address the heap has ever issued
 // and that is currently live.
 func (h *Heap) Owns(addr mem.Addr) bool {
-	b := h.blocks[addr]
-	return b != nil && !b.free
+	return h.find(addr) != nilIdx
 }
 
-// linkAfter inserts block na after pa in address order (pa == NilAddr
-// appends at the very start when the heap is empty).
-func (h *Heap) linkAfter(pa, na mem.Addr) {
-	if pa == mem.NilAddr {
-		h.last = na
+// linkAfter inserts block n after block p in address order (p == nilIdx
+// makes n the only block of an empty heap).
+func (h *Heap) linkAfter(p, n int32) {
+	if p == nilIdx {
+		h.last = n
 		return
 	}
-	if n, ok := h.next[pa]; ok {
-		h.next[na] = n
-		h.prev[n] = na
+	nn := h.slab[p].next
+	h.slab[n].prev = p
+	h.slab[n].next = nn
+	h.slab[p].next = n
+	if nn != nilIdx {
+		h.slab[nn].prev = n
 	}
-	h.next[pa] = na
-	h.prev[na] = pa
-	if pa == h.last {
-		h.last = na
-	}
-}
-
-func (h *Heap) unlink(a mem.Addr) {
-	p, hasP := h.prev[a]
-	n, hasN := h.next[a]
-	if hasP && hasN {
-		h.next[p] = n
-		h.prev[n] = p
-	} else if hasP {
-		delete(h.next, p)
-		h.last = p
-	} else if hasN {
-		delete(h.prev, n)
-	}
-	delete(h.prev, a)
-	delete(h.next, a)
-	if h.last == a {
-		if hasP {
-			h.last = p
-		} else {
-			h.last = mem.NilAddr
-		}
+	if p == h.last {
+		h.last = n
 	}
 }
 
@@ -375,27 +418,67 @@ func (h *Heap) unlink(a mem.Addr) {
 // randomized operation sequences. It returns an error describing the first
 // violation found.
 func (h *Heap) CheckInvariants() error {
-	// Walk address order, ensure blocks tile [heapStart, brk) exactly.
-	var walk []mem.Addr
-	for a := range h.blocks {
-		walk = append(walk, a)
+	n := int32(len(h.slab))
+	spare := make([]bool, n)
+	for _, i := range h.spare {
+		if i < 0 || i >= n {
+			return fmt.Errorf("simalloc: spare index %d outside slab of %d", i, n)
+		}
+		if spare[i] {
+			return fmt.Errorf("simalloc: spare index %d listed twice", i)
+		}
+		// No map key is NilAddr, so a spare record with that address is
+		// unreachable from the address map whatever stale entries it has.
+		if a := h.slab[i].addr; a != mem.NilAddr {
+			return fmt.Errorf("simalloc: spare record %d reachable from the address map at %v", i, a)
+		}
+		spare[i] = true
 	}
-	sort.Slice(walk, func(i, j int) bool { return walk[i] < walk[j] })
+
+	// Sort the blocks by address; they must tile [heapStart, brk) exactly
+	// and the prev/next links must agree with that order and with last.
+	walk := make([]int32, 0, int(n)-len(h.spare))
+	for i := int32(0); i < n; i++ {
+		if !spare[i] {
+			walk = append(walk, i)
+		}
+	}
+	sort.Slice(walk, func(x, y int) bool { return h.slab[walk[x]].addr < h.slab[walk[y]].addr })
 	cursor := h.heapStart
 	var live, liveBlocks uint64
-	for _, a := range walk {
-		b := h.blocks[a]
-		if a != cursor+HeaderSize {
-			return fmt.Errorf("simalloc: block %v does not start at cursor %v+header", a, cursor)
+	prev := nilIdx
+	for _, i := range walk {
+		b := &h.slab[i]
+		if b.addr != cursor+HeaderSize {
+			return fmt.Errorf("simalloc: block %v does not start at cursor %v+header", b.addr, cursor)
 		}
-		if !mem.IsAligned(uint64(a), Alignment) {
-			return fmt.Errorf("simalloc: block %v misaligned", a)
+		if !mem.IsAligned(uint64(b.addr), Alignment) {
+			return fmt.Errorf("simalloc: block %v misaligned", b.addr)
+		}
+		if b.prev != prev {
+			return fmt.Errorf("simalloc: block %v links prev %d, address order has %d", b.addr, b.prev, prev)
+		}
+		if prev != nilIdx && h.slab[prev].next != i {
+			return fmt.Errorf("simalloc: block %v links next %d, address order has %d", h.slab[prev].addr, h.slab[prev].next, i)
+		}
+		if prev != nilIdx && b.free && h.slab[prev].free {
+			return fmt.Errorf("simalloc: adjacent free blocks %v and %v not coalesced", h.slab[prev].addr, b.addr)
 		}
 		if !b.free {
 			live += b.size
 			liveBlocks++
+			if j, ok := h.index[b.addr]; !ok || j != i {
+				return fmt.Errorf("simalloc: live block %v not reachable from the address map", b.addr)
+			}
 		}
-		cursor = a + mem.Addr(b.size)
+		cursor = b.addr + mem.Addr(b.size)
+		prev = i
+	}
+	if prev != nilIdx && h.slab[prev].next != nilIdx {
+		return fmt.Errorf("simalloc: highest block %v links next %d", h.slab[prev].addr, h.slab[prev].next)
+	}
+	if h.last != prev {
+		return fmt.Errorf("simalloc: last is %d, highest block is %d", h.last, prev)
 	}
 	if cursor != h.brk {
 		return fmt.Errorf("simalloc: blocks end at %v, brk is %v", cursor, h.brk)
@@ -406,24 +489,37 @@ func (h *Heap) CheckInvariants() error {
 	if liveBlocks != h.stats.LiveBlocks {
 		return fmt.Errorf("simalloc: live blocks %d != stats %d", liveBlocks, h.stats.LiveBlocks)
 	}
-	// No free block may appear twice across bins, and all bin entries must
-	// reference live free blocks.
-	seen := make(map[mem.Addr]bool)
+
+	// Every free block is filed exactly once, in the bin its size selects,
+	// and every bin is strictly address-ordered.
+	filed := make([]bool, n)
 	for bin, list := range h.bins {
-		for _, a := range list {
-			b := h.blocks[a]
-			if b == nil {
-				return fmt.Errorf("simalloc: bin %d holds deleted block %v", bin, a)
+		for k, i := range list {
+			if i < 0 || i >= n || spare[i] {
+				return fmt.Errorf("simalloc: bin %d holds deleted block record %d", bin, i)
 			}
+			b := &h.slab[i]
 			if !b.free {
-				return fmt.Errorf("simalloc: bin %d holds allocated block %v", bin, a)
+				return fmt.Errorf("simalloc: bin %d holds allocated block %v", bin, b.addr)
 			}
-			if seen[a] {
-				return fmt.Errorf("simalloc: block %v filed twice", a)
+			if filed[i] {
+				return fmt.Errorf("simalloc: block %v filed twice", b.addr)
 			}
-			seen[a] = true
+			filed[i] = true
+			if want := binFor(b.size); want != bin {
+				return fmt.Errorf("simalloc: block %v of size %d filed in bin %d, want %d", b.addr, b.size, bin, want)
+			}
+			if k > 0 && h.slab[list[k-1]].addr >= b.addr {
+				return fmt.Errorf("simalloc: bin %d not address-ordered at %v", bin, b.addr)
+			}
 		}
 	}
+	for _, i := range walk {
+		if h.slab[i].free && !filed[i] {
+			return fmt.Errorf("simalloc: free block %v missing from bin %d", h.slab[i].addr, binFor(h.slab[i].size))
+		}
+	}
+
 	return nil
 }
 

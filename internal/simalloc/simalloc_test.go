@@ -1,6 +1,8 @@
 package simalloc
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -204,8 +206,10 @@ func TestOwns(t *testing.T) {
 
 // TestRandomOperationsInvariant drives the allocator with random
 // malloc/free/realloc sequences and validates the internal invariants and
-// that live blocks never overlap.
+// that live blocks never overlap. It then breaks each invariant in turn on
+// a copy of every random heap and requires CheckInvariants to name it.
 func TestRandomOperationsInvariant(t *testing.T) {
+	corrupted := make(map[string]int)
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
 		h := New(0x10000)
@@ -236,6 +240,17 @@ func TestRandomOperationsInvariant(t *testing.T) {
 			t.Logf("invariant: %v", err)
 			return false
 		}
+		for _, c := range corruptions {
+			bad := cloneHeap(h)
+			if !c.apply(bad) {
+				continue
+			}
+			corrupted[c.name]++
+			if err := bad.CheckInvariants(); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Logf("corruption %q: CheckInvariants = %v, want %q", c.name, err, c.want)
+				return false
+			}
+		}
 		// No two live blocks may overlap.
 		for i := range live {
 			for j := i + 1; j < len(live); j++ {
@@ -252,6 +267,186 @@ func TestRandomOperationsInvariant(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
 	}
+	for _, c := range corruptions {
+		if corrupted[c.name] == 0 {
+			t.Errorf("corruption %q never applied: no random heap had the shape it needs", c.name)
+		}
+	}
+}
+
+// cloneHeap returns a deep copy of h that can be corrupted without
+// touching h.
+func cloneHeap(h *Heap) *Heap {
+	c := *h
+	c.slab = append([]block(nil), h.slab...)
+	c.spare = append([]int32(nil), h.spare...)
+	c.index = make(map[mem.Addr]int32, len(h.index))
+	for a, i := range h.index {
+		c.index[a] = i
+	}
+	for b := range h.bins {
+		c.bins[b] = append([]int32(nil), h.bins[b]...)
+	}
+	return &c
+}
+
+// blocksInOrder returns h's slab indices in address order.
+func blocksInOrder(h *Heap) []int32 {
+	var out []int32
+	for i := h.last; i != nilIdx; i = h.slab[i].prev {
+		out = append(out, i)
+	}
+	slices.Reverse(out)
+	return out
+}
+
+// corruptions break one CheckInvariants rule each. apply reports false
+// when the heap lacks the shape the corruption needs.
+var corruptions = []struct {
+	name  string
+	want  string // substring of the error CheckInvariants must return
+	apply func(h *Heap) bool
+}{
+	{"free block not filed", "missing from bin", func(h *Heap) bool {
+		for b, list := range h.bins {
+			if len(list) > 0 {
+				h.bins[b] = list[1:]
+				return true
+			}
+		}
+		return false
+	}},
+	{"free block filed twice", "filed twice", func(h *Heap) bool {
+		for b, list := range h.bins {
+			if len(list) > 0 {
+				h.bins[b] = append(list, list[0])
+				return true
+			}
+		}
+		return false
+	}},
+	{"free block in the wrong bin", "filed in bin", func(h *Heap) bool {
+		for b, list := range h.bins {
+			if len(list) == 1 {
+				other := (b + 1) % numBins
+				if len(h.bins[other]) == 0 {
+					h.bins[b], h.bins[other] = nil, list
+					return true
+				}
+			}
+		}
+		return false
+	}},
+	{"bin out of address order", "not address-ordered", func(h *Heap) bool {
+		for _, list := range h.bins {
+			if len(list) > 1 {
+				list[0], list[1] = list[1], list[0]
+				return true
+			}
+		}
+		return false
+	}},
+	{"prev link disagrees with address order", "links prev", func(h *Heap) bool {
+		order := blocksInOrder(h)
+		if len(order) < 3 {
+			return false
+		}
+		h.slab[order[2]].prev = order[0]
+		return true
+	}},
+	{"next link disagrees with address order", "links next", func(h *Heap) bool {
+		order := blocksInOrder(h)
+		if len(order) < 3 {
+			return false
+		}
+		h.slab[order[0]].next = order[2]
+		return true
+	}},
+	{"last is not the highest block", "last is", func(h *Heap) bool {
+		if h.last == nilIdx || h.slab[h.last].prev == nilIdx {
+			return false
+		}
+		h.last = h.slab[h.last].prev
+		return true
+	}},
+	{"adjacent free blocks", "not coalesced", func(h *Heap) bool {
+		for _, list := range h.bins {
+			for _, i := range list {
+				if n := h.slab[i].next; n != nilIdx {
+					h.slab[n].free = true
+					return true
+				}
+			}
+		}
+		return false
+	}},
+	{"spare record reachable", "reachable from the address map", func(h *Heap) bool {
+		if len(h.spare) == 0 {
+			return false
+		}
+		h.slab[h.spare[0]].addr = h.slab[0].addr
+		return true
+	}},
+	{"live block missing from the address map", "not reachable from the address map", func(h *Heap) bool {
+		for _, i := range blocksInOrder(h) {
+			if !h.slab[i].free {
+				delete(h.index, h.slab[i].addr)
+				return true
+			}
+		}
+		return false
+	}},
+}
+
+// churnSizes are the request sizes of the churn loop: exact and log bins,
+// splitting a free hole and coalescing it back on every pair.
+var churnSizes = []uint64{24, 64, 100, 256, 600, 40, 2000, 16, 496, 4096}
+
+// churnHeap returns a heap of live blocks with free holes of every
+// churnSizes class between them.
+func churnHeap() *Heap {
+	h := New(0x10000)
+	var addrs []mem.Addr
+	for i := 0; i < 4*len(churnSizes); i++ {
+		addrs = append(addrs, h.Malloc(2*churnSizes[i%len(churnSizes)]))
+	}
+	for i := 0; i < len(addrs); i += 2 {
+		h.Free(addrs[i])
+	}
+	return h
+}
+
+// churn runs pairs malloc+free pairs on h.
+func churn(h *Heap, pairs int) {
+	for i := 0; i < pairs; i++ {
+		h.Free(h.Malloc(churnSizes[i%len(churnSizes)]))
+	}
+}
+
+// TestHeapChurnAllocs pins the steady-state malloc/free path at zero host
+// allocations: once the slab, bins and address map have grown to the
+// working set, splitting, coalescing and refiling reuse their storage.
+func TestHeapChurnAllocs(t *testing.T) {
+	h := churnHeap()
+	churn(h, 1000) // warm-up
+	if n := testing.AllocsPerRun(1, func() { churn(h, 1000) }); n != 0 {
+		t.Errorf("1000 malloc+free pairs made %v host allocations, want 0", n)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if h.Stats().Coalesces == 0 {
+		t.Error("churn never split and coalesced a block")
+	}
+}
+
+// BenchmarkHeapChurn measures one malloc+free pair of the churn loop.
+func BenchmarkHeapChurn(b *testing.B) {
+	h := churnHeap()
+	churn(h, 1000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	churn(h, b.N)
 }
 
 func TestBinFor(t *testing.T) {
