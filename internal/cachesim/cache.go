@@ -16,47 +16,20 @@ import (
 	"prefix/internal/mem"
 )
 
-// Policy selects a cache replacement policy.
-type Policy uint8
-
-const (
-	// PolicyLRU is true least-recently-used (the default).
-	PolicyLRU Policy = iota
-	// PolicyFIFO evicts in fill order regardless of reuse.
-	PolicyFIFO
-	// PolicyRandom evicts a deterministic pseudo-random way.
-	PolicyRandom
-)
-
-func (p Policy) String() string {
-	switch p {
-	case PolicyLRU:
-		return "lru"
-	case PolicyFIFO:
-		return "fifo"
-	case PolicyRandom:
-		return "random"
-	default:
-		return "policy?"
-	}
-}
-
-// Cache is one set-associative, write-allocate cache level. Tags are
-// line (or page) numbers; no data is stored.
+// Cache is one set-associative, write-allocate LRU cache level. Tags
+// are line (or page) numbers; no data is stored.
 //
 // Tag storage is one flat preallocated array of sets*ways words: set s
-// occupies tags[s*ways : s*ways+fill[s]], ordered MRU-first for LRU and
-// fill-order for FIFO. Every Access is a bounds-computed probe of that
-// window — no per-set slice headers to chase, and no allocation ever
-// happens after construction (Reset reuses the storage).
+// occupies tags[s*ways : s*ways+fill[s]], ordered MRU-first. Every
+// Access is one pass over that window — no per-set slice headers to
+// chase, and no allocation ever happens after construction (Reset
+// reuses the storage).
 type Cache struct {
 	sets     uint64
 	ways     int
-	shift    uint // address bits consumed below the index (line/page)
-	policy   Policy
+	shift    uint     // address bits consumed below the index (line/page)
 	tags     []uint64 // flat sets*ways tag array
 	fill     []int32  // valid ways per set
-	rng      uint64   // xorshift state for PolicyRandom
 	accesses uint64
 	misses   uint64
 }
@@ -83,17 +56,11 @@ func NewCache(size, line uint64, ways int) (*Cache, error) {
 		}
 		shift++
 	}
-	c := &Cache{sets: sets, ways: ways, shift: shift, rng: 0x9e3779b97f4a7c15}
+	c := &Cache{sets: sets, ways: ways, shift: shift}
 	c.tags = make([]uint64, sets*uint64(ways))
 	c.fill = make([]int32, sets)
 	return c, nil
 }
-
-// SetPolicy selects the replacement policy; call before first use.
-func (c *Cache) SetPolicy(p Policy) { c.policy = p }
-
-// Policy returns the active replacement policy.
-func (c *Cache) Policy() Policy { return c.policy }
 
 // MustCache is NewCache that panics on bad geometry; for package presets.
 func MustCache(size, line uint64, ways int) *Cache {
@@ -121,14 +88,10 @@ func (c *Cache) Access(addr mem.Addr) bool {
 //prefix:hotpath
 func (c *Cache) AccessBlock(block uint64) bool {
 	c.accesses++
-	set := block & (c.sets - 1)
-	base := int(set) * c.ways
-	n := int(c.fill[set])
-	if c.lookup(block, base, n) {
+	if c.probe(block) {
 		return true
 	}
 	c.misses++
-	c.fillWay(block, set, base, n)
 	return false
 }
 
@@ -145,61 +108,38 @@ func (c *Cache) Install(addr mem.Addr) {
 // InstallBlock is Install on a precomputed block number.
 //
 //prefix:hotpath
-func (c *Cache) InstallBlock(block uint64) {
+func (c *Cache) InstallBlock(block uint64) { c.probe(block) }
+
+// probe moves block to the MRU way of its set and reports whether it
+// was already resident. It is the only code that changes a set, shared
+// by the demand and install paths so their content transitions are
+// identical by construction.
+//
+// One pass does the whole move-to-front: each way receives the tag of
+// the way before it, starting with block itself at way 0. On a hit the
+// pass stops at the matching way, which the shifted tag overwrites. On
+// a miss the last tag carried out of the window takes the next empty
+// way, or falls off (is evicted) when the set is full.
+//
+//prefix:hotpath
+func (c *Cache) probe(block uint64) bool {
 	set := block & (c.sets - 1)
 	base := int(set) * c.ways
 	n := int(c.fill[set])
-	if c.lookup(block, base, n) {
-		return
-	}
-	c.fillWay(block, set, base, n)
-}
-
-// lookup probes the set window for block, refreshing recency order on a
-// hit; it reports residency. Shared by the demand and install paths so
-// their content transitions are identical by construction.
-//
-//prefix:hotpath
-func (c *Cache) lookup(block uint64, base, n int) bool {
 	ws := c.tags[base : base+n]
+	carry := block
 	for i, tag := range ws {
+		ws[i] = carry
 		if tag == block {
-			if c.policy == PolicyLRU {
-				// Move to MRU.
-				copy(ws[1:i+1], ws[:i])
-				ws[0] = block
-			}
 			return true
 		}
+		carry = tag
+	}
+	if n < c.ways {
+		c.tags[base+n] = carry
+		c.fill[set] = int32(n + 1)
 	}
 	return false
-}
-
-// fillWay inserts block into a set that does not hold it: fill an empty
-// way when one exists, otherwise evict per the replacement policy.
-//
-//prefix:hotpath
-func (c *Cache) fillWay(block, set uint64, base, n int) {
-	switch {
-	case n < c.ways:
-		// Fill an empty way: insert at the front (MRU / newest).
-		ws := c.tags[base : base+n+1]
-		copy(ws[1:], ws)
-		ws[0] = block
-		c.fill[set] = int32(n + 1)
-	case c.policy == PolicyRandom:
-		// Deterministic xorshift victim.
-		c.rng ^= c.rng << 13
-		c.rng ^= c.rng >> 7
-		c.rng ^= c.rng << 17
-		c.tags[base+int(c.rng%uint64(n))] = block
-	default:
-		// LRU and FIFO both evict the tail and insert at the head; the
-		// difference is that FIFO never refreshes on hit.
-		ws := c.tags[base : base+n]
-		copy(ws[1:], ws)
-		ws[0] = block
-	}
 }
 
 // Contains reports whether the block holding addr is resident (no state

@@ -64,6 +64,20 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
+func TestLRURefreshesOnHit(t *testing.T) {
+	c := MustCache(128, 64, 2)
+	c.Access(0)
+	c.Access(1 << 20)
+	c.Access(0)
+	c.Access(2 << 20)
+	if !c.Contains(0) {
+		t.Error("LRU should keep the refreshed line")
+	}
+	if c.Contains(1 << 20) {
+		t.Error("LRU should evict the least recent line")
+	}
+}
+
 func TestContainsDoesNotTouch(t *testing.T) {
 	c := MustCache(256, 64, 2)
 	c.Access(0)

@@ -8,19 +8,17 @@ import (
 )
 
 // refCache reimplements the pre-flat tag storage — one []uint64 per set,
-// grown on demand — with identical replacement semantics and the same
-// xorshift stream, so it is a behavioural oracle for the flat layout
-// across every policy.
+// grown on demand — with the pre-fusion LRU probe (find, then move to
+// front with copy), so it is a behavioural oracle for the flat layout
+// and the one-pass probe.
 type refCache struct {
-	sets   uint64
-	ways   int
-	shift  uint
-	policy Policy
-	tags   [][]uint64
-	rng    uint64
+	sets  uint64
+	ways  int
+	shift uint
+	tags  [][]uint64
 }
 
-func newRefCache(size, line uint64, ways int, p Policy) *refCache {
+func newRefCache(size, line uint64, ways int) *refCache {
 	lines := size / line
 	sets := lines / uint64(ways)
 	var shift uint
@@ -28,75 +26,63 @@ func newRefCache(size, line uint64, ways int, p Policy) *refCache {
 		shift++
 	}
 	return &refCache{
-		sets: sets, ways: ways, shift: shift, policy: p,
+		sets: sets, ways: ways, shift: shift,
 		tags: make([][]uint64, sets),
-		rng:  0x9e3779b97f4a7c15,
 	}
 }
 
 func (r *refCache) access(addr mem.Addr) bool {
-	block := uint64(addr) >> r.shift
+	return r.accessBlock(uint64(addr) >> r.shift)
+}
+
+func (r *refCache) accessBlock(block uint64) bool {
 	si := block & (r.sets - 1)
 	ws := r.tags[si]
 	for i, tag := range ws {
 		if tag == block {
-			if r.policy == PolicyLRU {
-				copy(ws[1:i+1], ws[:i])
-				ws[0] = block
-			}
+			copy(ws[1:i+1], ws[:i])
+			ws[0] = block
 			return true
 		}
 	}
-	switch {
-	case len(ws) < r.ways:
+	if len(ws) < r.ways {
 		ws = append(ws, 0)
-		copy(ws[1:], ws)
-		ws[0] = block
 		r.tags[si] = ws
-	case r.policy == PolicyRandom:
-		r.rng ^= r.rng << 13
-		r.rng ^= r.rng >> 7
-		r.rng ^= r.rng << 17
-		ws[r.rng%uint64(len(ws))] = block
-	default:
-		copy(ws[1:], ws)
-		ws[0] = block
 	}
+	copy(ws[1:], ws)
+	ws[0] = block
 	return false
 }
 
 // TestFlatMatchesReferenceAllPolicies drives the flat cache and the
 // slice-per-set oracle with the same mixed address stream (sequential
 // sweeps, strides, pseudo-random) and demands identical hit/miss
-// outcomes at every single access, for all three policies.
+// outcomes at every single access. LRU is the only policy.
 func TestFlatMatchesReferenceAllPolicies(t *testing.T) {
-	for _, p := range []Policy{PolicyLRU, PolicyFIFO, PolicyRandom} {
-		t.Run(p.String(), func(t *testing.T) {
-			c := MustCache(4096, 64, 4)
-			c.SetPolicy(p)
-			ref := newRefCache(4096, 64, 4, p)
-			rng := xrand.New(42)
-			step := 0
-			drive := func(a mem.Addr) {
-				step++
-				if got, want := c.Access(a), ref.access(a); got != want {
-					t.Fatalf("step %d addr %#x: flat=%v ref=%v", step, a, got, want)
-				}
+	t.Run("lru", func(t *testing.T) {
+		c := MustCache(4096, 64, 4)
+		ref := newRefCache(4096, 64, 4)
+		rng := xrand.New(42)
+		step := 0
+		drive := func(a mem.Addr) {
+			step++
+			if got, want := c.Access(a), ref.access(a); got != want {
+				t.Fatalf("step %d addr %v: flat=%v ref=%v", step, a, got, want)
 			}
-			for a := mem.Addr(0); a < 8<<10; a += 64 { // sequential
-				drive(a)
-			}
-			for a := mem.Addr(0); a < 32<<10; a += 192 { // strided
-				drive(a)
-			}
-			for i := 0; i < 5000; i++ { // pseudo-random
-				drive(mem.Addr(rng.Uint64n(64 << 10)))
-			}
-			for a := mem.Addr(0); a < 64<<10; a += 64 { // capacity thrash
-				drive(a)
-			}
-		})
-	}
+		}
+		for a := mem.Addr(0); a < 8<<10; a += 64 { // sequential
+			drive(a)
+		}
+		for a := mem.Addr(0); a < 32<<10; a += 192 { // strided
+			drive(a)
+		}
+		for i := 0; i < 5000; i++ { // pseudo-random
+			drive(mem.Addr(rng.Uint64n(64 << 10)))
+		}
+		for a := mem.Addr(0); a < 64<<10; a += 64 { // capacity thrash
+			drive(a)
+		}
+	})
 }
 
 // TestStraddleMatchesReference covers accesses spanning a line boundary:
@@ -104,7 +90,7 @@ func TestFlatMatchesReferenceAllPolicies(t *testing.T) {
 // the oracle driven line by line.
 func TestStraddleMatchesReference(t *testing.T) {
 	c := MustCache(4096, 64, 4)
-	ref := newRefCache(4096, 64, 4, PolicyLRU)
+	ref := newRefCache(4096, 64, 4)
 	rng := xrand.New(7)
 	for i := 0; i < 4000; i++ {
 		a := mem.Addr(rng.Uint64n(32 << 10))
@@ -170,18 +156,15 @@ func TestPrefetchDoesNotInflateLLCDemand(t *testing.T) {
 }
 
 // TestCacheAccessZeroAllocs: after construction, the demand path must
-// never allocate — including the eviction paths of every policy.
+// never allocate — including the eviction path.
 func TestCacheAccessZeroAllocs(t *testing.T) {
-	for _, p := range []Policy{PolicyLRU, PolicyFIFO, PolicyRandom} {
-		c := MustCache(4096, 64, 4)
-		c.SetPolicy(p)
-		var i uint64
-		if n := testing.AllocsPerRun(10000, func() {
-			c.Access(mem.Addr(i * 64))
-			i++
-		}); n != 0 {
-			t.Errorf("%s: Access allocates %.1f per op", p, n)
-		}
+	c := MustCache(4096, 64, 4)
+	var i uint64
+	if n := testing.AllocsPerRun(10000, func() {
+		c.Access(mem.Addr(i * 64))
+		i++
+	}); n != 0 {
+		t.Errorf("Access allocates %.1f per op", n)
 	}
 }
 
@@ -218,4 +201,157 @@ func TestHierarchyAccessZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("Hierarchy.Access allocates %.1f per op", n)
 	}
+}
+
+// refHierarchy is Hierarchy rebuilt from refCache levels, with no L1 TLB
+// memo and the pre-fusion probe: an oracle for the whole walk.
+type refHierarchy struct {
+	cfg                     Config
+	l1, l2, llc, tlb1, tlb2 *refCache
+	counts                  Counts
+}
+
+func newRefHierarchy(cfg Config, llc *refCache) *refHierarchy {
+	r := &refHierarchy{
+		cfg:  cfg,
+		l1:   newRefCache(cfg.L1Size, cfg.Line, cfg.L1Ways),
+		llc:  llc,
+		tlb1: newRefCache(uint64(cfg.TLB1Entries)*cfg.Page, cfg.Page, cfg.TLB1Ways),
+		tlb2: newRefCache(uint64(cfg.TLB2Entries)*cfg.Page, cfg.Page, cfg.TLB2Ways),
+	}
+	if cfg.L2Size > 0 {
+		r.l2 = newRefCache(cfg.L2Size, cfg.Line, cfg.L2Ways)
+	}
+	return r
+}
+
+func (r *refHierarchy) access(addr mem.Addr, size uint64) {
+	if size == 0 {
+		size = 1
+	}
+	r.counts.Accesses++
+	a := uint64(addr)
+	page := a / r.cfg.Page
+	if !r.tlb1.accessBlock(page) {
+		r.counts.TLB1Miss++
+		if !r.tlb2.accessBlock(page) {
+			r.counts.TLB2Miss++
+		}
+	}
+	end := ^uint64(0)
+	if size-1 <= end-a {
+		end = a + size - 1
+	}
+	for blk := a / r.cfg.Line; blk <= end/r.cfg.Line; blk++ {
+		if r.l1.accessBlock(blk) {
+			continue
+		}
+		r.counts.L1Misses++
+		if r.l2 != nil && r.l2.accessBlock(blk) {
+			r.counts.L2Hits++
+			continue
+		}
+		if r.llc.accessBlock(blk) {
+			r.counts.LLCHits++
+		} else {
+			r.counts.LLCMisses++
+		}
+		if r.cfg.NextLinePrefetch {
+			r.llc.accessBlock(blk + 1)
+			r.counts.Prefetches++
+		}
+	}
+}
+
+// refAccess is one reference of a differential address stream.
+type refAccess struct {
+	addr mem.Addr
+	size uint64
+}
+
+// referenceStream mixes the access shapes the hierarchy's fast paths
+// care about: runs on one page (the L1 TLB memo), line straddles,
+// strides past L1 capacity, pseudo-random references, and accesses
+// running off the top of the address space.
+func referenceStream(seed uint64) []refAccess {
+	rng := xrand.New(seed)
+	var s []refAccess
+	for run := 0; run < 200; run++ { // same-page runs
+		page := rng.Uint64n(1<<12) << 12
+		for i := uint64(0); i < 32; i++ {
+			s = append(s, refAccess{mem.Addr(page + rng.Uint64n(4096)), 8})
+		}
+	}
+	for i := 0; i < 3000; i++ { // line straddles
+		s = append(s, refAccess{mem.Addr(rng.Uint64n(1<<20)*64 + 60), 1 + rng.Uint64n(128)})
+	}
+	for a := uint64(0); a < 256<<10; a += 320 { // stride past L1
+		s = append(s, refAccess{mem.Addr(a), 8})
+	}
+	for i := 0; i < 6000; i++ { // pseudo-random
+		s = append(s, refAccess{mem.Addr(rng.Uint64n(1 << 26)), rng.Uint64n(64)})
+	}
+	for i := uint64(0); i < 4; i++ { // address-space top
+		s = append(s, refAccess{mem.Addr(^uint64(0) - i*100), 256})
+	}
+	return s
+}
+
+// TestHierarchyMatchesReference drives Hierarchy and refHierarchy with
+// the same streams and requires identical Counts after every access,
+// across hierarchy shapes. Two hierarchies sharing one LLC run
+// interleaved, so traffic from the other thread reaches the shared
+// level between a thread's same-page accesses: the private L1 TLB memo
+// must stay exact regardless.
+func TestHierarchyMatchesReference(t *testing.T) {
+	withL2 := ScaledConfig()
+	withL2.L2Size = 256 << 10
+	withL2.L2Ways = 8
+	noPrefetch := ScaledConfig()
+	noPrefetch.NextLinePrefetch = false
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"paper", PaperConfig()},
+		{"scaled", ScaledConfig()},
+		{"scaled-l2", withL2},
+		{"no-prefetch", noPrefetch},
+	}
+	for ci, tc := range configs {
+		t.Run(tc.name, func(t *testing.T) {
+			h := New(tc.cfg)
+			ref := newRefHierarchy(tc.cfg, newRefCache(tc.cfg.LLCSize, tc.cfg.Line, tc.cfg.LLCWays))
+			for i, r := range referenceStream(uint64(ci) + 1) {
+				h.Access(r.addr, r.size)
+				ref.access(r.addr, r.size)
+				if h.Counts() != ref.counts {
+					t.Fatalf("access %d (%v, %d): got %+v, want %+v", i, r.addr, r.size, h.Counts(), ref.counts)
+				}
+			}
+			// Memo-served accesses still count as L1 TLB demand accesses.
+			if h.tlb1.Accesses() != h.Counts().Accesses || h.tlb1.Misses() != h.Counts().TLB1Miss {
+				t.Errorf("L1 TLB counters %d/%d, want %d/%d", h.tlb1.Accesses(), h.tlb1.Misses(),
+					h.Counts().Accesses, h.Counts().TLB1Miss)
+			}
+		})
+	}
+	t.Run("shared-llc", func(t *testing.T) {
+		cfg := ScaledConfig()
+		llc, refLLC := SharedLLC(cfg), newRefCache(cfg.LLCSize, cfg.Line, cfg.LLCWays)
+		hs := []*Hierarchy{NewShared(cfg, llc), NewShared(cfg, llc)}
+		refs := []*refHierarchy{newRefHierarchy(cfg, refLLC), newRefHierarchy(cfg, refLLC)}
+		streams := [][]refAccess{referenceStream(11), referenceStream(12)}
+		for i := 0; i < len(streams[0]) && i < len(streams[1]); i++ {
+			for th := range hs {
+				r := streams[th][i]
+				hs[th].Access(r.addr, r.size)
+				refs[th].access(r.addr, r.size)
+				if hs[th].Counts() != refs[th].counts {
+					t.Fatalf("thread %d access %d (%v, %d): got %+v, want %+v",
+						th, i, r.addr, r.size, hs[th].Counts(), refs[th].counts)
+				}
+			}
+		}
+	})
 }

@@ -101,6 +101,13 @@ type Hierarchy struct {
 	tlb1 *Cache
 	tlb2 *Cache
 
+	// tlb1Page is the page Access last probed in tlb1. Only Access
+	// touches the private tlb1, so that page sits at MRU way 0 of its
+	// set: a repeat access to it is a hit that changes no state, and
+	// Access skips the probe. It starts at ^uint64(0), which no page
+	// number reaches: NewShared requires pages of at least two bytes.
+	tlb1Page uint64
+
 	counts Counts
 }
 
@@ -125,12 +132,16 @@ func New(cfg Config) *Hierarchy {
 // NewShared builds a hierarchy whose LLC is the given (shared) cache; used
 // for multithreaded simulation where threads have private L1s.
 func NewShared(cfg Config, llc *Cache) *Hierarchy {
+	if cfg.Page < 2 {
+		panic("cachesim: page size must be at least 2 bytes")
+	}
 	h := &Hierarchy{
-		cfg:  cfg,
-		l1:   MustCache(cfg.L1Size, cfg.Line, cfg.L1Ways),
-		llc:  llc,
-		tlb1: MustCache(uint64(cfg.TLB1Entries)*cfg.Page, cfg.Page, cfg.TLB1Ways),
-		tlb2: MustCache(uint64(cfg.TLB2Entries)*cfg.Page, cfg.Page, cfg.TLB2Ways),
+		cfg:      cfg,
+		l1:       MustCache(cfg.L1Size, cfg.Line, cfg.L1Ways),
+		llc:      llc,
+		tlb1:     MustCache(uint64(cfg.TLB1Entries)*cfg.Page, cfg.Page, cfg.TLB1Ways),
+		tlb2:     MustCache(uint64(cfg.TLB2Entries)*cfg.Page, cfg.Page, cfg.TLB2Ways),
+		tlb1Page: ^uint64(0),
 	}
 	if cfg.L2Size > 0 {
 		h.l2 = MustCache(cfg.L2Size, cfg.Line, cfg.L2Ways)
@@ -150,7 +161,9 @@ func SharedLLC(cfg Config) *Cache { return MustCache(cfg.LLCSize, cfg.Line, cfg.
 // computed once and probed directly against every level's flat tag
 // array, so the whole L1→L2→LLC→TLB path is adds, shifts, and one short
 // probe loop per level — no per-level address re-derivation and no
-// allocation.
+// allocation. An access to the page of the previous access skips the L1
+// TLB probe (see tlb1Page). An access running past the top of the
+// address space stops at its last line.
 //
 //prefix:hotpath
 func (h *Hierarchy) Access(addr mem.Addr, size uint64) {
@@ -161,17 +174,26 @@ func (h *Hierarchy) Access(addr mem.Addr, size uint64) {
 	a := uint64(addr)
 	// TLB lookup for the first page only; straddles are negligible. Both
 	// TLB levels share the page geometry, so one page number serves both.
-	if page := a >> h.tlb1.shift; !h.tlb1.AccessBlock(page) {
-		h.counts.TLB1Miss++
-		if !h.tlb2.AccessBlock(page) {
-			h.counts.TLB2Miss++
+	if page := a >> h.tlb1.shift; page == h.tlb1Page {
+		h.tlb1.accesses++
+	} else {
+		h.tlb1Page = page
+		if !h.tlb1.AccessBlock(page) {
+			h.counts.TLB1Miss++
+			if !h.tlb2.AccessBlock(page) {
+				h.counts.TLB2Miss++
+			}
 		}
 	}
 	// L1, L2, and LLC share the line geometry: one block number per line
 	// walks all three levels.
 	lineShift := h.l1.shift
+	end := a + size - 1
+	if end < a {
+		end = ^uint64(0)
+	}
 	first := a >> lineShift
-	last := (a + size - 1) >> lineShift
+	last := end >> lineShift
 	for blk := first; ; blk++ {
 		if !h.l1.AccessBlock(blk) {
 			h.counts.L1Misses++

@@ -138,6 +138,21 @@ func TestPaperConfigGeometry(t *testing.T) {
 	New(cfg)
 }
 
+// TestTinyPageRejected: a 1-byte page would let a page number reach the
+// L1 TLB memo's start value, so the constructor refuses it.
+func TestTinyPageRejected(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("a 1-byte page was accepted")
+		}
+	}()
+	cfg := ScaledConfig()
+	cfg.Page = 1
+	cfg.TLB1Entries, cfg.TLB1Ways = 4, 4
+	cfg.TLB2Entries, cfg.TLB2Ways = 4, 4
+	New(cfg)
+}
+
 func TestCostModel(t *testing.T) {
 	m := DefaultCost()
 	var c Counts
@@ -195,5 +210,68 @@ func TestTLBBehaviour(t *testing.T) {
 	h.Access(0x2000, 8) // new page
 	if h.Counts().TLB1Miss != 2 {
 		t.Error("new page should miss TLB")
+	}
+}
+
+func TestOptionalL2Level(t *testing.T) {
+	cfg := ScaledConfig()
+	cfg.NextLinePrefetch = false
+	cfg.L2Size = 256 << 10
+	cfg.L2Ways = 8
+	h := New(cfg)
+	h.Access(0x1000, 8)
+	// Evict from the 32KB L1 but not from the 256KB L2.
+	for a := mem.Addr(0x100000); a < 0x100000+64<<10; a += 64 {
+		h.Access(a, 8)
+	}
+	before := h.Counts()
+	h.Access(0x1000, 8)
+	after := h.Counts()
+	if after.L2Hits != before.L2Hits+1 {
+		t.Errorf("expected an L2 hit: %+v -> %+v", before, after)
+	}
+	if after.LLCMisses != before.LLCMisses || after.LLCHits != before.LLCHits {
+		t.Error("L2 hit must not touch the LLC")
+	}
+}
+
+func TestL2CostModel(t *testing.T) {
+	m := DefaultCost()
+	var c Counts
+	c.Accesses = 10
+	c.L1Misses = 4
+	c.L2Hits = 4
+	withL2 := m.Cycles(0, c)
+	c.L2Hits = 0
+	c.LLCHits = 4
+	withoutL2 := m.Cycles(0, c)
+	if withL2 >= withoutL2 {
+		t.Errorf("L2 hits should be cheaper than LLC hits: %v vs %v", withL2, withoutL2)
+	}
+}
+
+func TestL2DisabledByDefault(t *testing.T) {
+	h := New(ScaledConfig())
+	if h.l2 != nil {
+		t.Error("default configuration must not have an L2")
+	}
+	h.Access(0x1000, 8)
+	if h.Counts().L2Hits != 0 {
+		t.Error("phantom L2 hits")
+	}
+}
+
+// TestAccessAtAddressSpaceTop: an access whose last byte would lie past
+// 2^64 stops at the last line of the address space instead of wrapping
+// its line walk around to line 0.
+func TestAccessAtAddressSpaceTop(t *testing.T) {
+	h := New(ScaledConfig())
+	h.Access(mem.Addr(^uint64(0)-10), 64)
+	c := h.Counts()
+	if c.Accesses != 1 {
+		t.Errorf("accesses = %d, want 1", c.Accesses)
+	}
+	if c.L1Misses != 1 {
+		t.Errorf("L1 misses = %d, want 1 (only the top line)", c.L1Misses)
 	}
 }
