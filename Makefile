@@ -9,7 +9,7 @@ GO ?= go
 # comparisons and the committed baseline all describe the same run.
 SMOKE_ARGS = -scale bench -jobs 4 -only table3 -bench mcf,health
 
-.PHONY: check fmt vet lint lint-perf build test test-short race benchmark-module bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory stream-smoke perf-smoke explain-smoke clean
+.PHONY: check fmt vet lint lint-perf build test test-short race benchmark-module bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory stream-smoke report-smoke perf-smoke explain-smoke clean
 
 check: fmt vet lint build race benchmark-module
 
@@ -146,6 +146,24 @@ stream-smoke:
 	else \
 		echo "stream-smoke: streaming report differs from the in-memory report:"; \
 		diff "$$tmpdir/mem.txt" "$$tmpdir/stream.txt" | head -40; exit 1; \
+	fi
+
+# Report gate: the report paths no other smoke gate reaches through the
+# CLI — Table 5 with -capture (long-run analysis), Figure 9 (heatmaps)
+# and Figure 10 (machine groups) — must print exactly the committed
+# stdout: testdata/report-smoke.sha256 holds one sha256 per report.
+REPORT_SMOKE_ARGS = -scale bench -jobs 2
+
+report-smoke:
+	@tmpdir="$$(mktemp -d)"; trap 'rm -rf "$$tmpdir"' EXIT; \
+	$(GO) build -o "$$tmpdir/prefix-bench" ./cmd/prefix-bench && \
+	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only table5 -capture -bench mcf,health > "$$tmpdir/table5-capture.txt" && \
+	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only figure9 > "$$tmpdir/figure9.txt" && \
+	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only figure10 > "$$tmpdir/figure10.txt" || exit 1; \
+	if (cd "$$tmpdir" && sha256sum -c --quiet "$(CURDIR)/testdata/report-smoke.sha256"); then \
+		echo "report-smoke: table5 -capture, figure9 and figure10 reports match testdata/report-smoke.sha256"; \
+	else \
+		echo "report-smoke: a report differs from its committed digest"; exit 1; \
 	fi
 
 clean:

@@ -195,12 +195,12 @@ func BenchmarkFigure9Heatmap(b *testing.B) {
 	opt.UseBenchScale = true
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		base, best, _, err := pipeline.TraceBaselineAndBest("leela", opt)
+		base, best, _, err := pipeline.AnalyzeBaselineAndBest("leela", opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		hb := report.BuildHeatmap(base, 120, 80)
-		ho := report.BuildHeatmap(best, 120, 80)
+		hb := report.BuildHeatmapFrom(base, 120, 80)
+		ho := report.BuildHeatmapFrom(best, 120, 80)
 		if ho.Footprint > 0 {
 			ratio = float64(hb.Footprint) / float64(ho.Footprint)
 		}

@@ -124,7 +124,7 @@ func run() (err error) {
 		benchList   = flag.String("bench", "", "comma-separated benchmark subset (default: all 13)")
 		scale       = flag.String("scale", "long", "evaluation scale: long or bench")
 		heatmapDir  = flag.String("heatmap-dir", "", "directory for Figure 9 heatmap CSVs")
-		capture     = flag.Bool("capture", false, "record long-run traces for Table 5 long-run columns (slower)")
+		capture     = flag.Bool("capture", false, "re-run and analyze each best variant for Table 5 long-run columns (slower)")
 		seeds       = flag.Int("seeds", 0, "additionally run each benchmark across N perturbed evaluation seeds and report the variance (the paper averages over 10 runs)")
 		jobs        = flag.Int("jobs", pipeline.DefaultJobs(), "run up to N benchmark/seed evaluations concurrently (1 = serial; output is identical at any job count)")
 		record      = flag.Bool("record", false, "snapshot this run's per-benchmark results to BENCH_<timestamp>.json")
@@ -321,17 +321,17 @@ func run() (err error) {
 	return nil
 }
 
-// figure9 traces leela under baseline and PreFix and summarizes (and
+// figure9 analyzes leela under baseline and PreFix and summarizes (and
 // optionally dumps) the access heatmaps.
 func figure9(w *os.File, opt pipeline.Options, dir string) error {
 	fmt.Fprintln(os.Stderr, "tracing leela for figure 9...")
-	base, best, variant, err := pipeline.TraceBaselineAndBest("leela", opt)
+	base, best, variant, err := pipeline.AnalyzeBaselineAndBest("leela", opt)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "figure 9 traces leela's best variant: %s\n", variant)
-	hb := report.BuildHeatmap(base, 120, 80)
-	ho := report.BuildHeatmap(best, 120, 80)
+	hb := report.BuildHeatmapFrom(base, 120, 80)
+	ho := report.BuildHeatmapFrom(best, 120, 80)
 	report.Figure9(w, "leela", hb, ho)
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

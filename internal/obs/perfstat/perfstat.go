@@ -250,17 +250,10 @@ func (s *Scope) End() Sample {
 		GCCycles:     p.GCCycles - s.begin.GCCycles,
 		Goroutines:   maxInt(s.begin.Goroutines, p.Goroutines),
 	}
-	ph, ok := c.phases[s.phase]
-	if !ok {
-		ph = &PhaseStats{Phase: s.phase}
-		c.phases[s.phase] = ph
-		c.order = append(c.order, s.phase)
-	}
-	ph.fold(sample)
-	phTotal := *ph
+	phTotal := c.foldLocked(sample)
 	c.mu.Unlock()
 
-	s.publish(sample, phTotal)
+	c.publish(sample, phTotal)
 	if sp := s.span; sp != nil {
 		sp.Set("host_wall_nanos", sample.WallNanos)
 		sp.Set("host_allocs", sample.Allocs)
@@ -274,14 +267,52 @@ func (s *Scope) End() Sample {
 	return sample
 }
 
-// publish exports the scope's deltas and its phase's cumulative
+// Record folds a sample measured without a scope into its phase and
+// publishes it like a finished scope. It is for work that runs
+// interleaved with another phase, so no Begin/End pair can isolate it,
+// and that times itself on Clock. Nil-safe.
+func (c *Collector) Record(sample Sample) {
+	if c == nil {
+		return
+	}
+	c.mu.Lock()
+	phTotal := c.foldLocked(sample)
+	c.mu.Unlock()
+	c.publish(sample, phTotal)
+}
+
+// Clock returns the collector's time source, the one Record's samples
+// must be timed on. Nil on a nil collector.
+func (c *Collector) Clock() func() time.Time {
+	if c == nil {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+// foldLocked adds sample to its phase aggregate and returns the new
+// total. The caller holds c.mu.
+func (c *Collector) foldLocked(sample Sample) PhaseStats {
+	ph, ok := c.phases[sample.Phase]
+	if !ok {
+		ph = &PhaseStats{Phase: sample.Phase}
+		c.phases[sample.Phase] = ph
+		c.order = append(c.order, sample.Phase)
+	}
+	ph.fold(sample)
+	return *ph
+}
+
+// publish exports a sample's deltas and its phase's cumulative
 // throughput into the registry (nil registry: no-op).
-func (s *Scope) publish(sample Sample, ph PhaseStats) {
-	reg := s.c.reg
+func (c *Collector) publish(sample Sample, ph PhaseStats) {
+	reg := c.reg
 	if reg == nil {
 		return
 	}
-	kv := []string{"phase", s.phase}
+	kv := []string{"phase", sample.Phase}
 	reg.Counter("prefix_perf_scopes_total", kv...).Inc()
 	reg.Counter("prefix_perf_wall_nanos_total", kv...).Add(uint64(sample.WallNanos))
 	reg.Counter("prefix_perf_events_total", kv...).Add(sample.Events)

@@ -209,6 +209,34 @@ func TestRegistryPublishing(t *testing.T) {
 	}
 }
 
+// TestRecordFoldsExternalSample: a sample timed outside any scope joins
+// its phase aggregate and the registry exactly like a finished scope's.
+func TestRecordFoldsExternalSample(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := newTestCollector(reg, time.Millisecond, Probe{})
+	c.Record(Sample{Phase: "analyze", WallNanos: 2e9, Events: 1000})
+	c.Record(Sample{Phase: "analyze", WallNanos: 2e9, Events: 3000})
+	ph := c.Snapshot().Phases
+	if len(ph) != 1 || ph[0].Phase != "analyze" || ph[0].Scopes != 2 ||
+		ph[0].WallNanos != 4e9 || ph[0].Events != 4000 || ph[0].EventsPerSecond != 1000 {
+		t.Errorf("phases = %+v", ph)
+	}
+	if got := reg.Counter("prefix_perf_wall_nanos_total", "phase", "analyze").Value(); got != 4e9 {
+		t.Errorf("published wall = %d, want 4e9", got)
+	}
+
+	// Clock hands out the collector's own time source.
+	clock := c.Clock()
+	if a, b := clock(), clock(); b.Sub(a) != time.Millisecond {
+		t.Errorf("Clock step = %v, want the injected 1ms", b.Sub(a))
+	}
+	var nilc *Collector
+	nilc.Record(Sample{Phase: "x"})
+	if nilc.Clock() != nil {
+		t.Error("nil collector Clock is not nil")
+	}
+}
+
 func TestSpanAnnotation(t *testing.T) {
 	tr := obs.NewTracer()
 	c := newTestCollector(nil, time.Millisecond,

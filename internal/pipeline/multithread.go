@@ -45,24 +45,15 @@ func RunMultithreadedJobs(name string, threadCounts []int, opt Options, jobs int
 	if !ok {
 		return nil, fmt.Errorf("pipeline: %s is not multithreaded", name)
 	}
-	// "The traces were collected only once from these benchmarks with the
-	// number of threads set to the default value" (§3.3): profile with
-	// the default thread count, then optimize once and evaluate at every
-	// thread count.
-	const defaultThreads = 4
 	root := opt.Tracer.Start("multithreaded " + name)
 	defer root.End()
 	profSpan := root.Child("profile")
 	profScope := opt.Perf.Begin("profile").AttachSpan(profSpan)
-	rec := trace.NewRecorder()
-	profGroup := machine.NewGroup(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, defaultThreads, rec)
-	pcfg := spec.Profile
-	pcfg.Threads = defaultThreads
-	runGroup(mt, profGroup, pcfg, defaultThreads)
-	profGroup.Finish()
-	events := rec.Stats().Events
+	an := trace.NewAnalyzer()
+	profileGroup(spec, mt, opt, an)
+	events := an.Stats().Events
 	profScope.AddEvents(events)
-	analysis := trace.Analyze(rec.Trace())
+	analysis := an.Finish()
 	profScope.End()
 	profSpan.Set("events", events)
 	profSpan.End()
@@ -136,6 +127,20 @@ func RunMultithreadedJobs(name string, threadCounts []int, opt Options, jobs int
 		return nil, err
 	}
 	return out, nil
+}
+
+// profileGroup runs the profiling input on a machine group recording
+// into rec. "The traces were collected only once from these benchmarks
+// with the number of threads set to the default value" (§3.3): profile
+// with the default thread count, then optimize once and evaluate at
+// every thread count.
+func profileGroup(spec workloads.Spec, mt workloads.MultiThreaded, opt Options, rec trace.EventRecorder) {
+	const defaultThreads = 4
+	g := machine.NewGroup(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, defaultThreads, rec)
+	cfg := spec.Profile
+	cfg.Threads = defaultThreads
+	runGroup(mt, g, cfg, defaultThreads)
+	g.Finish()
 }
 
 func runGroup(mt workloads.MultiThreaded, g *machine.Group, cfg workloads.Config, k int) {

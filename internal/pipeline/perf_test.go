@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"testing"
+	"time"
 
 	"prefix/internal/baselines"
 	"prefix/internal/machine"
@@ -129,6 +130,24 @@ func TestProfileAnalysisHostSample(t *testing.T) {
 		}
 		if h.Phase != "analyze" || h.Events == 0 {
 			t.Errorf("stream=%v: analysis sample = %+v", stream, h)
+		}
+
+		// On the default path the wall is the analyzer's own feed time:
+		// one clock pair per delivered batch, so under a clock stepping
+		// 1µs per reading it is exactly 1µs per 256-event batch.
+		if !stream {
+			opt.Perf = perfstat.New(nil)
+			clk := time.Unix(0, 0)
+			opt.Perf.SetClock(func() time.Time { clk = clk.Add(time.Microsecond); return clk })
+			if prof, err = CollectProfile(spec, opt); err != nil {
+				t.Fatal(err)
+			}
+			h := prof.AnalysisHost
+			batches := (h.Events + 255) / 256
+			if h.Events != prof.Stats.Events || h.WallNanos != int64(batches)*1000 {
+				t.Errorf("analysis sample = %+v, want %d events and %dµs for %d batches",
+					h, prof.Stats.Events, batches, batches)
+			}
 		}
 
 		opt.Perf = nil

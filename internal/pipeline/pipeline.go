@@ -33,9 +33,9 @@ type Options struct {
 	// UseBenchScale selects spec.Bench instead of spec.Long for the
 	// evaluation runs (used by the Go benchmark harness).
 	UseBenchScale bool
-	// CaptureLongRun additionally records and analyzes the best PreFix
-	// evaluation run, producing the Table 5 long-run columns. Costs
-	// memory proportional to the trace length.
+	// CaptureLongRun additionally re-runs the best PreFix variant and
+	// analyzes that run as it executes, producing the Table 5 long-run
+	// columns. It costs one more evaluation run; the trace is not kept.
 	CaptureLongRun bool
 	// Variants to evaluate; defaults to all three.
 	Variants []prefix.Variant
@@ -141,10 +141,12 @@ type Profile struct {
 	// Stats is what the profiling recorder captured (event count, spill
 	// chunking) — the event total feeds host-cost throughput accounting.
 	Stats trace.RecorderStats
-	// AnalysisHost is the analyze stage's own host-cost sample (wall
-	// time, allocation, events/sec over the trace's events), measured
-	// when Options.Perf is attached; nil otherwise. It never feeds report
-	// output.
+	// AnalysisHost is the analyze stage's own host-cost sample (phase
+	// "analyze", events/sec over the recorded events), measured when
+	// Options.Perf is attached; nil otherwise. On the default path the
+	// wall time is the analyzer's own feed time and carries no allocation
+	// figures; under Options.Stream it brackets the stream decode and
+	// analysis. It never feeds report output.
 	AnalysisHost *perfstat.Sample
 	// Prepared is the variant-independent planning of this profile
 	// (reconstitution, contexts, recycling) over the streams of the
@@ -247,32 +249,34 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 	}, nil
 }
 
-// memoryProfileRun is the reference profiling path: record the whole
-// trace in memory, then analyze it.
+// memoryProfileRun is the default profiling path: the analyzer is the
+// machine's recorder, so the run is analyzed while it executes and the
+// trace is never kept. The analyze span closes the analysis; with a
+// collector attached, the analyzer times its own feeding on the
+// collector's clock, which becomes the analyze stage's host sample.
 func memoryProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trace.Analysis, machine.Metrics, trace.RecorderStats, *perfstat.Sample) {
 	runSpan := parent.Child("profile-run")
-	rec := trace.NewRecorder()
+	an := trace.NewAnalyzer()
+	an.SetClock(opt.Perf.Clock())
 	alloc := baselines.NewBaseline(opt.Cache.Cost)
-	m := machine.New(alloc, opt.Cache, machine.WithRecorder(rec))
+	m := machine.New(alloc, opt.Cache, machine.WithRecorder(an))
 	spec.Program.Run(m, spec.Profile)
 	metrics := m.Finish()
-	tr := rec.Trace()
-	stats := rec.Stats()
-	runSpan.Set("events", len(tr.Events))
+	stats := an.Stats()
+	runSpan.Set("events", stats.Events)
 	runSpan.End()
 
 	anSpan := parent.Child("analyze")
-	asc := opt.Perf.Begin("analyze").AttachSpan(anSpan)
-	a := trace.Analyze(tr)
-	asc.AddEvents(stats.Events)
-	sample := asc.End()
+	a := an.Finish()
 	anSpan.Set("objects", len(a.Objects))
 	anSpan.Set("heap_accesses", a.HeapAccesses)
-	anSpan.End()
 	var host *perfstat.Sample
 	if opt.Perf != nil {
-		host = &sample
+		host = &perfstat.Sample{Phase: "analyze", WallNanos: an.FeedNanos(), Events: stats.Events}
+		opt.Perf.Record(*host)
+		anSpan.Set("feed_nanos", host.WallNanos)
 	}
+	anSpan.End()
 	return a, metrics, stats, host
 }
 

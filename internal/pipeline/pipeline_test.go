@@ -7,6 +7,7 @@ import (
 
 	"prefix/internal/obs"
 	"prefix/internal/prefix"
+	"prefix/internal/trace"
 	"prefix/internal/workloads"
 )
 
@@ -156,6 +157,29 @@ func TestTraceBaselineAndBest(t *testing.T) {
 	}
 	if variant != cmp.Best {
 		t.Errorf("traced variant = %v, but the comparison's best is %v", variant, cmp.Best)
+	}
+}
+
+// TestAnalyzeBaselineAndBest: the Figure 9 analyses, taken while the
+// runs execute, are the analyses of the traces TraceBaselineAndBest
+// records, for the same best variant.
+func TestAnalyzeBaselineAndBest(t *testing.T) {
+	base, best, variant, err := AnalyzeBaselineAndBest("swissmap", fastOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseTr, bestTr, trVariant, err := TraceBaselineAndBest("swissmap", fastOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if variant != trVariant {
+		t.Errorf("analyzed variant = %v, traced variant = %v", variant, trVariant)
+	}
+	if !reflect.DeepEqual(base, trace.Analyze(baseTr)) {
+		t.Error("baseline analysis differs from the analysis of the baseline trace")
+	}
+	if !reflect.DeepEqual(best, trace.Analyze(bestTr)) {
+		t.Error("best-variant analysis differs from the analysis of the best-variant trace")
 	}
 }
 

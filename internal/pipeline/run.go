@@ -25,7 +25,12 @@ type RunResult struct {
 	Pollution *baselines.Pollution
 	// Capture is set for PreFix runs (Tables 5 and 6).
 	Capture *prefix.Capture
-	// Trace is the recorded evaluation trace when requested.
+	// Trace is an evaluation trace for callers that record one
+	// themselves.
+	//
+	// Deprecated: no pipeline path fills it any more; runs are analyzed
+	// while they execute. It stays only for the benchmark replica, and
+	// goes with it (ROADMAP item 8).
 	Trace *trace.Trace
 }
 
@@ -48,24 +53,16 @@ func evalConfig(spec workloads.Spec, opt Options) workloads.Config {
 
 // runOne executes the evaluation input on one strategy, emitting an
 // "eval <strategy>" span under parent and publishing the run's metrics
-// when opt carries a registry.
-func runOne(spec workloads.Spec, opt Options, alloc machine.Allocator, record bool, parent *obs.Span) RunResult {
+// when opt carries a registry. mopts are extra machine options, such as
+// a recorder that analyzes the run.
+func runOne(spec workloads.Spec, opt Options, alloc machine.Allocator, parent *obs.Span, mopts ...machine.Option) RunResult {
 	span := parent.Child("eval " + alloc.Name())
-	var rec *trace.Recorder
-	mopts := []machine.Option{}
-	if record {
-		rec = trace.NewRecorder()
-		mopts = append(mopts, machine.WithRecorder(rec))
-	}
 	if opt.Attribution {
 		mopts = append(mopts, machine.WithAttribution())
 	}
 	m := machine.New(alloc, opt.Cache, mopts...)
 	spec.Program.Run(m, evalConfig(spec, opt))
 	res := RunResult{Strategy: alloc.Name(), Metrics: m.Finish(), Attrib: m.Attrib()}
-	if rec != nil {
-		res.Trace = rec.Trace()
-	}
 	reg := opt.Metrics
 	kv := append([]string{"benchmark", spec.Program.Name(), "run", alloc.Name()}, opt.Labels...)
 	switch a := alloc.(type) {
@@ -226,17 +223,17 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, vp varia
 	hotSet := baselines.HotSetOf(prof.Hot)
 
 	// Baseline.
-	cmp.Baseline = runOne(spec, opt, baselines.NewBaseline(cost), false, root)
+	cmp.Baseline = runOne(spec, opt, baselines.NewBaseline(cost), root)
 	cmp.Events += cmp.Baseline.Metrics.Events()
 
 	// HDS baseline: sites from Sequitur streams, per the original work.
 	hdsSites := baselines.HDSSites(prof.Analysis, prof.StreamsSequitur)
-	cmp.HDS = runOne(spec, opt, baselines.NewHDS(hdsSites, hotSet, cost), false, root)
+	cmp.HDS = runOne(spec, opt, baselines.NewHDS(hdsSites, hotSet, cost), root)
 	cmp.Events += cmp.HDS.Metrics.Events()
 
 	// HALO baseline: affinity-grouped allocation contexts.
 	haloCfg := baselines.PlanHALO(prof.Analysis, prof.Hot, prof.StreamsLCS)
-	cmp.HALO = runOne(spec, opt, baselines.NewHALO(haloCfg, hotSet, cost), false, root)
+	cmp.HALO = runOne(spec, opt, baselines.NewHALO(haloCfg, hotSet, cost), root)
 	cmp.Events += cmp.HALO.Metrics.Events()
 
 	// PreFix variants.
@@ -250,7 +247,7 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, vp varia
 			reg.Gauge("prefix_plan_placed_objects", kv...).Set(float64(plan.PlacedObjects))
 			reg.Gauge("prefix_plan_hds_objects", kv...).Set(float64(plan.HDSObjects))
 		}
-		cmp.PreFix[v] = runOne(spec, opt, prefix.NewAllocator(plan, cost), false, root)
+		cmp.PreFix[v] = runOne(spec, opt, prefix.NewAllocator(plan, cost), root)
 		cmp.Events += cmp.PreFix[v].Metrics.Events()
 	}
 
@@ -274,17 +271,42 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, vp varia
 }
 
 // TraceBaselineAndBest runs the evaluation input under the baseline and
-// under a freshly planned best-variant PreFix allocator, recording both
-// traces — the input of the Figure 9 heatmaps. "Best" means what it
-// means in compareStrategies: every configured variant is planned and
-// evaluated, and the one with the lowest cycle count is re-run with
-// recording. The chosen variant is returned alongside the traces.
-// Published metrics carry a "phase" label so the selection and trace
-// runs never collide with a suite run's series for the same benchmark.
+// under the best PreFix variant, recording both traces. It is
+// AnalyzeBaselineAndBest with the traces kept instead of analyzed.
+//
+// Deprecated: use AnalyzeBaselineAndBest. It stays only for the
+// benchmark replica, and goes with it (ROADMAP item 8).
 func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, bestVariant prefix.Variant, err error) {
+	var baseRec, bestRec trace.Recorder
+	if bestVariant, err = figure9Runs(name, opt, &baseRec, &bestRec); err != nil {
+		return nil, nil, 0, err
+	}
+	return baseRec.Trace(), bestRec.Trace(), bestVariant, nil
+}
+
+// AnalyzeBaselineAndBest runs the evaluation input under the baseline
+// and under the best PreFix variant, analyzing both runs as they execute
+// — the input of the Figure 9 heatmaps. The chosen variant is returned
+// alongside the analyses.
+func AnalyzeBaselineAndBest(name string, opt Options) (base, best *trace.Analysis, bestVariant prefix.Variant, err error) {
+	baseAn, bestAn := trace.NewAnalyzer(), trace.NewAnalyzer()
+	if bestVariant, err = figure9Runs(name, opt, baseAn, bestAn); err != nil {
+		return nil, nil, 0, err
+	}
+	return baseAn.Finish(), bestAn.Finish(), bestVariant, nil
+}
+
+// figure9Runs profiles the benchmark, selects the best variant and runs
+// the evaluation input into two recorders: baseRec under the baseline
+// allocator, bestRec under the best variant's plan. "Best" means what it
+// means in compareStrategies: every configured variant is planned and
+// evaluated, and the one with the lowest cycle count is re-run. Published
+// metrics carry a "phase" label so the selection and recorded runs never
+// collide with a suite run's series for the same benchmark.
+func figure9Runs(name string, opt Options, baseRec, bestRec trace.EventRecorder) (bestVariant prefix.Variant, err error) {
 	spec, err := workloads.Get(name)
 	if err != nil {
-		return nil, nil, 0, err
+		return 0, err
 	}
 	if len(opt.Variants) == 0 {
 		opt.Variants = DefaultOptions().Variants
@@ -297,12 +319,12 @@ func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, be
 	prof, err := collectProfile(spec, opt, profSpan)
 	profSpan.End()
 	if err != nil {
-		return nil, nil, 0, err
+		return 0, err
 	}
 
 	vp, err := placeVariants(name, opt, prof, root)
 	if err != nil {
-		return nil, nil, 0, err
+		return 0, err
 	}
 	selOpt := opt
 	selOpt.Labels = append(append([]string(nil), opt.Labels...), "phase", "figure9-select")
@@ -310,7 +332,7 @@ func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, be
 	var bestCycles float64
 	for i, v := range opt.Variants {
 		plan := vp.plans[v]
-		res := runOne(spec, selOpt, prefix.NewAllocator(plan, opt.Cache.Cost), false, root)
+		res := runOne(spec, selOpt, prefix.NewAllocator(plan, opt.Cache.Cost), root)
 		sc.AddEvents(res.Metrics.Events())
 		if i == 0 || res.Metrics.Cycles < bestCycles {
 			bestCycles = res.Metrics.Cycles
@@ -320,21 +342,22 @@ func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, be
 
 	recOpt := opt
 	recOpt.Labels = append(append([]string(nil), opt.Labels...), "phase", "figure9")
-	baseRun := runOne(spec, recOpt, baselines.NewBaseline(opt.Cache.Cost), true, root)
-	optRun := runOne(spec, recOpt, prefix.NewAllocator(bestPlan, opt.Cache.Cost), true, root)
+	baseRun := runOne(spec, recOpt, baselines.NewBaseline(opt.Cache.Cost), root, machine.WithRecorder(baseRec))
+	optRun := runOne(spec, recOpt, prefix.NewAllocator(bestPlan, opt.Cache.Cost), root, machine.WithRecorder(bestRec))
 	sc.AddEvents(baseRun.Metrics.Events() + optRun.Metrics.Events())
-	return baseRun.Trace, optRun.Trace, bestVariant, nil
+	return bestVariant, nil
 }
 
-// captureLongRun re-runs the best variant with tracing and analyzes what
-// was captured (Table 5's long-run columns). The second return is the
-// capture run's simulated event count for host-cost accounting.
+// captureLongRun re-runs the best variant, analyzing the run as it
+// executes, and reports what was captured (Table 5's long-run columns).
+// The second return is the capture run's simulated event count for
+// host-cost accounting.
 func captureLongRun(spec workloads.Spec, opt Options, plan *prefix.Plan, root *obs.Span) (*LongRunCapture, uint64, error) {
 	span := root.Child("long-run-capture")
 	defer span.End()
-	alloc := prefix.NewAllocator(plan, opt.Cache.Cost)
-	res := runOne(spec, opt, alloc, true, span)
-	a := trace.Analyze(res.Trace)
+	an := trace.NewAnalyzer()
+	res := runOne(spec, opt, prefix.NewAllocator(plan, opt.Cache.Cost), span, machine.WithRecorder(an))
+	a := an.Finish()
 	region := plan.Region()
 
 	cfg := opt.Plan

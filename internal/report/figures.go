@@ -59,12 +59,18 @@ type Heatmap struct {
 	Footprint   uint64     // bytes spanned by hot-object accesses
 }
 
-// BuildHeatmap computes a heatmap from an evaluation trace: only accesses
-// to hot objects are plotted (the paper plots "the same hot and
-// interesting objects" in both binaries), and addresses are normalized to
-// the lowest hot address.
+// BuildHeatmap computes a heatmap from an evaluation trace; it is
+// BuildHeatmapFrom over the trace's analysis.
 func BuildHeatmap(tr *trace.Trace, timeBuckets, addrBuckets int) *Heatmap {
-	a := trace.Analyze(tr)
+	return BuildHeatmapFrom(trace.Analyze(tr), timeBuckets, addrBuckets)
+}
+
+// BuildHeatmapFrom computes a heatmap from an evaluation run's analysis:
+// only accesses to hot objects are plotted (the paper plots "the same hot
+// and interesting objects" in both binaries), and addresses are
+// normalized to the lowest hot address. It reads only the analysis'
+// objects and its reference string with their event times.
+func BuildHeatmapFrom(a *trace.Analysis, timeBuckets, addrBuckets int) *Heatmap {
 	// Hot = the smallest object set covering 90% of heap accesses, like
 	// the optimizer's own selection; an absolute threshold would sweep
 	// in long-tail objects and stretch the footprint meaninglessly.
@@ -87,12 +93,11 @@ func BuildHeatmap(tr *trace.Trace, timeBuckets, addrBuckets int) *Heatmap {
 	}
 	var lo, hi mem.Addr
 	first := true
-	for i, id := range a.Refs {
+	for _, id := range a.Refs {
 		if !hotAddr[id] {
 			continue
 		}
 		addr := a.Object(id).Addr
-		_ = i
 		if first {
 			lo, hi = addr, addr
 			first = false

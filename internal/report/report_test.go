@@ -2,6 +2,7 @@ package report
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -90,15 +91,30 @@ func TestFigure10Render(t *testing.T) {
 	}
 }
 
-func TestHeatmap(t *testing.T) {
-	r := trace.NewRecorder()
-	r.Alloc(1, 0, 0x1000, 64)
-	r.Alloc(1, 0, 0x9000, 64)
-	for i := 0; i < 20; i++ {
-		r.Access(0x1000, 8, false)
-		r.Access(0x9000, 8, false)
+// heatmaps builds the heatmap of one recorded run through both entry
+// points: BuildHeatmap over the materialized trace, and BuildHeatmapFrom
+// over an analyzer that recorded the same events. The two must agree.
+func heatmaps(t *testing.T, run func(trace.EventRecorder), timeBuckets, addrBuckets int) *Heatmap {
+	t.Helper()
+	rec, an := trace.NewRecorder(), trace.NewAnalyzer()
+	run(rec)
+	run(an)
+	h := BuildHeatmap(rec.Trace(), timeBuckets, addrBuckets)
+	if from := BuildHeatmapFrom(an.Finish(), timeBuckets, addrBuckets); !reflect.DeepEqual(h, from) {
+		t.Errorf("BuildHeatmapFrom = %+v, BuildHeatmap = %+v", from, h)
 	}
-	h := BuildHeatmap(r.Trace(), 4, 4)
+	return h
+}
+
+func TestHeatmap(t *testing.T) {
+	h := heatmaps(t, func(r trace.EventRecorder) {
+		r.Alloc(1, 0, 0x1000, 64)
+		r.Alloc(1, 0, 0x9000, 64)
+		for i := 0; i < 20; i++ {
+			r.Access(0x1000, 8, false)
+			r.Access(0x9000, 8, false)
+		}
+	}, 4, 4)
 	if h.Footprint != 0x8001 {
 		t.Errorf("footprint = %#x", h.Footprint)
 	}
@@ -121,7 +137,7 @@ func TestHeatmap(t *testing.T) {
 }
 
 func TestHeatmapEmptyTrace(t *testing.T) {
-	h := BuildHeatmap(&trace.Trace{}, 4, 4)
+	h := heatmaps(t, func(trace.EventRecorder) {}, 4, 4)
 	if h.Footprint != 0 {
 		t.Error("empty trace should have zero footprint")
 	}

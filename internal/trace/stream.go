@@ -52,8 +52,8 @@ type Sink interface {
 }
 
 // EventRecorder is the write interface the machine layer feeds during a
-// profiled run. *Recorder (in-memory) and *SpillRecorder (bounded
-// memory) both implement it.
+// profiled run. *Recorder (in-memory), *SpillRecorder (bounded memory)
+// and *Analyzer (analyze while recording, nothing kept) implement it.
 type EventRecorder interface {
 	Alloc(site mem.SiteID, stack mem.StackSig, addr mem.Addr, size uint64)
 	Free(addr mem.Addr)
@@ -74,10 +74,11 @@ type BatchRecorder interface {
 
 // RecorderStats describes what a recorder captured and how much of it
 // was ever resident: Events is the total recorded, Chunks how many
-// fixed-size chunks were spilled to the backing writer (always zero for
-// the in-memory recorder), and PeakBufferedEvents the largest number of
-// events simultaneously buffered in memory — the whole trace for the
-// in-memory recorder, at most one chunk for the spilling one.
+// fixed-size chunks were spilled to the backing writer (zero for the
+// in-memory recorder and the analyzer), and PeakBufferedEvents the
+// largest number of events simultaneously buffered in memory — the
+// whole trace for the in-memory recorder, at most one chunk for the
+// spilling one, and the largest delivered batch for the analyzer.
 type RecorderStats struct {
 	Events             uint64
 	Chunks             uint64
@@ -134,6 +135,8 @@ var (
 	_ EventRecorder = (*Recorder)(nil)
 	_ BatchRecorder = (*Recorder)(nil)
 	_ BatchRecorder = (*SpillRecorder)(nil)
+	_ EventRecorder = (*Analyzer)(nil)
+	_ BatchRecorder = (*Analyzer)(nil)
 )
 
 // --- Chunked stream writer --------------------------------------------

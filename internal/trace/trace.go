@@ -12,6 +12,8 @@
 package trace
 
 import (
+	"time"
+
 	"prefix/internal/mem"
 )
 
@@ -148,6 +150,11 @@ type Analysis struct {
 // Feed it every event in trace order, then Finish. Analyze and
 // AnalyzeSource are both built on it, so the in-memory and streaming
 // paths produce identical results by construction.
+//
+// An Analyzer is also a trace recorder (EventRecorder and
+// BatchRecorder): attached to a machine, it analyzes the run while it
+// executes, so the trace is never materialized. Every delivered event
+// goes through Feed, the same path Analyze takes.
 type Analyzer struct {
 	a *Analysis
 	// idx maps live address intervals -> objects for containment
@@ -157,6 +164,12 @@ type Analyzer struct {
 	live     uint64
 	siteLive map[mem.SiteID]uint64
 	i        int // event index == logical time
+
+	// peak is the largest batch delivered through the recorder methods.
+	peak int
+	// now, when set, times every delivery; feedNanos accumulates it.
+	now       func() time.Time
+	feedNanos int64
 }
 
 // NewAnalyzer returns an empty incremental analyzer.
@@ -232,6 +245,71 @@ func (an *Analyzer) Feed(ev Event) {
 
 // SetInstr records the traced run's dynamic instruction count.
 func (an *Analyzer) SetInstr(n uint64) { an.a.Instr = n }
+
+// Alloc implements EventRecorder.
+func (an *Analyzer) Alloc(site mem.SiteID, stack mem.StackSig, addr mem.Addr, size uint64) {
+	an.deliver1(Event{Kind: KindAlloc, Site: site, Stack: stack, Addr: addr, Size: size})
+}
+
+// Free implements EventRecorder.
+func (an *Analyzer) Free(addr mem.Addr) {
+	an.deliver1(Event{Kind: KindFree, Addr: addr})
+}
+
+// Realloc implements EventRecorder.
+func (an *Analyzer) Realloc(old, new mem.Addr, size uint64) {
+	an.deliver1(Event{Kind: KindRealloc, Addr: old, Addr2: new, Size: size})
+}
+
+// Access implements EventRecorder.
+func (an *Analyzer) Access(addr mem.Addr, size uint64, write bool) {
+	an.deliver1(Event{Kind: KindAccess, Addr: addr, Size: size, Write: write})
+}
+
+// deliver1 feeds one event delivered through a per-event recorder
+// method, as a batch of one.
+func (an *Analyzer) deliver1(ev Event) {
+	evs := [1]Event{ev}
+	an.RecordBatch(evs[:])
+}
+
+// RecordBatch implements BatchRecorder: the batch is fed in order and
+// not retained.
+func (an *Analyzer) RecordBatch(evs []Event) {
+	if len(evs) > an.peak {
+		an.peak = len(evs)
+	}
+	var t0 time.Time
+	if an.now != nil {
+		t0 = an.now()
+	}
+	for i := range evs {
+		an.Feed(evs[i])
+	}
+	if an.now != nil {
+		an.feedNanos += an.now().Sub(t0).Nanoseconds()
+	}
+}
+
+// AddInstr implements EventRecorder: instruction counts accumulate, so
+// every machine of a group can report its own.
+func (an *Analyzer) AddInstr(n uint64) { an.a.Instr += n }
+
+// Stats implements the recorder statistics: every event fed so far,
+// no spilled chunks, and the largest batch delivered to it — the only
+// events an analyzing recorder ever holds.
+func (an *Analyzer) Stats() RecorderStats {
+	return RecorderStats{Events: uint64(an.i), PeakBufferedEvents: an.peak}
+}
+
+// SetClock makes the analyzer time its own work: one clock pair per
+// delivered batch, summed into FeedNanos. A nil clock (the default)
+// turns timing off.
+func (an *Analyzer) SetClock(now func() time.Time) { an.now = now }
+
+// FeedNanos is the time spent analyzing delivered batches, as measured
+// by the clock set with SetClock (zero without one).
+func (an *Analyzer) FeedNanos() int64 { return an.feedNanos }
 
 // Finish returns the completed analysis. The analyzer must not be fed
 // after.
