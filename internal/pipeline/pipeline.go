@@ -77,11 +77,11 @@ type Options struct {
 	// per-benchmark Explain document as each suite job completes; the
 	// obshttp /explain endpoint serves its snapshot.
 	Explain *obs.ExplainStore
-	// Stream routes profiling runs through the bounded-memory path: the
-	// machine records into a spill-to-disk chunked trace file and the
-	// analysis consumes it as a stream, so peak trace-buffer memory is
-	// one chunk instead of the whole trace. The resulting Profile is
-	// identical to the in-memory path's.
+	// Stream routes profiling runs through a spill file: the machine
+	// records into a chunked trace file on disk and the analysis
+	// consumes it as a stream. The default path already analyzes the
+	// run as it executes and keeps no trace, so this saves no memory;
+	// the resulting Profile is identical either way.
 	Stream bool
 	// StreamChunkEvents bounds the spill buffer in events per chunk;
 	// values < 1 select trace.DefaultChunkEvents.
@@ -155,8 +155,8 @@ type Profile struct {
 	Prepared *prefix.Prepared
 }
 
-// CollectProfile runs the benchmark's profiling input under the tracing
-// machine with the baseline allocator and analyzes the trace.
+// CollectProfile runs the benchmark's profiling input with the baseline
+// allocator and analyzes the run.
 func CollectProfile(spec workloads.Spec, opt Options) (*Profile, error) {
 	span := opt.Tracer.Start("profile " + spec.Program.Name())
 	defer span.End()
@@ -167,7 +167,7 @@ func CollectProfile(spec workloads.Spec, opt Options) (*Profile, error) {
 // it emits one child span per profiling stage (profile-run, analyze,
 // hotness, hds-mining, then the planner's reconstitution,
 // context-inference and recycling) and publishes the stage counters when
-// a registry is attached. Options.Stream selects the bounded-memory
+// a registry is attached. Options.Stream selects the spill-file
 // recording and analysis path; the resulting Profile is identical either
 // way.
 func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profile, error) {
