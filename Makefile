@@ -9,7 +9,7 @@ GO ?= go
 # comparisons and the committed baseline all describe the same run.
 SMOKE_ARGS = -scale bench -jobs 4 -only table3 -bench mcf,health
 
-.PHONY: check fmt vet lint lint-perf build test test-short race benchmark-module bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory stream-smoke report-smoke perf-smoke explain-smoke clean
+.PHONY: check fmt vet lint lint-perf build test test-short race benchmark-module bench bench-micro bench-smoke bench-baseline bench-gate bench-trajectory stream-smoke report-smoke perf-smoke explain-smoke fuzz-smoke clean
 
 check: fmt vet lint build race benchmark-module
 
@@ -165,6 +165,21 @@ report-smoke:
 	else \
 		echo "report-smoke: a report differs from its committed digest"; exit 1; \
 	fi
+
+# Fuzz smoke: plain `go test` runs only each fuzz target's seed corpus;
+# this runs every target for 10s of generated inputs. `go test -fuzz`
+# takes one target in one package per invocation, hence the loop over
+# package:target pairs. A failing input is written under the package's
+# testdata/fuzz/ for replay.
+FUZZ_TARGETS = ./internal/trace:FuzzRead ./internal/trace:FuzzAnalyzerRecorder \
+	./internal/simalloc:FuzzHeapMatchesReference ./internal/hds:FuzzLCSKernel
+
+fuzz-smoke:
+	@for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz-smoke: $$name in $$pkg"; \
+		$(GO) test -run '^$$' -fuzz "^$$name\$$" -fuzztime 10s $$pkg || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -1,6 +1,7 @@
 package hds
 
 import (
+	"fmt"
 	"testing"
 
 	"prefix/internal/mem"
@@ -30,6 +31,34 @@ func BenchmarkMineLCS(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		MineLCS(refs, cfg)
+	}
+}
+
+// lcsSink keeps BenchmarkLCSPair's results live.
+var lcsSink []mem.ObjectID
+
+// BenchmarkLCSPair times one 64×64 window pair through the bit-parallel
+// kernel (match-mask table build included, as for an anchor compared at
+// a single lag) and through the DP it replaced, at a small alphabet,
+// where most columns match, and a large one, where most miss the table.
+func BenchmarkLCSPair(b *testing.B) {
+	for _, alphabet := range []int{8, 1000} {
+		rng := xrand.New(11)
+		x, y := randSeq(rng, 64, alphabet), randSeq(rng, 64, alphabet)
+		b.Run(fmt.Sprintf("kernel/alphabet=%d", alphabet), func(b *testing.B) {
+			var lb lcsBuf
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lcsSink = lb.lcs(x, y)
+			}
+		})
+		b.Run(fmt.Sprintf("dp/alphabet=%d", alphabet), func(b *testing.B) {
+			var lb lcsBuf
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				lcsSink = lb.lcsDP(x, y)
+			}
+		})
 	}
 }
 

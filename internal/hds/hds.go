@@ -67,7 +67,9 @@ type Config struct {
 	// Lags are the window offsets the LCS miner compares at: lag 1 finds
 	// patterns that repeat back-to-back, larger lags find periodic
 	// patterns whose period spans several windows (an interpreter loop
-	// revisiting the same objects every N dispatches).
+	// revisiting the same objects every N dispatches). Order does not
+	// matter; a lag that is not positive is skipped, and a lag that runs
+	// past the last window skips only that pair.
 	Lags []int
 }
 

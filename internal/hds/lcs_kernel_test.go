@@ -15,8 +15,9 @@ import (
 )
 
 // naiveLCS is the original closure-indexed formulation, kept verbatim as
-// an oracle for the row-sliced kernel: identical recurrence, identical
-// tie-break (prefer advancing b), identical traceback.
+// an oracle for the bit-parallel kernel and the DP fallback: identical
+// recurrence, identical tie-break (prefer advancing b), identical
+// traceback.
 func naiveLCS(a, b []mem.ObjectID) []mem.ObjectID {
 	n, m := len(a), len(b)
 	if n == 0 || m == 0 {
@@ -62,9 +63,10 @@ func randSeq(rng *xrand.Rand, n, alphabet int) []mem.ObjectID {
 	return s
 }
 
-// TestLCSKernelMatchesNaive: the optimized kernel — including the
-// reused-buffer path, where the table retains a previous pair's interior
-// cells — must return exactly the naive result, not just one of equal
+// TestLCSKernelMatchesNaive: the bit-parallel kernel (anchors up to 64)
+// and the DP fallback (longer anchors) — including the reused-buffer
+// path, where the mask table and the DP table retain a previous pair's
+// entries — must return exactly the naive result, not just one of equal
 // length.
 func TestLCSKernelMatchesNaive(t *testing.T) {
 	rng := xrand.New(1234)
@@ -85,8 +87,10 @@ func TestLCSKernelMatchesNaive(t *testing.T) {
 }
 
 // TestLCSBufGrowsAndShrinks: a buffer sized for a big pair must still be
-// correct for a following smaller pair (the reuse path slices down and
-// clears only row 0 / column 0).
+// correct for a following smaller pair (the DP's reuse path slices down
+// and clears only row 0 / column 0; the kernel reuses the longer column
+// and traceback buffers), and a DP pair after a kernel pair must not see
+// the kernel's state.
 func TestLCSBufGrowsAndShrinks(t *testing.T) {
 	rng := xrand.New(77)
 	var lb lcsBuf
@@ -98,6 +102,54 @@ func TestLCSBufGrowsAndShrinks(t *testing.T) {
 	other := randSeq(rng, 13, 3)
 	if got, want := lb.lcs(small, other), naiveLCS(small, other); !reflect.DeepEqual(got, want) {
 		t.Fatalf("small pair after big: got %v, want %v", got, want)
+	}
+	if got, want := lb.lcs(other, big), naiveLCS(other, big); !reflect.DeepEqual(got, want) {
+		t.Fatalf("kernel pair with a long b: got %v, want %v", got, want)
+	}
+	long := randSeq(rng, 65, 3)
+	if got, want := lb.lcs(long, small), naiveLCS(long, small); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DP pair after kernel pairs: got %v, want %v", got, want)
+	}
+}
+
+// TestMineLCSLagOrder: Config.Lags may come in any order and may hold
+// lags that are not positive. Those are skipped — a negative lag must
+// not slice before the trace and a zero lag must not compare a window
+// with itself — and a lag past the last window skips only that pair, not
+// the lags after it.
+func TestMineLCSLagOrder(t *testing.T) {
+	const w, windows = 16, 10
+	var refs []mem.ObjectID
+	for i := 0; i < (windows-2)*w; i++ {
+		refs = append(refs, mem.ObjectID(1000+i)) // unique: no pair matches
+	}
+	for k := 0; k < 2; k++ { // the last two windows repeat one motif
+		for i := 0; i < w; i++ {
+			refs = append(refs, mem.ObjectID(1+i))
+		}
+	}
+	cfg := func(lags ...int) Config {
+		return Config{MinLength: 2, MinFrequency: 2, MaxStreams: 8, Window: w, Lags: lags}
+	}
+	for _, lags := range [][]int{{-1, 0}, {0}, {-windows, -1}} {
+		if got := MineLCS(refs, cfg(lags...)); len(got) != 0 {
+			t.Errorf("lags %v mined %v, want nothing", lags, got)
+		}
+		if got := referenceMineLCS(refs, cfg(lags...)); len(got) != 0 {
+			t.Errorf("reference with lags %v mined %v, want nothing", lags, got)
+		}
+	}
+	want := MineLCS(refs, cfg(1, 8))
+	if len(want) != 1 || len(want[0].Objects) != w {
+		t.Fatalf("lags [1 8] mined %v, want the one %d-object motif", want, w)
+	}
+	for _, lags := range [][]int{{8, 1}, {-1, 0, 8, 1}} {
+		if got := MineLCS(refs, cfg(lags...)); !reflect.DeepEqual(got, want) {
+			t.Errorf("lags %v mined %v, want %v", lags, got, want)
+		}
+		if got := referenceMineLCS(refs, cfg(lags...)); !reflect.DeepEqual(got, want) {
+			t.Errorf("reference with lags %v mined %v, want %v", lags, got, want)
+		}
 	}
 }
 
@@ -140,8 +192,8 @@ func referenceMineLCS(refs []mem.ObjectID, cfg Config) []Stream {
 		a := refs[i*w : (i+1)*w]
 		for _, lag := range lags {
 			j := i + lag
-			if j >= windows {
-				break
+			if lag <= 0 || j >= windows {
+				continue
 			}
 			members := dedupeOrdered(naiveLCS(a, refs[j*w:(j+1)*w]))
 			if len(members) < cfg.MinLength {
