@@ -149,9 +149,11 @@ stream-smoke:
 	fi
 
 # Report gate: the report paths no other smoke gate reaches through the
-# CLI — Table 5 with -capture (long-run analysis), Figure 9 (heatmaps)
-# and Figure 10 (machine groups) — must print exactly the committed
-# stdout: testdata/report-smoke.sha256 holds one sha256 per report.
+# CLI — Table 5 with -capture (long-run analysis), Figure 9 (heatmaps),
+# Figure 10 (machine groups) and the seed-variance table (every variant
+# of every seed, where evals are shared between same-behaviour plans) —
+# must print exactly the committed stdout: testdata/report-smoke.sha256
+# holds one sha256 per report.
 REPORT_SMOKE_ARGS = -scale bench -jobs 2
 
 report-smoke:
@@ -159,9 +161,10 @@ report-smoke:
 	$(GO) build -o "$$tmpdir/prefix-bench" ./cmd/prefix-bench && \
 	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only table5 -capture -bench mcf,health > "$$tmpdir/table5-capture.txt" && \
 	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only figure9 > "$$tmpdir/figure9.txt" && \
-	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only figure10 > "$$tmpdir/figure10.txt" || exit 1; \
+	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only figure10 > "$$tmpdir/figure10.txt" && \
+	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only variance -seeds 3 -bench roms,health,mcf > "$$tmpdir/variance.txt" || exit 1; \
 	if (cd "$$tmpdir" && sha256sum -c --quiet "$(CURDIR)/testdata/report-smoke.sha256"); then \
-		echo "report-smoke: table5 -capture, figure9 and figure10 reports match testdata/report-smoke.sha256"; \
+		echo "report-smoke: table5 -capture, figure9, figure10 and variance reports match testdata/report-smoke.sha256"; \
 	else \
 		echo "report-smoke: a report differs from its committed digest"; exit 1; \
 	fi
