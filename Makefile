@@ -175,7 +175,8 @@ report-smoke:
 # package:target pairs. A failing input is written under the package's
 # testdata/fuzz/ for replay.
 FUZZ_TARGETS = ./internal/trace:FuzzRead ./internal/trace:FuzzAnalyzerRecorder \
-	./internal/simalloc:FuzzHeapMatchesReference ./internal/hds:FuzzLCSKernel
+	./internal/simalloc:FuzzHeapMatchesReference ./internal/hds:FuzzLCSKernel \
+	./internal/prefix:FuzzReadPlan
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

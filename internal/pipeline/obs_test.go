@@ -68,7 +68,8 @@ func spanNames(s *obs.Span) []string {
 // TestObsSpanTree asserts the expected Figure-8 phase tree for one small
 // workload: profile (run/analyze/hotness/mining and the planner's
 // variant-independent stages), one plan per variant holding its slot
-// assignment, one eval per strategy.
+// assignment, one eval per strategy — also for variants whose eval is
+// reused from a same-behaviour plan.
 func TestObsSpanTree(t *testing.T) {
 	opt := DefaultOptions()
 	opt.UseBenchScale = true
@@ -143,6 +144,42 @@ func TestObsSpanTree(t *testing.T) {
 	}
 	if !strings.Contains(chrome.String(), `"name": "reconstitution"`) {
 		t.Error("chrome trace missing planner stage span")
+	}
+
+	// roms's three variants place plans of one behaviour: only prefix:hot
+	// is simulated, yet every variant keeps its eval span, the other two
+	// marked as reused from it with the same totals.
+	opt = DefaultOptions()
+	opt.UseBenchScale = true
+	opt.Tracer = obs.NewTracer()
+	if _, err := RunBenchmark("roms", opt); err != nil {
+		t.Fatal(err)
+	}
+	evals := make(map[string]*obs.Span)
+	for _, s := range opt.Tracer.Roots()[0].Children() {
+		if strings.HasPrefix(s.Name, "eval prefix:") {
+			evals[s.Name] = s
+		}
+	}
+	hot := evals["eval prefix:hot"]
+	if len(evals) != len(opt.Variants) || hot == nil {
+		t.Fatalf("roms eval spans = %v, want one per variant", evals)
+	}
+	if from, ok := spanArg(hot, "reused_from"); ok {
+		t.Errorf("eval prefix:hot reused from %v, want it simulated", from)
+	}
+	for _, v := range []prefix.Variant{prefix.VariantHDS, prefix.VariantHDSHot} {
+		s := evals["eval "+v.String()]
+		if from, _ := spanArg(s, "reused_from"); from != "prefix:hot" {
+			t.Errorf("%s: reused_from = %v, want prefix:hot", s.Name, from)
+		}
+		for _, key := range []string{"cycles", "instructions"} {
+			got, _ := spanArg(s, key)
+			want, _ := spanArg(hot, key)
+			if got != want {
+				t.Errorf("%s: %s = %v, want prefix:hot's %v", s.Name, key, got, want)
+			}
+		}
 	}
 }
 

@@ -2,8 +2,9 @@
 // Figure 8 for one benchmark: run the profiling input under the tracing
 // machine, analyze the trace (hot objects, hot data streams, layout,
 // contexts), build the per-variant plans and baseline configurations, run
-// the evaluation input under every allocation strategy, and assemble the
-// measurements every table and figure reports.
+// the evaluation input once per distinct strategy — variants whose plans
+// behave the same share one simulation — and assemble the measurements
+// every table and figure reports.
 package pipeline
 
 import (
@@ -37,7 +38,10 @@ type Options struct {
 	// analyzes that run as it executes, producing the Table 5 long-run
 	// columns. It costs one more evaluation run; the trace is not kept.
 	CaptureLongRun bool
-	// Variants to evaluate; defaults to all three.
+	// Variants to evaluate; defaults to all three. Every variant gets its
+	// own plan, result, eval span and metric series, but a variant whose
+	// plan behaves like an earlier one's (prefix.Plan.SameBehaviour)
+	// reuses that variant's simulation instead of running its own.
 	Variants []prefix.Variant
 	// Metrics, when non-nil, receives every stage's counters and every
 	// run's metrics (exportable as Prometheus text or JSON). Tracer, when

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -89,12 +90,18 @@ func countSpans(s *obs.Span, name string) int {
 
 // TestVariancePlansOncePerProfile pins planning once per profile in the
 // seed sweep: whatever the seed count and job count, each benchmark mines
-// and prepares once and places each variant once, every seed still
-// exports its plan gauges under its own seed label, and the deltas do not
-// depend on the job count.
+// and prepares once and places each variant once, each seed simulates
+// one PreFix eval per distinct plan behaviour (the other variants' eval
+// spans carry reused_from), every seed still exports its plan gauges
+// under its own seed label, and the deltas do not depend on the job
+// count.
 func TestVariancePlansOncePerProfile(t *testing.T) {
-	names := []string{"mcf", "libc"}
+	names := []string{"mcf", "libc", "roms"}
 	const seeds = 3
+	distinct := make(map[string]int, len(names))
+	for _, name := range names {
+		distinct["variance "+name] = distinctPlans(t, name, fastOpt())
+	}
 	var deltas [][]*Variance
 	for _, jobs := range []int{1, 4} {
 		opt := fastOpt()
@@ -119,6 +126,30 @@ func TestVariancePlansOncePerProfile(t *testing.T) {
 			if n, want := countSpans(root, "slot-assignment"), len(opt.Variants); n != want {
 				t.Errorf("jobs=%d %s: %d slot-assignment spans, want %d (one per variant)", jobs, root.Name, n, want)
 			}
+			seedSpans := 0
+			for _, seed := range root.Children() {
+				if !strings.HasPrefix(seed.Name, "seed ") {
+					continue
+				}
+				seedSpans++
+				simulated, all := 0, 0
+				for _, s := range seed.Children() {
+					if !strings.HasPrefix(s.Name, "eval prefix:") {
+						continue
+					}
+					all++
+					if _, reused := spanArg(s, "reused_from"); !reused {
+						simulated++
+					}
+				}
+				if all != len(opt.Variants) || simulated != distinct[root.Name] {
+					t.Errorf("jobs=%d %s %s: %d of %d PreFix evals simulated, want %d of %d (one per distinct plan)",
+						jobs, root.Name, seed.Name, simulated, all, distinct[root.Name], len(opt.Variants))
+				}
+			}
+			if seedSpans != seeds {
+				t.Errorf("jobs=%d %s: %d seed spans, want %d", jobs, root.Name, seedSpans, seeds)
+			}
 		}
 
 		var prom strings.Builder
@@ -140,4 +171,29 @@ func TestVariancePlansOncePerProfile(t *testing.T) {
 		t.Errorf("variance differs between jobs=1 and jobs=4:\n  %+v %+v\n  %+v %+v",
 			deltas[0][0], deltas[0][1], deltas[1][0], deltas[1][1])
 	}
+}
+
+// distinctPlans places every configured variant of the benchmark and
+// counts the plans of distinct behaviour.
+func distinctPlans(t *testing.T, name string, opt Options) int {
+	t.Helper()
+	spec, err := workloads.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof, err := CollectProfile(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reps []*prefix.Plan
+	for _, v := range opt.Variants {
+		plan, _, err := prof.Prepared.Place(v, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.ContainsFunc(reps, plan.SameBehaviour) {
+			reps = append(reps, plan)
+		}
+	}
+	return len(reps)
 }

@@ -57,14 +57,20 @@ func evalConfig(spec workloads.Spec, opt Options) workloads.Config {
 // a recorder that analyzes the run.
 func runOne(spec workloads.Spec, opt Options, alloc machine.Allocator, parent *obs.Span, mopts ...machine.Option) RunResult {
 	span := parent.Child("eval " + alloc.Name())
+	res := simulate(spec, opt, alloc, mopts...)
+	publishRun(spec, opt, res, alloc)
+	endEval(span, res)
+	return res
+}
+
+// simulate runs the evaluation input on alloc and collects the result.
+func simulate(spec workloads.Spec, opt Options, alloc machine.Allocator, mopts ...machine.Option) RunResult {
 	if opt.Attribution {
 		mopts = append(mopts, machine.WithAttribution())
 	}
 	m := machine.New(alloc, opt.Cache, mopts...)
 	spec.Program.Run(m, evalConfig(spec, opt))
 	res := RunResult{Strategy: alloc.Name(), Metrics: m.Finish(), Attrib: m.Attrib()}
-	reg := opt.Metrics
-	kv := append([]string{"benchmark", spec.Program.Name(), "run", alloc.Name()}, opt.Labels...)
 	switch a := alloc.(type) {
 	case *baselines.Baseline:
 		res.PeakBytes = a.PeakBytes()
@@ -72,27 +78,96 @@ func runOne(spec workloads.Spec, opt Options, alloc machine.Allocator, parent *o
 		res.PeakBytes = a.PeakBytes()
 		p := a.Pollution()
 		res.Pollution = &p
-		p.Publish(reg, kv...)
 	case *baselines.HALO:
 		res.PeakBytes = a.PeakBytes()
 		p := a.Pollution()
 		res.Pollution = &p
-		p.Publish(reg, kv...)
 	case *prefix.Allocator:
 		res.PeakBytes = a.PeakBytes()
 		c := a.Capture()
 		res.Capture = &c
+	}
+	return res
+}
+
+// publishRun publishes res's series under its own strategy's "run" label
+// when opt carries a registry. alloc, the allocator the run executed on,
+// is the source of the allocator-state series.
+func publishRun(spec workloads.Spec, opt Options, res RunResult, alloc machine.Allocator) {
+	reg := opt.Metrics
+	if reg == nil {
+		return
+	}
+	kv := append([]string{"benchmark", spec.Program.Name(), "run", res.Strategy}, opt.Labels...)
+	if res.Pollution != nil {
+		res.Pollution.Publish(reg, kv...)
+	}
+	if a, ok := alloc.(*prefix.Allocator); ok {
 		a.Publish(reg, kv...)
 	}
-	if reg != nil {
-		res.Metrics.Publish(reg, kv...)
-		reg.Gauge("prefix_run_peak_bytes", kv...).Set(float64(res.PeakBytes))
-		res.Attrib.Publish(reg, kv...)
-	}
+	res.Metrics.Publish(reg, kv...)
+	reg.Gauge("prefix_run_peak_bytes", kv...).Set(float64(res.PeakBytes))
+	res.Attrib.Publish(reg, kv...)
+}
+
+// endEval records the run's totals on its eval span and closes it.
+func endEval(span *obs.Span, res RunResult) {
 	span.Set("cycles", res.Metrics.Cycles)
 	span.Set("instructions", res.Metrics.Instr)
 	span.End()
+}
+
+// evalVariants runs the evaluation input under every configured
+// variant's plan, one "eval <variant>" span each under parent. Only the
+// representative of each behaviour group (vp.evalAs) is simulated; every
+// other variant gets a copy of its representative's result, published
+// under its own labels from the representative's allocator, on an eval
+// span marked reused_from. The second return is the simulated event
+// count, which reused results do not add to.
+func evalVariants(spec workloads.Spec, opt Options, vp variantPlans, parent *obs.Span) (map[prefix.Variant]RunResult, uint64) {
+	runs := make(map[prefix.Variant]RunResult, len(opt.Variants))
+	allocs := make(map[prefix.Variant]*prefix.Allocator, len(opt.Variants))
+	var events uint64
+	for _, v := range opt.Variants {
+		if rep := vp.evalAs[v]; rep != v {
+			runs[v] = reuseRun(spec, opt, v, runs[rep], allocs[rep], parent)
+			continue
+		}
+		a := prefix.NewAllocator(vp.plans[v], opt.Cache.Cost)
+		runs[v] = runOne(spec, opt, a, parent)
+		allocs[v] = a
+		events += runs[v].Metrics.Events()
+	}
+	return runs, events
+}
+
+// reuseRun gives variant v the result src of the same-behaviour plan
+// that ran on alloc, as if v had been simulated: its own strategy name,
+// its own Capture copy, its own published series and an "eval <v>" span
+// carrying reused_from=<src.Strategy>. The attribution snapshot is
+// read-only and stays shared.
+func reuseRun(spec workloads.Spec, opt Options, v prefix.Variant, src RunResult, alloc *prefix.Allocator, parent *obs.Span) RunResult {
+	span := parent.Child("eval " + v.String())
+	span.Set("reused_from", src.Strategy)
+	res := src
+	res.Strategy = v.String()
+	c := *src.Capture
+	res.Capture = &c
+	publishRun(spec, opt, res, alloc)
+	endEval(span, res)
 	return res
+}
+
+// pickBest returns the configured variant with the lowest cycle
+// count; the earliest wins a tie.
+func pickBest(variants []prefix.Variant, runs map[prefix.Variant]RunResult) prefix.Variant {
+	best := variants[0]
+	for _, v := range variants[1:] {
+		if runs[v].Metrics.Cycles < runs[best].Metrics.Cycles {
+			best = v
+		}
+	}
+	return best
 }
 
 // Comparison is the full evaluation of one benchmark: every strategy's
@@ -113,6 +188,8 @@ type Comparison struct {
 	LongRun *LongRunCapture
 	// Events is the total number of simulated events the benchmark's
 	// profiling and evaluation runs generated (the events/sec numerator).
+	// A variant that reused another's eval adds nothing: it simulated
+	// nothing.
 	Events uint64
 	// Host is the benchmark job's measured host cost (wall time, heap
 	// allocation, GC, events/sec), filled by the suite runner when
@@ -170,22 +247,31 @@ func RunBenchmark(name string, opt Options) (*Comparison, error) {
 	return cmp, err
 }
 
-// variantPlans is one profile's plan and summary per configured variant.
+// variantPlans is one profile's plan and summary per configured variant,
+// and the variant whose evaluation each one reuses.
 type variantPlans struct {
 	plans     map[prefix.Variant]*prefix.Plan
 	summaries map[prefix.Variant]*prefix.Summary
+	// evalAs maps every variant to the earliest configured variant whose
+	// plan has the same behaviour (prefix.Plan.SameBehaviour) — itself
+	// when there is none. The eval is deterministic, so only these
+	// representatives are simulated.
+	evalAs map[prefix.Variant]prefix.Variant
 }
 
 // placeVariants places every configured variant's plan from the
-// profile's preparation, one "plan <variant>" span each under parent.
-// With Options.Attribution every summary carries its variant's ledger.
-// Plans are read-only once built, so one set serves every evaluation
-// input of the profile.
+// profile's preparation, one "plan <variant>" span each under parent,
+// and groups the plans by behaviour (evalAs). With Options.Attribution
+// every summary carries its variant's ledger. Plans are read-only once
+// built, so one set and one grouping serve every evaluation input of the
+// profile.
 func placeVariants(name string, opt Options, prof *Profile, parent *obs.Span) (variantPlans, error) {
 	vp := variantPlans{
 		plans:     make(map[prefix.Variant]*prefix.Plan, len(opt.Variants)),
 		summaries: make(map[prefix.Variant]*prefix.Summary, len(opt.Variants)),
+		evalAs:    make(map[prefix.Variant]prefix.Variant, len(opt.Variants)),
 	}
+	var reps []prefix.Variant
 	for _, v := range opt.Variants {
 		planSpan := parent.Child("plan " + v.String())
 		var led *prefix.Ledger
@@ -202,6 +288,16 @@ func placeVariants(name string, opt Options, prof *Profile, parent *obs.Span) (v
 		planSpan.Set("region_bytes", plan.RegionSize)
 		planSpan.End()
 		vp.plans[v], vp.summaries[v] = plan, sum
+		vp.evalAs[v] = v
+		for _, r := range reps {
+			if vp.plans[r].SameBehaviour(plan) {
+				vp.evalAs[v] = r
+				break
+			}
+		}
+		if vp.evalAs[v] == v {
+			reps = append(reps, v)
+		}
 	}
 	return vp, nil
 }
@@ -214,7 +310,6 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, vp varia
 	cmp := &Comparison{
 		Benchmark: name,
 		Profile:   prof,
-		PreFix:    make(map[prefix.Variant]RunResult),
 		Plans:     vp.plans,
 		Summaries: vp.summaries,
 	}
@@ -236,10 +331,10 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, vp varia
 	cmp.HALO = runOne(spec, opt, baselines.NewHALO(haloCfg, hotSet, cost), root)
 	cmp.Events += cmp.HALO.Metrics.Events()
 
-	// PreFix variants.
-	for _, v := range opt.Variants {
-		plan := vp.plans[v]
-		if reg := opt.Metrics; reg != nil {
+	// PreFix variants: one simulation per distinct plan behaviour.
+	if reg := opt.Metrics; reg != nil {
+		for _, v := range opt.Variants {
+			plan := vp.plans[v]
 			kv := append([]string{"benchmark", name, "variant", v.String()}, opt.Labels...)
 			reg.Gauge("prefix_plan_sites", kv...).Set(float64(plan.NumSites()))
 			reg.Gauge("prefix_plan_counters", kv...).Set(float64(plan.NumCounters()))
@@ -247,20 +342,14 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, vp varia
 			reg.Gauge("prefix_plan_placed_objects", kv...).Set(float64(plan.PlacedObjects))
 			reg.Gauge("prefix_plan_hds_objects", kv...).Set(float64(plan.HDSObjects))
 		}
-		cmp.PreFix[v] = runOne(spec, opt, prefix.NewAllocator(plan, cost), root)
-		cmp.Events += cmp.PreFix[v].Metrics.Events()
 	}
-
-	best := opt.Variants[0]
-	for _, v := range opt.Variants[1:] {
-		if cmp.PreFix[v].Metrics.Cycles < cmp.PreFix[best].Metrics.Cycles {
-			best = v
-		}
-	}
-	cmp.Best = best
+	prefixRuns, events := evalVariants(spec, opt, vp, root)
+	cmp.PreFix = prefixRuns
+	cmp.Events += events
+	cmp.Best = pickBest(opt.Variants, cmp.PreFix)
 
 	if opt.CaptureLongRun {
-		lr, events, err := captureLongRun(spec, opt, cmp.Plans[best], root)
+		lr, events, err := captureLongRun(spec, opt, cmp.Plans[cmp.Best], root)
 		if err != nil {
 			return nil, err
 		}
@@ -300,7 +389,8 @@ func AnalyzeBaselineAndBest(name string, opt Options) (base, best *trace.Analysi
 // the evaluation input into two recorders: baseRec under the baseline
 // allocator, bestRec under the best variant's plan. "Best" means what it
 // means in compareStrategies: every configured variant is planned and
-// evaluated, and the one with the lowest cycle count is re-run. Published
+// evaluated (once per distinct plan behaviour), and the one with the
+// lowest cycle count is re-run. Published
 // metrics carry a "phase" label so the selection and recorded runs never
 // collide with a suite run's series for the same benchmark.
 func figure9Runs(name string, opt Options, baseRec, bestRec trace.EventRecorder) (bestVariant prefix.Variant, err error) {
@@ -328,17 +418,10 @@ func figure9Runs(name string, opt Options, baseRec, bestRec trace.EventRecorder)
 	}
 	selOpt := opt
 	selOpt.Labels = append(append([]string(nil), opt.Labels...), "phase", "figure9-select")
-	var bestPlan *prefix.Plan
-	var bestCycles float64
-	for i, v := range opt.Variants {
-		plan := vp.plans[v]
-		res := runOne(spec, selOpt, prefix.NewAllocator(plan, opt.Cache.Cost), root)
-		sc.AddEvents(res.Metrics.Events())
-		if i == 0 || res.Metrics.Cycles < bestCycles {
-			bestCycles = res.Metrics.Cycles
-			bestVariant, bestPlan = v, plan
-		}
-	}
+	runs, events := evalVariants(spec, selOpt, vp, root)
+	sc.AddEvents(events)
+	bestVariant = pickBest(opt.Variants, runs)
+	bestPlan := vp.plans[bestVariant]
 
 	recOpt := opt
 	recOpt.Labels = append(append([]string(nil), opt.Labels...), "phase", "figure9")

@@ -37,11 +37,13 @@ func RunVariance(name string, runs int, opt Options) (*Variance, error) {
 // RunSuiteVariance evaluates every named benchmark across `runs`
 // perturbed evaluation seeds on one bounded worker pool of `jobs`
 // workers (1 = the serial path). The unit of work is one
-// (benchmark, seed) evaluation; the profile is collected and every
-// variant's plan placed exactly once per benchmark — the first of its
-// seed jobs to run does both under the benchmark's "variance" root span,
-// and the remaining seeds reuse the shared *Profile and plans, which
-// compareStrategies and the allocators treat as read-only.
+// (benchmark, seed) evaluation; the profile is collected, every
+// variant's plan placed and the plans grouped by behaviour exactly once
+// per benchmark — the first of its seed jobs to run does all three under
+// the benchmark's "variance" root span, and the remaining seeds reuse the
+// shared *Profile and plans, which compareStrategies and the allocators
+// treat as read-only. Each seed simulates one PreFix eval per distinct
+// plan behaviour.
 // Each seed evaluation runs under its own "seed N" child span and
 // publishes its metrics with a "seed" label, so N runs produce N
 // distinguishable series in the export. Deltas are indexed by seed,

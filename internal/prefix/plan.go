@@ -10,6 +10,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"prefix/internal/context"
@@ -149,36 +152,86 @@ func (p *Plan) KindsString() string {
 	return s + " ids"
 }
 
-// Validate checks plan consistency: slots inside the region, no overlap,
-// every site wired to a valid counter.
+// SameBehaviour reports whether p and q drive the Allocator identically:
+// equal region size, site wiring and counters (sites, pattern, slots,
+// recycling ring, hybrid signatures). The reporting-only fields —
+// Benchmark, Variant, PlacedObjects, HDSObjects and Order — are ignored,
+// so two variants whose plans behave the same give the same evaluation
+// run on the same input.
+func (p *Plan) SameBehaviour(q *Plan) bool {
+	if p.RegionSize != q.RegionSize || len(p.Counters) != len(q.Counters) ||
+		!maps.Equal(p.SiteCounter, q.SiteCounter) {
+		return false
+	}
+	for i := range p.Counters {
+		if !p.Counters[i].sameBehaviour(&q.Counters[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// sameBehaviour compares every PlanCounter field the Allocator reads. A
+// nil Sigs map and an empty one differ: any non-nil map turns on the
+// hybrid check and its instruction cost.
+func (c *PlanCounter) sameBehaviour(d *PlanCounter) bool {
+	if c.Kind != d.Kind || c.Start != d.Start || c.Step != d.Step || c.Count != d.Count ||
+		!slices.Equal(c.Sites, d.Sites) || !slices.Equal(c.Set, d.Set) ||
+		!maps.Equal(c.SlotOf, d.SlotOf) ||
+		(c.Sigs == nil) != (d.Sigs == nil) || !maps.Equal(c.Sigs, d.Sigs) ||
+		(c.Recycle == nil) != (d.Recycle == nil) {
+		return false
+	}
+	return c.Recycle == nil || *c.Recycle == *d.Recycle
+}
+
+// Validate checks plan consistency: the region fits the address space,
+// slots lie inside the region without wrapping around uint64, no slot
+// overlaps another, and every site is wired to a valid counter.
 func (p *Plan) Validate() error {
+	if p.RegionSize > ^uint64(0)-uint64(RegionBase) {
+		return fmt.Errorf("prefix: region size %d overflows the address space", p.RegionSize)
+	}
 	type span struct {
-		off, size uint64
-		what      string
+		off, end uint64
+		what     string
 	}
 	var spans []span
+	add := func(off, size uint64, what string) error {
+		end, carry := bits.Add64(off, size, 0)
+		if carry != 0 || end > p.RegionSize {
+			return fmt.Errorf("prefix: %s at offset %d size %d exceeds region size %d", what, off, size, p.RegionSize)
+		}
+		spans = append(spans, span{off, end, what})
+		return nil
+	}
 	for i := range p.Counters {
 		c := &p.Counters[i]
 		for id, s := range c.SlotOf {
 			if s.Size == 0 {
 				return fmt.Errorf("prefix: counter %d id %d has zero-size slot", i, id)
 			}
-			spans = append(spans, span{s.Offset, s.Size, fmt.Sprintf("counter %d id %d", i, id)})
+			if err := add(s.Offset, s.Size, fmt.Sprintf("counter %d id %d", i, id)); err != nil {
+				return err
+			}
 		}
 		if r := c.Recycle; r != nil {
 			if r.N <= 0 || r.SlotSize == 0 {
 				return fmt.Errorf("prefix: counter %d has invalid recycle plan %+v", i, *r)
 			}
-			spans = append(spans, span{r.Base, uint64(r.N) * r.SlotSize, fmt.Sprintf("counter %d recycle ring", i)})
+			hi, size := bits.Mul64(uint64(r.N), r.SlotSize)
+			if hi != 0 {
+				return fmt.Errorf("prefix: counter %d recycle ring of %d x %d bytes overflows", i, r.N, r.SlotSize)
+			}
+			if err := add(r.Base, size, fmt.Sprintf("counter %d recycle ring", i)); err != nil {
+				return err
+			}
 		}
 	}
 	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
-	for i, s := range spans {
-		if s.off+s.size > p.RegionSize {
-			return fmt.Errorf("prefix: %s [%d,%d) exceeds region size %d", s.what, s.off, s.off+s.size, p.RegionSize)
-		}
-		if i > 0 && spans[i-1].off+spans[i-1].size > s.off {
-			return fmt.Errorf("prefix: %s overlaps %s", spans[i-1].what, s.what)
+	for i := 1; i < len(spans); i++ {
+		if spans[i-1].end > spans[i].off {
+			return fmt.Errorf("prefix: %s overlaps %s", spans[i-1].what, spans[i].what)
 		}
 	}
 	for site, c := range p.SiteCounter {
