@@ -73,7 +73,8 @@ bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
 # One-iteration smoke of the inner-loop microbenchmarks (cache probe,
-# hierarchy walk, machine event loop, miners, simulated heap churn).
+# hierarchy walk, machine event loop, miners, simulated heap churn,
+# trace analyzer feed).
 # Catches compile breakage and gross regressions in CI without paying for
 # a real measurement; use `make bench` for numbers.
 bench-micro:
@@ -176,7 +177,7 @@ report-smoke:
 # testdata/fuzz/ for replay.
 FUZZ_TARGETS = ./internal/trace:FuzzRead ./internal/trace:FuzzAnalyzerRecorder \
 	./internal/simalloc:FuzzHeapMatchesReference ./internal/hds:FuzzLCSKernel \
-	./internal/prefix:FuzzReadPlan
+	./internal/prefix:FuzzReadPlan ./internal/mem:FuzzLiveIndex
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -22,39 +22,21 @@ import (
 // site 0 / "other", so the per-site cells always sum to the aggregate
 // hierarchy Counts exactly.
 
-// attribSpan is one live allocation's intersection with one page,
-// half-open [start, end). Spans within a page never overlap (live
-// allocations are disjoint) and are kept sorted by start.
-type attribSpan struct {
-	start, end mem.Addr
-	idx        int32
-}
-
-// rangeInfo remembers a live allocation's extent and owning cell so Free
-// (which only sees the address) can unregister it.
-type rangeInfo struct {
-	end mem.Addr
-	idx int32
-}
-
 // attrib is the per-machine attribution state: a dense site index, one
-// flat Counts cell per site, and a page-keyed span table resolving an
+// flat Counts cell per site, and the live-allocation index resolving an
 // address to the cell of the allocation holding it.
 type attrib struct {
-	idxOf  map[mem.SiteID]int32
-	sites  []mem.SiteID // cell index -> site id; sites[0] == 0 (sentinel)
-	cells  []cachesim.Counts
-	ranges map[mem.Addr]rangeInfo
-	pages  map[uint64][]attribSpan
+	idxOf map[mem.SiteID]int32
+	sites []mem.SiteID // cell index -> site id; sites[0] == 0 (sentinel)
+	cells []cachesim.Counts
+	live  mem.LiveIndex // live allocation -> owning cell index
 }
 
 func newAttrib() *attrib {
 	return &attrib{
-		idxOf:  make(map[mem.SiteID]int32),
-		sites:  []mem.SiteID{0},
-		cells:  make([]cachesim.Counts, 1),
-		ranges: make(map[mem.Addr]rangeInfo),
-		pages:  make(map[uint64][]attribSpan),
+		idxOf: make(map[mem.SiteID]int32),
+		sites: []mem.SiteID{0},
+		cells: make([]cachesim.Counts, 1),
 	}
 }
 
@@ -71,84 +53,27 @@ func (a *attrib) cellOf(site mem.SiteID) int32 {
 	return idx
 }
 
-// register tracks a fresh allocation [addr, addr+size) for site.
+// register tracks a fresh allocation [addr, addr+size) for site. An
+// allocator re-serving a live address replaces the stale range.
 func (a *attrib) register(site mem.SiteID, addr mem.Addr, size uint64) {
 	if addr == mem.NilAddr {
 		return
 	}
-	a.registerIdx(a.cellOf(site), addr, size)
-}
-
-func (a *attrib) registerIdx(idx int32, addr mem.Addr, size uint64) {
-	if size == 0 {
-		size = 1
-	}
-	if _, live := a.ranges[addr]; live {
-		// Defensive: an allocator re-serving a live address replaces the
-		// stale attribution range rather than corrupting the span table.
-		a.unregister(addr)
-	}
-	end := addr + mem.Addr(size)
-	a.ranges[addr] = rangeInfo{end: end, idx: idx}
-	last := uint64(end-1) >> mem.PageShift
-	for p := uint64(addr) >> mem.PageShift; p <= last; p++ {
-		ps := mem.Addr(p) << mem.PageShift
-		s, e := addr, end
-		if s < ps {
-			s = ps
-		}
-		if pe := ps + mem.PageSize; e > pe {
-			e = pe
-		}
-		spans := a.pages[p]
-		i := sort.Search(len(spans), func(i int) bool { return spans[i].start >= s })
-		spans = append(spans, attribSpan{})
-		copy(spans[i+1:], spans[i:])
-		spans[i] = attribSpan{start: s, end: e, idx: idx}
-		a.pages[p] = spans
-	}
+	a.live.Insert(addr, size, int(a.cellOf(site)))
 }
 
 // unregister drops the allocation starting at addr; unknown addresses
 // (foreign frees the allocator tolerates) are ignored.
-func (a *attrib) unregister(addr mem.Addr) {
-	r, ok := a.ranges[addr]
-	if !ok {
-		return
-	}
-	delete(a.ranges, addr)
-	last := uint64(r.end-1) >> mem.PageShift
-	for p := uint64(addr) >> mem.PageShift; p <= last; p++ {
-		ps := mem.Addr(p) << mem.PageShift
-		s := addr
-		if s < ps {
-			s = ps
-		}
-		spans := a.pages[p]
-		i := sort.Search(len(spans), func(i int) bool { return spans[i].start >= s })
-		if i < len(spans) && spans[i].start == s {
-			spans = append(spans[:i], spans[i+1:]...)
-			if len(spans) == 0 {
-				delete(a.pages, p)
-			} else {
-				a.pages[p] = spans
-			}
-		}
-	}
-}
+func (a *attrib) unregister(addr mem.Addr) { a.live.Remove(addr) }
 
 // realloc moves attribution from old to nu, keeping the owning site. A
 // realloc of an untracked address charges the new range to the sentinel.
 func (a *attrib) realloc(old, nu mem.Addr, size uint64) {
-	var idx int32
-	if r, ok := a.ranges[old]; ok {
-		idx = r.idx
-		a.unregister(old)
-	}
+	idx, _ := a.live.Remove(old)
 	if nu == mem.NilAddr {
 		return
 	}
-	a.registerIdx(idx, nu, size)
+	a.live.Insert(nu, size, idx)
 }
 
 // observe charges one access's Counts delta to the cell owning addr.
@@ -156,25 +81,11 @@ func (a *attrib) observe(addr mem.Addr, d cachesim.Counts) {
 	a.cells[a.resolve(addr)].Add(d)
 }
 
-// resolve maps an address to its owning cell: the page's span with the
-// greatest start <= addr, if it covers addr; the sentinel otherwise.
-func (a *attrib) resolve(addr mem.Addr) int32 {
-	spans := a.pages[uint64(addr)>>mem.PageShift]
-	lo, hi := 0, len(spans)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if spans[mid].start <= addr {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo > 0 {
-		if sp := spans[lo-1]; addr < sp.end {
-			return sp.idx
-		}
-	}
-	return 0
+// resolve maps an address to its owning cell: the live allocation
+// holding it, or the sentinel.
+func (a *attrib) resolve(addr mem.Addr) int {
+	idx, _ := a.live.Find(addr)
+	return idx
 }
 
 // SiteAttrib is one site's attributed share of the run's simulation

@@ -182,6 +182,45 @@ func TestAttributionOffLoopZeroAllocs(t *testing.T) {
 	}
 }
 
+// TestAttributionOnReadLoopZeroAllocs: with attribution on, a steady
+// stream of reads (each resolved through the live-allocation index)
+// must not allocate either.
+func TestAttributionOnReadLoopZeroAllocs(t *testing.T) {
+	m := New(&bumpAlloc{}, cfg(), WithAttribution())
+	var objs []mem.Addr
+	for i := 0; i < 64; i++ {
+		objs = append(objs, m.Malloc(mem.SiteID(i%5+1), uint64(48+i*200)))
+	}
+	var i uint64
+	if n := testing.AllocsPerRun(2000, func() {
+		a := objs[i%uint64(len(objs))]
+		m.Read(a+mem.Addr(i%48), 8)
+		m.Read(0xdead_0000+mem.Addr(i%4096), 8) // unattributed
+		i++
+	}); n != 0 {
+		t.Errorf("attribution-on read loop allocates %.2f per iteration", n)
+	}
+}
+
+// TestAttribTopOfAddressSpace: an allocation ending exactly at 2^64 is
+// still charged to its site. Its end address wraps to 0, which once made
+// every access inside it look unattributed.
+func TestAttribTopOfAddressSpace(t *testing.T) {
+	m := New(&bumpAlloc{next: 0xffff_ffff_ffff_ff80}, cfg(), WithAttribution())
+	a := m.Malloc(7, 64)
+	if a != 0xffff_ffff_ffff_ffc0 {
+		t.Fatalf("allocator served %v", a)
+	}
+	m.Read(a, 8)
+	m.Read(a+56, 8)
+	at := m.Attrib()
+	site, _ := at.Of(7)
+	other, _ := at.Of(0)
+	if site.Counts.Accesses != 2 || other.Counts.Accesses != 0 {
+		t.Fatalf("site7=%d other=%d, want site7=2 other=0", site.Counts.Accesses, other.Counts.Accesses)
+	}
+}
+
 // TestAttribPublish: the snapshot exports the prefix_attrib_* family with
 // per-site labels and an "other" sentinel label; a nil registry or a
 // disabled snapshot is a no-op.

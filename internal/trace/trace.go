@@ -157,10 +157,10 @@ type Analysis struct {
 // goes through Feed, the same path Analyze takes.
 type Analyzer struct {
 	a *Analysis
-	// idx maps live address intervals -> objects for containment
-	// queries: the workloads access addresses inside [base, base+size),
-	// so live intervals sit in an ordered slice with binary search.
-	idx      *intervalIndex
+	// idx maps each live object's address interval to its position in
+	// Analysis.Objects; accesses land anywhere inside [base, base+size),
+	// so it answers containment queries (mem.LiveIndex, page-keyed).
+	idx      mem.LiveIndex
 	live     uint64
 	siteLive map[mem.SiteID]uint64
 	i        int // event index == logical time
@@ -180,7 +180,6 @@ func NewAnalyzer() *Analyzer {
 			SiteObjects: make(map[mem.SiteID][]mem.ObjectID),
 			SiteMaxLive: make(map[mem.SiteID]uint64),
 		},
-		idx:      newIntervalIndex(),
 		siteLive: make(map[mem.SiteID]uint64),
 	}
 }
@@ -206,7 +205,7 @@ func (an *Analyzer) Feed(ev Event) {
 		}
 		a.Objects = append(a.Objects, obj)
 		a.SiteObjects[ev.Site] = append(a.SiteObjects[ev.Site], obj.ID)
-		an.idx.insert(ev.Addr, ev.Size, obj)
+		an.idx.Insert(ev.Addr, ev.Size, len(a.Objects)-1)
 		an.live++
 		an.siteLive[ev.Site]++
 		if an.live > a.MaxLive {
@@ -216,20 +215,23 @@ func (an *Analyzer) Feed(ev Event) {
 			a.SiteMaxLive[ev.Site] = an.siteLive[ev.Site]
 		}
 	case KindFree:
-		if obj := an.idx.remove(ev.Addr); obj != nil {
+		if v, ok := an.idx.Remove(ev.Addr); ok {
+			obj := a.Objects[v]
 			obj.FreeAt = i
 			an.live--
 			an.siteLive[obj.Site]--
 		}
 	case KindRealloc:
-		if obj := an.idx.remove(ev.Addr); obj != nil {
+		if v, ok := an.idx.Remove(ev.Addr); ok {
+			obj := a.Objects[v]
 			obj.FinalSize = ev.Size
 			obj.Addr = ev.Addr2
-			an.idx.insert(ev.Addr2, ev.Size, obj)
+			an.idx.Insert(ev.Addr2, ev.Size, v)
 		}
 	case KindAccess:
 		a.TotalAccesses++
-		if obj := an.idx.find(ev.Addr); obj != nil {
+		if v, ok := an.idx.Find(ev.Addr); ok {
+			obj := a.Objects[v]
 			a.HeapAccesses++
 			obj.Accesses++
 			if ev.Write {

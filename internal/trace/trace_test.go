@@ -297,42 +297,3 @@ func TestZigzagRoundtrip(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestIntervalIndexInteriorLookup(t *testing.T) {
-	x := newIntervalIndex()
-	o := &Object{ID: 1}
-	x.insert(0x1000, 64, o)
-	if x.find(0x1000) != o || x.find(0x103f) != o {
-		t.Error("containment lookup failed")
-	}
-	if x.find(0x1040) != nil || x.find(0xfff) != nil {
-		t.Error("out-of-range lookup should miss")
-	}
-	if x.remove(0x1000) != o {
-		t.Error("remove returned wrong object")
-	}
-	if x.find(0x1000) != nil {
-		t.Error("removed interval still found")
-	}
-	if x.len() != 0 {
-		t.Error("index not empty")
-	}
-}
-
-func TestIntervalIndexMany(t *testing.T) {
-	x := newIntervalIndex()
-	objs := make([]*Object, 100)
-	for i := range objs {
-		objs[i] = &Object{ID: mem.ObjectID(i + 1)}
-		x.insert(mem.Addr(0x1000+i*0x100), 0x80, objs[i])
-	}
-	for i := range objs {
-		base := mem.Addr(0x1000 + i*0x100)
-		if x.find(base+0x40) != objs[i] {
-			t.Fatalf("interior lookup %d failed", i)
-		}
-		if x.find(base+0x80) != nil {
-			t.Fatalf("gap lookup %d should miss", i)
-		}
-	}
-}
