@@ -13,6 +13,7 @@ import (
 	"prefix/internal/hds"
 	"prefix/internal/pipeline"
 	"prefix/internal/report"
+	"prefix/internal/trace"
 	"prefix/internal/workloads"
 )
 
@@ -195,12 +196,21 @@ func BenchmarkFigure9Heatmap(b *testing.B) {
 	opt.UseBenchScale = true
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		base, best, _, err := pipeline.AnalyzeBaselineAndBest("leela", opt)
+		cmp, err := pipeline.RunBenchmark("leela", opt)
 		if err != nil {
 			b.Fatal(err)
 		}
-		hb := report.BuildHeatmapFrom(base, 120, 80)
-		ho := report.BuildHeatmapFrom(best, 120, 80)
+		var hb, ho *report.Heatmap
+		err = pipeline.AnalyzeBaselineAndBest(cmp, opt, pipeline.DefaultJobs(), func(best bool, a *trace.Analysis) {
+			if best {
+				ho = report.BuildHeatmapFrom(a, 120, 80)
+			} else {
+				hb = report.BuildHeatmapFrom(a, 120, 80)
+			}
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		if ho.Footprint > 0 {
 			ratio = float64(hb.Footprint) / float64(ho.Footprint)
 		}

@@ -40,6 +40,7 @@ import (
 	"prefix/internal/obsflags"
 	"prefix/internal/pipeline"
 	"prefix/internal/report"
+	"prefix/internal/trace"
 	"prefix/internal/workloads"
 )
 
@@ -66,7 +67,7 @@ func main() {
 
 // validateArgs checks every flag combination that can be rejected before
 // any benchmark burns cycles.
-func validateArgs(only, scale string, seeds, jobs int, record bool, baseline string, regressPct float64, stream bool, streamChunk int, attrib bool) error {
+func validateArgs(only, scale string, seeds, jobs int, record bool, baseline string, regressPct float64, stream bool, streamChunk int, attrib bool, heatmapDir string) error {
 	if only != "" {
 		known := false
 		for _, a := range artifacts {
@@ -99,6 +100,9 @@ func validateArgs(only, scale string, seeds, jobs int, record bool, baseline str
 	}
 	if streamChunk > 0 && !stream {
 		return fmt.Errorf("-stream-chunk only applies with -stream")
+	}
+	if heatmapDir != "" && only != "" && !strings.EqualFold(only, "figure9") {
+		return fmt.Errorf("-heatmap-dir only applies when Figure 9 runs (-only figure9 or no -only)")
 	}
 	if strings.EqualFold(only, "attribution") && !attrib {
 		return fmt.Errorf("-only attribution requires -attrib (nothing attributes misses to sites without it)")
@@ -142,7 +146,7 @@ func run() (err error) {
 	if *recordOut != "" {
 		*record = true
 	}
-	if err := validateArgs(*only, *scale, *seeds, *jobs, *record, *baseline, *regressPct, *stream, *streamChunk, *attrib); err != nil {
+	if err := validateArgs(*only, *scale, *seeds, *jobs, *record, *baseline, *regressPct, *stream, *streamChunk, *attrib, *heatmapDir); err != nil {
 		return err
 	}
 	names, err := workloads.ResolveList(*benchList)
@@ -240,7 +244,7 @@ func run() (err error) {
 	}
 
 	if want("figure9") {
-		if err := figure9(w, opt, *heatmapDir); err != nil {
+		if err := figure9(w, opt, cmps, *jobs, *heatmapDir); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
@@ -322,16 +326,38 @@ func run() (err error) {
 }
 
 // figure9 analyzes leela under baseline and PreFix and summarizes (and
-// optionally dumps) the access heatmaps.
-func figure9(w *os.File, opt pipeline.Options, dir string) error {
-	fmt.Fprintln(os.Stderr, "tracing leela for figure 9...")
-	base, best, variant, err := pipeline.AnalyzeBaselineAndBest("leela", opt)
+// optionally dumps) the access heatmaps. It takes leela's comparison
+// from the suite's cmps when the suite evaluated leela, and evaluates
+// leela on its own otherwise.
+func figure9(w *os.File, opt pipeline.Options, cmps []*pipeline.Comparison, jobs int, dir string) error {
+	var cmp *pipeline.Comparison
+	for _, c := range cmps {
+		if c.Benchmark == "leela" {
+			cmp = c
+			break
+		}
+	}
+	if cmp == nil {
+		fmt.Fprintln(os.Stderr, "evaluating leela for figure 9...")
+		evalOpt := opt
+		evalOpt.CaptureLongRun = false
+		var err error
+		if cmp, err = pipeline.RunBenchmark("leela", evalOpt); err != nil {
+			return err
+		}
+	}
+	fmt.Fprintf(os.Stderr, "tracing leela for figure 9 (best variant: %s)...\n", cmp.Best)
+	var hb, ho *report.Heatmap
+	err := pipeline.AnalyzeBaselineAndBest(cmp, opt, jobs, func(best bool, a *trace.Analysis) {
+		if best {
+			ho = report.BuildHeatmapFrom(a, 120, 80)
+		} else {
+			hb = report.BuildHeatmapFrom(a, 120, 80)
+		}
+	})
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "figure 9 traces leela's best variant: %s\n", variant)
-	hb := report.BuildHeatmapFrom(base, 120, 80)
-	ho := report.BuildHeatmapFrom(best, 120, 80)
 	report.Figure9(w, "leela", hb, ho)
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {

@@ -2,11 +2,13 @@ package pipeline
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"prefix/internal/obs"
 	"prefix/internal/prefix"
+	"prefix/internal/trace"
 )
 
 // TestObsNoopParity is the acceptance guarantee of the instrumentation:
@@ -180,6 +182,36 @@ func TestObsSpanTree(t *testing.T) {
 				t.Errorf("%s: %s = %v, want prefix:hot's %v", s.Name, key, got, want)
 			}
 		}
+	}
+}
+
+// TestObsFigure9SpanTree: Figure 9 on a comparison evaluates the two
+// analyzed runs and nothing else — no profile, plan or variant
+// selection of its own — and publishes them under phase=figure9.
+func TestObsFigure9SpanTree(t *testing.T) {
+	cmp, err := RunBenchmark("swissmap", fastOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := fastOpt()
+	opt.Metrics = obs.NewRegistry()
+	opt.Tracer = obs.NewTracer()
+	if err := AnalyzeBaselineAndBest(cmp, opt, 2, func(bool, *trace.Analysis) {}); err != nil {
+		t.Fatal(err)
+	}
+	roots := opt.Tracer.Roots()
+	if len(roots) != 1 || roots[0].Name != "figure9 swissmap" {
+		t.Fatalf("%d root spans, want one \"figure9 swissmap\"", len(roots))
+	}
+	got := spanNames(roots[0])
+	sort.Strings(got) // the two jobs open their spans in either order
+	want := []string{"eval baseline", "eval " + cmp.Best.String()}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("figure9 spans = %v, want %v", got, want)
+	}
+	cycles := opt.Metrics.Gauge("prefix_run_cycles", "benchmark", "swissmap", "run", "baseline", "phase", "figure9").Value()
+	if cycles != cmp.Baseline.Metrics.Cycles {
+		t.Errorf("phase=figure9 baseline cycles = %v, want %v", cycles, cmp.Baseline.Metrics.Cycles)
 	}
 }
 

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"prefix/internal/obs"
@@ -160,11 +161,12 @@ func TestTraceBaselineAndBest(t *testing.T) {
 	}
 }
 
-// TestAnalyzeBaselineAndBest: the Figure 9 analyses, taken while the
-// runs execute, are the analyses of the traces TraceBaselineAndBest
-// records, for the same best variant.
+// TestAnalyzeBaselineAndBest: the Figure 9 analyses of a comparison's
+// baseline and best plan, taken while the runs execute on one or two
+// workers, are the analyses of the traces TraceBaselineAndBest records,
+// for the comparison's best variant.
 func TestAnalyzeBaselineAndBest(t *testing.T) {
-	base, best, variant, err := AnalyzeBaselineAndBest("swissmap", fastOpt())
+	cmp, err := RunBenchmark("swissmap", fastOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +174,27 @@ func TestAnalyzeBaselineAndBest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if variant != trVariant {
-		t.Errorf("analyzed variant = %v, traced variant = %v", variant, trVariant)
+	if trVariant != cmp.Best {
+		t.Errorf("traced variant = %v, but the comparison's best is %v", trVariant, cmp.Best)
 	}
-	if !reflect.DeepEqual(base, trace.Analyze(baseTr)) {
-		t.Error("baseline analysis differs from the analysis of the baseline trace")
-	}
-	if !reflect.DeepEqual(best, trace.Analyze(bestTr)) {
-		t.Error("best-variant analysis differs from the analysis of the best-variant trace")
+	wantBase, wantBest := trace.Analyze(baseTr), trace.Analyze(bestTr)
+	for _, jobs := range []int{1, 2} {
+		var mu sync.Mutex
+		got := map[bool]*trace.Analysis{}
+		err := AnalyzeBaselineAndBest(cmp, fastOpt(), jobs, func(best bool, a *trace.Analysis) {
+			mu.Lock()
+			defer mu.Unlock()
+			got[best] = a
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[false], wantBase) {
+			t.Errorf("jobs=%d: baseline analysis differs from the analysis of the baseline trace", jobs)
+		}
+		if !reflect.DeepEqual(got[true], wantBest) {
+			t.Errorf("jobs=%d: best-variant analysis differs from the analysis of the best-variant trace", jobs)
+		}
 	}
 }
 

@@ -349,7 +349,7 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, vp varia
 	cmp.Best = pickBest(opt.Variants, cmp.PreFix)
 
 	if opt.CaptureLongRun {
-		lr, events, err := captureLongRun(spec, opt, cmp.Plans[cmp.Best], root)
+		lr, events, err := captureLongRun(spec, opt, cmp.Plans[cmp.Best], cmp.PreFix[cmp.Best].Metrics.MemInstr, root)
 		if err != nil {
 			return nil, err
 		}
@@ -359,12 +359,13 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, vp varia
 	return cmp, nil
 }
 
-// TraceBaselineAndBest runs the evaluation input under the baseline and
-// under the best PreFix variant, recording both traces. It is
-// AnalyzeBaselineAndBest with the traces kept instead of analyzed.
+// TraceBaselineAndBest profiles the benchmark, selects its best PreFix
+// variant, and runs the evaluation input under the baseline and under
+// that variant, recording both traces.
 //
-// Deprecated: use AnalyzeBaselineAndBest. It stays only for the
-// benchmark replica, and goes with it (ROADMAP item 8).
+// Deprecated: use AnalyzeBaselineAndBest on the benchmark's Comparison.
+// It stays only for the benchmark replica, and goes with it (ROADMAP
+// item 8).
 func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, bestVariant prefix.Variant, err error) {
 	var baseRec, bestRec trace.Recorder
 	if bestVariant, err = figure9Runs(name, opt, &baseRec, &bestRec); err != nil {
@@ -373,16 +374,42 @@ func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, be
 	return baseRec.Trace(), bestRec.Trace(), bestVariant, nil
 }
 
-// AnalyzeBaselineAndBest runs the evaluation input under the baseline
-// and under the best PreFix variant, analyzing both runs as they execute
-// — the input of the Figure 9 heatmaps. The chosen variant is returned
-// alongside the analyses.
-func AnalyzeBaselineAndBest(name string, opt Options) (base, best *trace.Analysis, bestVariant prefix.Variant, err error) {
-	baseAn, bestAn := trace.NewAnalyzer(), trace.NewAnalyzer()
-	if bestVariant, err = figure9Runs(name, opt, baseAn, bestAn); err != nil {
-		return nil, nil, 0, err
+// AnalyzeBaselineAndBest runs cmp's evaluation input under the baseline
+// and under cmp's best PreFix plan, analyzing each run as it executes —
+// the input of the Figure 9 heatmaps. opt must be the options cmp was
+// evaluated with. The two runs are jobs on at most `jobs` workers; each
+// reserves its reference string from the access count cmp measured for
+// the same run. use receives each finished analysis inside its job
+// (best tells the two apart), so it must be safe for concurrent use when
+// jobs > 1; the analysis is not referenced after use returns.
+func AnalyzeBaselineAndBest(cmp *Comparison, opt Options, jobs int, use func(best bool, a *trace.Analysis)) error {
+	spec, err := workloads.Get(cmp.Benchmark)
+	if err != nil {
+		return err
 	}
-	return baseAn.Finish(), bestAn.Finish(), bestVariant, nil
+	root := opt.Tracer.Start("figure9 " + cmp.Benchmark)
+	defer root.End()
+	sc := opt.Perf.Begin("figure9").AttachSpan(root)
+	defer sc.End()
+	opt.Labels = append(append([]string(nil), opt.Labels...), "phase", "figure9")
+	runs := [2]struct {
+		alloc    machine.Allocator
+		accesses uint64
+		events   uint64
+	}{
+		{alloc: baselines.NewBaseline(opt.Cache.Cost), accesses: cmp.Baseline.Metrics.MemInstr},
+		{alloc: prefix.NewAllocator(cmp.Plans[cmp.Best], opt.Cache.Cost), accesses: cmp.PreFix[cmp.Best].Metrics.MemInstr},
+	}
+	errs := runJobs(len(runs), jobs, func(i int) error {
+		an := trace.NewAnalyzer()
+		an.Reserve(runs[i].accesses)
+		res := runOne(spec, opt, runs[i].alloc, root, machine.WithRecorder(an))
+		runs[i].events = res.Metrics.Events()
+		use(i == 1, an.Finish())
+		return nil
+	})
+	sc.AddEvents(runs[0].events + runs[1].events)
+	return joinErrors(errs, func(i int) string { return runs[i].alloc.Name() })
 }
 
 // figure9Runs profiles the benchmark, selects the best variant and runs
@@ -433,12 +460,14 @@ func figure9Runs(name string, opt Options, baseRec, bestRec trace.EventRecorder)
 
 // captureLongRun re-runs the best variant, analyzing the run as it
 // executes, and reports what was captured (Table 5's long-run columns).
-// The second return is the capture run's simulated event count for
-// host-cost accounting.
-func captureLongRun(spec workloads.Spec, opt Options, plan *prefix.Plan, root *obs.Span) (*LongRunCapture, uint64, error) {
+// accesses is the access count the plan's evaluation run measured, the
+// re-run's reference-string reservation. The second return is the
+// capture run's simulated event count for host-cost accounting.
+func captureLongRun(spec workloads.Spec, opt Options, plan *prefix.Plan, accesses uint64, root *obs.Span) (*LongRunCapture, uint64, error) {
 	span := root.Child("long-run-capture")
 	defer span.End()
 	an := trace.NewAnalyzer()
+	an.Reserve(accesses)
 	res := runOne(spec, opt, prefix.NewAllocator(plan, opt.Cache.Cost), span, machine.WithRecorder(an))
 	a := an.Finish()
 	region := plan.Region()

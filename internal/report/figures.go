@@ -81,37 +81,27 @@ func BuildHeatmapFrom(a *trace.Analysis, timeBuckets, addrBuckets int) *Heatmap 
 		}
 	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Accesses > sorted[j].Accesses })
-	hotAddr := make(map[mem.ObjectID]bool)
+	// Every hot object was accessed, so its address is on the reference
+	// string: the hot objects' span is the hot accesses' span.
+	hot := make([]bool, len(a.Objects)) // index = ObjectID-1
+	var lo, hi mem.Addr
 	var covered uint64
 	target := a.HeapAccesses * 9 / 10
-	for _, o := range sorted {
+	for i, o := range sorted {
 		if covered >= target {
 			break
 		}
-		hotAddr[o.ID] = true
+		hot[o.ID-1] = true
 		covered += o.Accesses
-	}
-	var lo, hi mem.Addr
-	first := true
-	for _, id := range a.Refs {
-		if !hotAddr[id] {
-			continue
+		if i == 0 || o.Addr < lo {
+			lo = o.Addr
 		}
-		addr := a.Object(id).Addr
-		if first {
-			lo, hi = addr, addr
-			first = false
-			continue
-		}
-		if addr < lo {
-			lo = addr
-		}
-		if addr > hi {
-			hi = addr
+		if i == 0 || o.Addr > hi {
+			hi = o.Addr
 		}
 	}
 	h := &Heatmap{TimeBuckets: timeBuckets, AddrBuckets: addrBuckets}
-	if first {
+	if covered == 0 {
 		return h
 	}
 	h.Footprint = uint64(hi-lo) + 1
@@ -122,7 +112,7 @@ func BuildHeatmapFrom(a *trace.Analysis, timeBuckets, addrBuckets int) *Heatmap 
 	span := h.Footprint
 	events := a.Events
 	for i, id := range a.Refs {
-		if !hotAddr[id] {
+		if !hot[id-1] {
 			continue
 		}
 		addr := a.Object(id).Addr

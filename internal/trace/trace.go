@@ -12,6 +12,8 @@
 package trace
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"prefix/internal/mem"
@@ -245,6 +247,22 @@ func (an *Analyzer) Feed(ev Event) {
 	}
 }
 
+// Reserve is a capacity hint: it grows Refs and RefAt so that accesses
+// heap references in all fit without reallocating. A run's heap
+// references are at most its access events, so an access count already
+// measured for the same run is a safe bound. The analysis is identical
+// with or without the hint.
+func (an *Analyzer) Reserve(accesses uint64) {
+	a := an.a
+	have := uint64(len(a.Refs))
+	if accesses <= have || accesses > math.MaxInt {
+		return
+	}
+	n := int(accesses - have)
+	a.Refs = slices.Grow(a.Refs, n)
+	a.RefAt = slices.Grow(a.RefAt, n)
+}
+
 // SetInstr records the traced run's dynamic instruction count.
 func (an *Analyzer) SetInstr(n uint64) { an.a.Instr = n }
 
@@ -316,8 +334,14 @@ func (an *Analyzer) FeedNanos() int64 { return an.feedNanos }
 // Finish returns the completed analysis. The analyzer must not be fed
 // after.
 func (an *Analyzer) Finish() *Analysis {
-	an.a.Events = an.i
-	return an.a
+	a := an.a
+	a.Events = an.i
+	if len(a.Refs) == 0 {
+		// An unused Reserve leaves empty non-nil slices; an unreserved
+		// analysis without heap references has nil ones.
+		a.Refs, a.RefAt = nil, nil
+	}
+	return a
 }
 
 // Analyze reconstructs dynamic objects and the object-granular reference

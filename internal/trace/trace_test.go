@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -90,6 +91,50 @@ func TestAnalyzeNonHeapAccess(t *testing.T) {
 	a := Analyze(r.Trace())
 	if a.HeapAccesses != 0 || a.TotalAccesses != 1 {
 		t.Errorf("heap=%d total=%d", a.HeapAccesses, a.TotalAccesses)
+	}
+}
+
+// TestAnalyzerReserveIsCapacityOnly: Reserve only sizes the reference
+// string. Below, at and above the needed size, before or after feeding
+// has started, and on a stream without heap references, the analysis
+// DeepEquals the unreserved one.
+func TestAnalyzerReserveIsCapacityOnly(t *testing.T) {
+	evs := healthEvents(500, 500, 3)
+	nonHeap := []Event{{Kind: KindAlloc, Site: 1, Addr: 0x1000, Size: 16}, {Kind: KindAccess, Addr: 0x9000, Size: 8}}
+	analyze := func(evs []Event, reserve func(an *Analyzer, fed int)) *Analysis {
+		an := NewAnalyzer()
+		for i, ev := range evs {
+			reserve(an, i)
+			an.Feed(ev)
+		}
+		return an.Finish()
+	}
+	for _, stream := range []struct {
+		name string
+		evs  []Event
+	}{{"health", evs}, {"non-heap", nonHeap}} {
+		want := analyze(stream.evs, func(*Analyzer, int) {})
+		need := uint64(len(want.Refs))
+		cases := []struct {
+			name    string
+			at      int
+			reserve uint64
+		}{
+			{"below", 0, need / 2},
+			{"at", 0, need},
+			{"above", 0, 2*need + 64},
+			{"after feeding", len(stream.evs) / 2, need + 64},
+		}
+		for _, c := range cases {
+			got := analyze(stream.evs, func(an *Analyzer, fed int) {
+				if fed == c.at {
+					an.Reserve(c.reserve)
+				}
+			})
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s: Reserve(%d) %s changed the analysis", stream.name, c.reserve, c.name)
+			}
+		}
 	}
 }
 
