@@ -25,9 +25,16 @@ vet:
 # Repo-specific invariants (determinism, span lifecycle, metric names,
 # hot-path zero-alloc/zero-dispatch, compiler escape/inline budget); see
 # DESIGN.md "Static invariants" / "Hot-path static invariants" and
-# internal/analysis.
+# internal/analysis. Also the offline-harness rule: no CLI or internal
+# package may link net/http — every observability output is a file or a
+# stderr line, so a network listener is a regression.
 lint:
 	$(GO) run ./cmd/prefix-lint ./...
+	@if $(GO) list -deps ./cmd/... ./internal/... | grep -qx 'net/http'; then \
+		echo "lint: offline-harness rule: net/http is linked by:"; \
+		$(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' -deps ./cmd/... ./internal/... | grep -E '^prefix/.* net/http( |$$)'; \
+		exit 1; \
+	fi
 
 # Hot-path performance gate, separated out for CI artifact upload: the
 # hotalloc/hotcall/escapebudget family over the whole tree with

@@ -15,7 +15,6 @@
 //
 // Observability:
 //
-//	prefix-bench -serve :8080                  # live /metrics /status /trace
 //	prefix-bench -metrics-out run.prom         # Prometheus text (or .json)
 //	prefix-bench -trace-out phases.json -v     # chrome://tracing + summary
 //	prefix-bench -cpuprofile cpu.pprof -memprofile mem.pprof
@@ -137,10 +136,9 @@ func run() (err error) {
 		regressPct  = flag.Float64("regress-pct", 5, "fail the -baseline comparison when any tracked metric regresses by more than this percent")
 		stream      = flag.Bool("stream", false, "collect profiles through the bounded-memory spill-to-disk streaming path (report output is identical)")
 		streamChunk = flag.Int("stream-chunk", 0, "events per spill chunk in -stream mode (0 = default budget)")
-		attrib      = flag.Bool("attrib", false, "attribute every miss to its allocation site and record decision ledgers (simulated results are identical; adds the attribution table, the benchstore attrib section, prefix_attrib_* metrics, and /explain documents)")
+		attrib      = flag.Bool("attrib", false, "attribute every miss to its allocation site and record decision ledgers (simulated results are identical; adds the attribution table, the benchstore attrib section, and prefix_attrib_* metrics)")
 		obsf        = obsflags.Register(flag.CommandLine)
 	)
-	obsf.RegisterServe(flag.CommandLine)
 	flag.Parse()
 
 	if *recordOut != "" {
@@ -174,7 +172,6 @@ func run() (err error) {
 	opt.Stream = *stream
 	opt.StreamChunkEvents = *streamChunk
 	opt.Attribution = *attrib
-	opt.Explain = sess.Explain
 
 	want := func(artifact string) bool {
 		return *only == "" || strings.EqualFold(*only, artifact)

@@ -46,7 +46,6 @@ func run() (err error) {
 		attrib   = flag.Bool("attrib", false, "attribute misses to allocation sites and append the per-site attribution table (strategy rows are identical)")
 		obsf     = obsflags.Register(flag.CommandLine)
 	)
-	obsf.RegisterServe(flag.CommandLine)
 	flag.Parse()
 	if *bench == "" {
 		flag.Usage()
@@ -87,7 +86,6 @@ func run() (err error) {
 	opt.Perf = sess.Perf
 	opt.Stream = *stream
 	opt.Attribution = *attrib
-	opt.Explain = sess.Explain
 	if *attrib && *planPath != "" {
 		return fmt.Errorf("-attrib applies to the strategy comparison, not -plan runs")
 	}

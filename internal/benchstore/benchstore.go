@@ -244,7 +244,9 @@ func (r *Run) WriteFile(path string) error {
 // Read parses a run document, rejecting unknown schema versions. Every
 // version from minReadSchema through Schema loads: a v1 baseline simply
 // has no host sections, and gating degrades gracefully (host metrics
-// only gate once a baseline records them).
+// only gate once a baseline records them). A document must name at
+// least one benchmark, each exactly once: a baseline with no entries
+// would gate nothing and pass every run.
 func Read(rd io.Reader) (*Run, error) {
 	var run Run
 	dec := json.NewDecoder(rd)
@@ -253,6 +255,21 @@ func Read(rd io.Reader) (*Run, error) {
 	}
 	if run.Schema < minReadSchema || run.Schema > Schema {
 		return nil, fmt.Errorf("benchstore: unsupported schema %d (want %d..%d)", run.Schema, minReadSchema, Schema)
+	}
+	if len(run.Benchmarks) == 0 {
+		return nil, fmt.Errorf("benchstore: document lists no benchmarks")
+	}
+	seen := make(map[string]bool, len(run.Benchmarks))
+	for i, b := range run.Benchmarks {
+		// A null entry decodes to the zero Benchmark, so this also
+		// rejects nulls.
+		if b.Name == "" {
+			return nil, fmt.Errorf("benchstore: benchmarks[%d] has no name", i)
+		}
+		if seen[b.Name] {
+			return nil, fmt.Errorf("benchstore: benchmark %q listed twice", b.Name)
+		}
+		seen[b.Name] = true
 	}
 	return &run, nil
 }

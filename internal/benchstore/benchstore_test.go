@@ -2,6 +2,7 @@ package benchstore
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"path/filepath"
 	"reflect"
@@ -118,6 +119,54 @@ func TestReadV1Compat(t *testing.T) {
 	// verdicts: the run's higher throughput is an improvement.
 	if regs := Compare(run, sampleRun(), 5); len(regs) != 1 || !regs[0].New || regs[0].Benchmark != "health" {
 		t.Errorf("v1-baseline Compare = %+v, want only health flagged New", regs)
+	}
+}
+
+// TestReadRejectsBenchmarkList: a document whose benchmark list is
+// missing, empty, or has null, unnamed, or repeated entries does not
+// load — as a baseline it would gate nothing or gate ambiguously.
+func TestReadRejectsBenchmarkList(t *testing.T) {
+	cases := []struct {
+		name, doc, want string
+	}{
+		{"missing", `{"schema": 4}`, "no benchmarks"},
+		{"null", `{"schema": 4, "benchmarks": null}`, "no benchmarks"},
+		{"empty", `{"schema": 4, "benchmarks": []}`, "no benchmarks"},
+		{"null entry", `{"schema": 4, "benchmarks": [null]}`, "benchmarks[0] has no name"},
+		{"unnamed entry", `{"schema": 4, "benchmarks": [{"name": "mcf"}, {"baseline_cycles": 1}]}`, "benchmarks[1] has no name"},
+		{"empty name", `{"schema": 1, "benchmarks": [{"name": ""}]}`, "benchmarks[0] has no name"},
+		{"duplicate", `{"schema": 4, "benchmarks": [{"name": "mcf"}, {"name": "health"}, {"name": "mcf"}]}`, `"mcf" listed twice`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run, err := Read(strings.NewReader(c.doc))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Read(%s) = %+v, %v; want error containing %q", c.doc, run, err, c.want)
+			}
+		})
+	}
+}
+
+// TestReadCommittedSnapshots: every snapshot committed at the repo root
+// and the bench-gate baseline load, and each gates against itself clean.
+func TestReadCommittedSnapshots(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "BENCH_*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("no committed BENCH_*.json snapshots found")
+	}
+	paths = append(paths, filepath.Join("..", "..", "testdata", "bench-smoke-baseline.json"))
+	for _, path := range paths {
+		run, err := ReadFile(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if err := Gate(io.Discard, run, run, 5); err != nil {
+			t.Errorf("%s gated against itself: %v", path, err)
+		}
 	}
 }
 

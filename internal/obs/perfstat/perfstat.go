@@ -29,7 +29,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	runtimemetrics "runtime/metrics"
-	"sort"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -326,21 +325,17 @@ func (c *Collector) publish(sample Sample, ph PhaseStats) {
 
 // PhaseStats is one phase's aggregate over every finished scope.
 type PhaseStats struct {
-	Phase        string `json:"phase"`
-	Scopes       int    `json:"scopes"`
-	WallNanos    int64  `json:"wall_nanos"`
-	Events       uint64 `json:"events"`
-	Allocs       uint64 `json:"allocs"`
-	AllocBytes   uint64 `json:"alloc_bytes"`
-	GCPauseNanos uint64 `json:"gc_pause_nanos"`
-	GCCycles     uint64 `json:"gc_cycles"`
+	Phase        string
+	Scopes       int
+	WallNanos    int64
+	Events       uint64
+	Allocs       uint64
+	AllocBytes   uint64
+	GCPauseNanos uint64
+	GCCycles     uint64
 	// MaxGoroutines is the largest goroutine count observed at any of the
 	// phase's probe points.
-	MaxGoroutines int `json:"max_goroutines"`
-	// EventsPerSecond is Events over accumulated scope wall time. The
-	// field is materialized (not just a method) so the /perf JSON carries
-	// it without client-side arithmetic.
-	EventsPerSecond float64 `json:"events_per_sec"`
+	MaxGoroutines int
 }
 
 func (p *PhaseStats) fold(s Sample) {
@@ -354,7 +349,6 @@ func (p *PhaseStats) fold(s Sample) {
 	if s.Goroutines > p.MaxGoroutines {
 		p.MaxGoroutines = s.Goroutines
 	}
-	p.EventsPerSecond = p.EventsPerSec()
 }
 
 // EventsPerSec is the phase's cumulative throughput (0 when wall is 0).
@@ -365,23 +359,23 @@ func (p PhaseStats) EventsPerSec() float64 {
 	return float64(p.Events) / (float64(p.WallNanos) / 1e9)
 }
 
-// Snapshot is the collector's full live view: overall throughput,
+// Snapshot is the collector's full view: overall throughput,
 // cumulative GC cost, per-phase attribution, and the sampler's own
-// measured overhead — the /perf document and the -v table's source.
+// measured overhead — the -v table's source.
 type Snapshot struct {
 	// ElapsedNanos spans the first Begin to the last End (or to now while
 	// scopes are open); ThroughputEventsPerSec is total events over it.
-	ElapsedNanos           int64   `json:"elapsed_nanos"`
-	Events                 uint64  `json:"events"`
-	ThroughputEventsPerSec float64 `json:"throughput_events_per_sec"`
-	Allocs                 uint64  `json:"allocs"`
-	AllocBytes             uint64  `json:"alloc_bytes"`
-	GCPauseNanos           uint64  `json:"gc_pause_nanos"`
-	GCCycles               uint64  `json:"gc_cycles"`
+	ElapsedNanos           int64
+	Events                 uint64
+	ThroughputEventsPerSec float64
+	Allocs                 uint64
+	AllocBytes             uint64
+	GCPauseNanos           uint64
+	GCCycles               uint64
 	// OverheadNanos is the time spent inside the sampler itself (probe
 	// reads in Begin/End) — the measured cost of measuring.
-	OverheadNanos int64        `json:"sampler_overhead_nanos"`
-	Phases        []PhaseStats `json:"phases"`
+	OverheadNanos int64
+	Phases        []PhaseStats
 }
 
 // Snapshot renders the current state. Zero value on nil.
@@ -477,15 +471,6 @@ func formatRate(v float64) string {
 	default:
 		return fmt.Sprintf("%.1f/s", v)
 	}
-}
-
-// SortedPhases returns the snapshot's phases sorted by descending wall
-// time — the "where does the time go" ordering for dashboards that
-// prefer cost order over execution order.
-func (s Snapshot) SortedPhases() []PhaseStats {
-	out := append([]PhaseStats(nil), s.Phases...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].WallNanos > out[j].WallNanos })
-	return out
 }
 
 func maxInt(a, b int) int {

@@ -1,9 +1,10 @@
 // Package obsflags is the observability flag kit shared by every CLI.
 // One Register call adds the common flags (-metrics-out, -trace-out,
-// -cpuprofile, -memprofile, -v; optionally -serve), and one Start/Close
-// pair owns their whole lifecycle — profile start/stop, registry and
-// tracer construction, the obshttp server, and end-of-run file writes —
-// so the four commands share a single implementation instead of copies.
+// -cpuprofile, -memprofile, -v), and one Start/Close pair owns their
+// whole lifecycle — profile start/stop, registry and tracer
+// construction, and end-of-run file writes — so the four commands share
+// a single implementation instead of copies. Every output is a file or
+// a stderr line written by this process; nothing is served.
 package obsflags
 
 import (
@@ -15,7 +16,6 @@ import (
 	"runtime/pprof"
 
 	"prefix/internal/obs"
-	"prefix/internal/obs/obshttp"
 	"prefix/internal/obs/perfstat"
 )
 
@@ -26,7 +26,6 @@ type Flags struct {
 	CPUProfile string
 	MemProfile string
 	Verbose    bool
-	Serve      string
 }
 
 // Register adds the common observability flags to fs and returns the
@@ -41,72 +40,41 @@ func Register(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// RegisterServe additionally adds -serve (the live observability server;
-// only the long-running harness commands register it).
-func (f *Flags) RegisterServe(fs *flag.FlagSet) {
-	fs.StringVar(&f.Serve, "serve", "", "serve live observability for the duration of the run on this address (e.g. :8080): /metrics, /status, /trace, /perf, /explain, /healthz, /debug/pprof")
-}
-
-// Session is the live observability state behind the flags. Metrics,
-// Tracer, and Tracker are nil when nothing asked for them, matching the
-// pipeline's nil-safe no-op convention.
+// Session is the observability state behind the flags. Metrics and
+// Tracer are nil when nothing asked for them, matching the pipeline's
+// nil-safe no-op convention.
 type Session struct {
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
-	Tracker *obs.JobTracker
 	// Perf is the host-cost sampler. Unlike the other members it is
 	// always created: its per-scope cost is two runtime probes, the -v
-	// table and the /perf endpoint read from it, and when Metrics is
-	// live it publishes the prefix_perf_* series there too.
+	// table reads from it, and when Metrics is live it publishes the
+	// prefix_perf_* series there too.
 	Perf *perfstat.Collector
-	// Explain backs the /explain endpoint; created only when -serve is
-	// live (the CLIs hand it to the pipeline, which fills it per
-	// benchmark when attribution is on).
-	Explain *obs.ExplainStore
 
 	flags   *Flags
 	cpuFile *os.File
-	server  *obshttp.Server
 	stderr  io.Writer
 }
 
-// Start builds the session: creates the registry/tracer any flag needs,
-// starts the CPU profile, and brings up the -serve server (which always
-// gets a registry, tracer, and job tracker so every endpoint is live).
+// Start builds the session: creates the registry/tracer any flag needs
+// and starts the CPU profile.
 func (f *Flags) Start() (*Session, error) {
 	s := &Session{flags: f, stderr: os.Stderr}
-	if f.MetricsOut != "" || f.Serve != "" {
+	if f.MetricsOut != "" {
 		s.Metrics = obs.NewRegistry()
 	}
-	if f.TraceOut != "" || f.Verbose || f.Serve != "" {
+	if f.TraceOut != "" || f.Verbose {
 		s.Tracer = obs.NewTracer()
 	}
 	s.Perf = perfstat.New(s.Metrics)
-	if f.Serve != "" {
-		s.Tracker = obs.NewJobTracker()
-		s.Explain = obs.NewExplainStore()
-		srv, err := obshttp.Serve(f.Serve, obshttp.Config{
-			Registry: s.Metrics,
-			Tracer:   s.Tracer,
-			Tracker:  s.Tracker,
-			Perf:     s.Perf,
-			Explain:  s.Explain,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.server = srv
-		fmt.Fprintf(s.stderr, "observability server listening on http://%s\n", srv.Addr())
-	}
 	if f.CPUProfile != "" {
 		cf, err := os.Create(f.CPUProfile)
 		if err != nil {
-			s.shutdownServer()
 			return nil, err
 		}
 		if err := pprof.StartCPUProfile(cf); err != nil {
 			cf.Close()
-			s.shutdownServer()
 			return nil, err
 		}
 		s.cpuFile = cf
@@ -114,11 +82,10 @@ func (f *Flags) Start() (*Session, error) {
 	return s, nil
 }
 
-// Progress returns a pipeline progress callback that feeds the /status
-// tracker with every event and prints running/failed events to stderr.
+// Progress returns a pipeline progress callback that prints running and
+// failed events to stderr.
 func (s *Session) Progress() func(obs.JobEvent) {
 	return func(ev obs.JobEvent) {
-		s.Tracker.Observe(ev)
 		if ev.State == obs.JobRunning || ev.State == obs.JobFailed {
 			fmt.Fprintln(s.stderr, ev)
 		}
@@ -126,9 +93,8 @@ func (s *Session) Progress() func(obs.JobEvent) {
 }
 
 // Close finalizes the session: stops the CPU profile, writes the heap
-// profile, the metrics and trace files, prints the -v summary, and shuts
-// the server down. Call it on every exit path (it runs once); the first
-// error wins.
+// profile, the metrics and trace files, and prints the -v summary. Call
+// it on every exit path (it runs once); the first error wins.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
@@ -169,15 +135,7 @@ func (s *Session) Close() error {
 		keep(s.Perf.WriteTable(s.stderr))
 		s.flags.Verbose = false
 	}
-	s.shutdownServer()
 	return first
-}
-
-func (s *Session) shutdownServer() {
-	if s.server != nil {
-		_ = s.server.Shutdown()
-		s.server = nil
-	}
 }
 
 func writeHeapProfile(path string) error {

@@ -3,7 +3,6 @@ package obsflags
 import (
 	"flag"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,16 +14,15 @@ import (
 func TestRegisterAddsFlags(t *testing.T) {
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f := Register(fs)
-	f.RegisterServe(fs)
-	for _, name := range []string{"metrics-out", "trace-out", "cpuprofile", "memprofile", "v", "serve"} {
+	for _, name := range []string{"metrics-out", "trace-out", "cpuprofile", "memprofile", "v"} {
 		if fs.Lookup(name) == nil {
 			t.Errorf("flag -%s not registered", name)
 		}
 	}
-	if err := fs.Parse([]string{"-metrics-out", "m.prom", "-serve", ":0", "-v"}); err != nil {
+	if err := fs.Parse([]string{"-metrics-out", "m.prom", "-v"}); err != nil {
 		t.Fatal(err)
 	}
-	if f.MetricsOut != "m.prom" || f.Serve != ":0" || !f.Verbose {
+	if f.MetricsOut != "m.prom" || !f.Verbose {
 		t.Errorf("parsed flags = %+v", f)
 	}
 }
@@ -41,9 +39,6 @@ func TestSessionLifecycle(t *testing.T) {
 	sess.stderr = io.Discard
 	if sess.Metrics == nil || sess.Tracer == nil {
 		t.Fatal("session missing registry/tracer despite output flags")
-	}
-	if sess.Tracker != nil {
-		t.Error("tracker built without -serve")
 	}
 	sess.Metrics.Counter("prefix_test_total").Add(3)
 	sess.Tracer.Start("phase").End()
@@ -71,34 +66,6 @@ func TestSessionLifecycle(t *testing.T) {
 	}
 }
 
-func TestSessionServe(t *testing.T) {
-	f := &Flags{Serve: "127.0.0.1:0"}
-	sess, err := f.Start()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Metrics == nil || sess.Tracer == nil || sess.Tracker == nil {
-		t.Fatal("-serve must wire every observability source")
-	}
-	addr := sess.server.Addr()
-	sess.Progress()(obs.JobEvent{Phase: "suite", Benchmark: "mcf", Jobs: 2, Seed: -1, State: obs.JobRunning})
-	res, err := http.Get("http://" + addr + "/status")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(res.Body)
-	res.Body.Close()
-	if !strings.Contains(string(body), `"benchmark": "mcf"`) {
-		t.Errorf("/status missing observed job:\n%s", body)
-	}
-	if err := sess.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := http.Get("http://" + addr + "/healthz"); err == nil {
-		t.Error("server still serving after Close")
-	}
-}
-
 func TestSessionNilSafe(t *testing.T) {
 	var sess *Session
 	if err := sess.Close(); err != nil {
@@ -110,7 +77,7 @@ func TestSessionNilSafe(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No flags set: everything nil, progress still callable.
-	if s.Metrics != nil || s.Tracer != nil || s.Tracker != nil {
+	if s.Metrics != nil || s.Tracer != nil {
 		t.Errorf("flagless session built observability state: %+v", s)
 	}
 	s.stderr = io.Discard
@@ -120,10 +87,10 @@ func TestSessionNilSafe(t *testing.T) {
 	}
 }
 
-// TestProgressPrintsRunningAndFailed: every event feeds the tracker;
-// only running and failed events print a stderr line.
+// TestProgressPrintsRunningAndFailed: only running and failed events
+// print a stderr line, each as the event's String().
 func TestProgressPrintsRunningAndFailed(t *testing.T) {
-	f := &Flags{Serve: "127.0.0.1:0"}
+	f := &Flags{}
 	sess, err := f.Start()
 	if err != nil {
 		t.Fatal(err)
@@ -142,10 +109,7 @@ func TestProgressPrintsRunningAndFailed(t *testing.T) {
 		t.Errorf("done event printed: %q", got)
 	}
 	prog(obs.JobEvent{Phase: "suite", Benchmark: "health", Job: 1, Jobs: 2, Seed: -1, State: obs.JobFailed, Err: "boom"})
-	if !strings.Contains(buf.String(), "failed: boom") {
-		t.Errorf("failed event not printed: %q", buf.String())
-	}
-	if st := sess.Tracker.Status(); st.Done != 1 || st.Failed != 1 {
-		t.Errorf("tracker done/failed = %d/%d, want 1/1", st.Done, st.Failed)
+	if got, want := buf.String(), "[suite 2/2] health failed: boom\n"; got != want {
+		t.Errorf("failed event printed %q, want %q", got, want)
 	}
 }

@@ -15,7 +15,7 @@ type SiteShare struct {
 }
 
 // ExplainTopSites is how many top sites (by baseline LLC-miss share) the
-// suite runner's explain documents cover.
+// CLIs' attribution tables cover.
 const ExplainTopSites = 8
 
 // maxSiteDecisions caps how many placement decisions an Explain document
@@ -40,7 +40,7 @@ type SiteExplain struct {
 // Explain is the per-benchmark explainability document: which sites
 // caused the baseline's LLC misses, what each costs after the best
 // PreFix variant, and why the planner placed them where it did. The
-// /explain endpoint and prefix-explain CLI render it.
+// prefix-explain CLI and the attribution table render it.
 type Explain struct {
 	Benchmark string `json:"benchmark"`
 	Variant   string `json:"variant"` // best PreFix variant

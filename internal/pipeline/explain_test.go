@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"prefix/internal/obs"
 	"prefix/internal/prefix"
 )
 
@@ -136,33 +135,6 @@ func TestBuildExplainNil(t *testing.T) {
 	}
 	if BuildExplain(cmp, 3) != nil {
 		t.Error("BuildExplain(unattributed) != nil")
-	}
-}
-
-// TestSuiteExplainDocs: RunSuite publishes one explain document per
-// benchmark into the store when attribution is on, and none otherwise.
-func TestSuiteExplainDocs(t *testing.T) {
-	opt := attribOpt()
-	opt.Explain = obs.NewExplainStore()
-	if _, err := RunSuite([]string{"swissmap"}, opt, 1); err != nil {
-		t.Fatal(err)
-	}
-	docs := opt.Explain.Snapshot()
-	ex, ok := docs["swissmap"].(*Explain)
-	if !ok || ex == nil {
-		t.Fatalf("store docs = %v, want swissmap *Explain", docs)
-	}
-	if ex.Benchmark != "swissmap" || len(ex.Sites) == 0 {
-		t.Errorf("stored doc = %+v", ex)
-	}
-
-	off := fastOpt()
-	off.Explain = obs.NewExplainStore()
-	if _, err := RunSuite([]string{"swissmap"}, off, 1); err != nil {
-		t.Fatal(err)
-	}
-	if off.Explain.Len() != 0 {
-		t.Errorf("unattributed suite published %d docs, want 0", off.Explain.Len())
 	}
 }
 

@@ -1,11 +1,14 @@
 package pipeline
 
 import (
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"prefix/internal/baselines"
 	"prefix/internal/machine"
+	"prefix/internal/obs"
 	"prefix/internal/obs/perfstat"
 	"prefix/internal/workloads"
 )
@@ -13,15 +16,51 @@ import (
 // TestPerfSmoke is the host-cost end-to-end smoke: a parallel suite run
 // with a perfstat collector attached must attribute wall time, heap
 // cost, and events/sec to every job, and the collector's totals must
-// line up with the per-benchmark samples.
+// line up with the per-benchmark samples. The run carries every other
+// observer a CLI can attach — registry, tracer, attribution, progress —
+// so `go test -race` checks them all under the worker pool at once.
 func TestPerfSmoke(t *testing.T) {
-	pc := perfstat.New(nil)
+	reg := obs.NewRegistry()
+	tr := obs.NewTracer()
+	pc := perfstat.New(reg)
 	opt := fastOpt()
+	opt.Metrics = reg
+	opt.Tracer = tr
 	opt.Perf = pc
-	names := []string{"mcf", "health"}
+	opt.Attribution = true
+	var mu sync.Mutex
+	done := map[string]int{}
+	opt.Progress = func(ev obs.JobEvent) {
+		if ev.State == obs.JobDone {
+			mu.Lock()
+			done[ev.Benchmark]++
+			mu.Unlock()
+		}
+	}
+	names := []string{"mcf", "health", "swissmap", "ft"}
 	cmps, err := RunSuite(names, opt, 4)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, name := range names {
+		if done[name] != 1 {
+			t.Errorf("%s: %d done events, want 1 (all: %v)", name, done[name], done)
+		}
+	}
+	if len(done) != len(names) {
+		t.Errorf("done events for %v, want exactly %v", done, names)
+	}
+	if roots := tr.Roots(); len(roots) != len(names) {
+		t.Errorf("tracer roots = %d, want one per benchmark (%d)", len(roots), len(names))
+	}
+	var prom strings.Builder
+	if err := reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, series := range []string{"prefix_perf_events_total", "prefix_attrib_llc_misses_total"} {
+		if !strings.Contains(prom.String(), series) {
+			t.Errorf("Prometheus output missing %s", series)
+		}
 	}
 	for i, cmp := range cmps {
 		h := cmp.Host

@@ -63,24 +63,18 @@ type Options struct {
 	Labels []string
 	// Progress, when non-nil, receives a structured obs.JobEvent as each
 	// suite job starts (running) and finishes (done or failed) — the CLIs
-	// print stderr progress lines through it and feed the observability
-	// server's /status tracker from the same stream. Suite runners invoke
-	// it from worker goroutines, so it must be safe for concurrent use.
+	// print stderr progress lines through it. Suite runners invoke it
+	// from worker goroutines, so it must be safe for concurrent use.
 	Progress func(ev obs.JobEvent)
 	// Attribution enables object-centric attribution: every evaluation
 	// run's machine charges each cache/TLB event to the malloc site that
 	// owns the touched address (RunResult.Attrib), every plan build
-	// records its decision ledger (Summary.Ledger), per-site
-	// prefix_attrib_* series are published when Metrics is attached, and
-	// per-benchmark Explain documents are stored when Explain is
-	// attached. Purely observational: reported Counts and report bytes
-	// are identical with or without it — the attribution walk is the
-	// same simulation path — at the cost of one range lookup per access.
+	// records its decision ledger (Summary.Ledger), and per-site
+	// prefix_attrib_* series are published when Metrics is attached.
+	// Purely observational: reported Counts and report bytes are
+	// identical with or without it — the attribution walk is the same
+	// simulation path — at the cost of one range lookup per access.
 	Attribution bool
-	// Explain, when non-nil (and Attribution is on), receives one
-	// per-benchmark Explain document as each suite job completes; the
-	// obshttp /explain endpoint serves its snapshot.
-	Explain *obs.ExplainStore
 	// Stream routes profiling runs through a spill file: the machine
 	// records into a chunked trace file on disk and the analysis
 	// consumes it as a stream. The default path already analyzes the

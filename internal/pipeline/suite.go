@@ -102,9 +102,6 @@ func RunSuite(names []string, opt Options, jobs int) ([]*Comparison, error) {
 			if opt.Perf != nil {
 				cmp.Host = &sample
 			}
-			if opt.Attribution && opt.Explain != nil {
-				opt.Explain.Put(names[i], BuildExplain(cmp, ExplainTopSites))
-			}
 			cmps[i] = cmp
 			return nil
 		})
