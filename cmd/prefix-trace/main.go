@@ -6,14 +6,15 @@
 //
 //	prefix-trace -bench mcf -o mcf.trace            # profiling input
 //	prefix-trace -bench mcf -scale long -o mcf.trace
-//	prefix-trace -bench mcf -o mcf.trace -stream    # bounded memory
-//	prefix-trace -bench mcf -o mcf.trace -stream -chunk-events 4096
+//	prefix-trace -bench mcf -o mcf.trace -chunk-events 4096
+//	prefix-trace -bench mcf -o mcf.trace -text      # human-readable dump
 //	prefix-trace -bench mcf -o mcf.trace -metrics-out run.prom -v
 //
-// With -stream the trace never materializes: the machine records through
-// the spill recorder straight into the output file, holding at most
-// -chunk-events events in memory. Both modes write the same chunked
-// format, so at the same -chunk-events the files are byte-identical.
+// The binary trace never materializes: the machine records through the
+// spill recorder straight into the output file, holding at most
+// -chunk-events events in memory. The file is byte-identical to
+// writing the same run's events from memory at that chunk size. -text
+// keeps the run in memory and writes one line per event.
 package main
 
 import (
@@ -26,8 +27,6 @@ import (
 	"prefix/internal/baselines"
 	"prefix/internal/cachesim"
 	"prefix/internal/machine"
-	"prefix/internal/obs"
-	"prefix/internal/obs/perfstat"
 	"prefix/internal/obsflags"
 	"prefix/internal/trace"
 	"prefix/internal/workloads"
@@ -56,8 +55,7 @@ func run(args []string, stdout io.Writer) (err error) {
 		out         = fs.String("o", "", "output trace file (required)")
 		scale       = fs.String("scale", "profile", "run scale: profile, bench or long")
 		text        = fs.Bool("text", false, "write a human-readable text dump instead of the binary format")
-		stream      = fs.Bool("stream", false, "record through the bounded-memory spill recorder straight into the output file (chunked stream format)")
-		chunkEvents = fs.Int("chunk-events", trace.DefaultChunkEvents, "events per chunk of the output file (in -stream mode, the trace memory budget)")
+		chunkEvents = fs.Int("chunk-events", trace.DefaultChunkEvents, "events per chunk of the binary output file, and the trace memory budget")
 		list        = fs.Bool("list", false, "list benchmarks and exit")
 		attrib      = fs.Bool("attrib", false, "attribute the profiling run's misses to allocation sites and print the top sites (trace output is identical)")
 		obsf        = obsflags.Register(fs)
@@ -75,9 +73,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	if *bench == "" || *out == "" {
 		fs.Usage()
 		return errUsage
-	}
-	if *stream && *text {
-		return errors.New("-stream writes the binary format; it cannot be combined with -text")
 	}
 	if *chunkEvents < 1 {
 		return fmt.Errorf("-chunk-events must be positive (got %d)", *chunkEvents)
@@ -123,12 +118,27 @@ func run(args []string, stdout io.Writer) (err error) {
 	defer root.End()
 	perfScope := sess.Perf.Begin("trace").AttachSpan(root)
 	defer perfScope.End()
-	if *stream {
-		return runStreaming(stdout, f, spec, cfg, *bench, *chunkEvents, *attrib, sess, root, perfScope)
-	}
 
+	// Binary output records straight into the file through the spill
+	// recorder; -text keeps the run in memory for the line-per-event dump.
+	var (
+		rec interface {
+			trace.EventRecorder
+			Stats() trace.RecorderStats
+		}
+		memRec *trace.Recorder
+		spill  *trace.SpillRecorder
+	)
+	if *text {
+		memRec = trace.NewRecorder()
+		rec = memRec
+	} else {
+		if spill, err = trace.NewSpillRecorder(f, *chunkEvents); err != nil {
+			return err
+		}
+		rec = spill
+	}
 	runSpan := root.Child("profile-run")
-	rec := trace.NewRecorder()
 	mopts := []machine.Option{machine.WithRecorder(rec)}
 	if *attrib {
 		mopts = append(mopts, machine.WithAttribution())
@@ -136,53 +146,41 @@ func run(args []string, stdout io.Writer) (err error) {
 	m := machine.New(baselines.NewBaseline(cachesim.DefaultCost()), cachesim.ScaledConfig(), mopts...)
 	spec.Program.Run(m, cfg)
 	metrics := m.Finish()
-	tr := rec.Trace()
-	runSpan.Set("events", len(tr.Events))
-	runSpan.End()
-	perfScope.AddEvents(rec.Stats().Events)
-	metrics.Publish(sess.Metrics, "benchmark", *bench, "run", "trace")
-
-	writeSpan := root.Child("write-trace")
 	var writeErr error
-	if *text {
-		writeErr = tr.WriteText(f)
-	} else {
-		writeErr = writeBinary(f, tr, *chunkEvents)
+	if spill != nil {
+		// The terminator: the last partial chunk and the instruction count.
+		writeErr = spill.Close()
+	}
+	stats := rec.Stats()
+	runSpan.Set("events", stats.Events)
+	runSpan.Set("chunks", stats.Chunks)
+	runSpan.Set("peak_buffered_events", stats.PeakBufferedEvents)
+	runSpan.End()
+	if writeErr == nil && memRec != nil {
+		writeSpan := root.Child("write-trace")
+		writeErr = memRec.Trace().WriteText(f)
+		writeSpan.End()
 	}
 	if writeErr == nil {
 		writeErr = f.Close()
 	}
-	writeSpan.End()
 	if writeErr != nil {
 		return writeErr
 	}
 
-	s := tr.Summarize()
+	perfScope.AddEvents(stats.Events)
+	metrics.Publish(sess.Metrics, "benchmark", *bench, "run", "trace")
 	if reg := sess.Metrics; reg != nil {
 		kv := []string{"benchmark", *bench}
-		rec.Stats().Publish(reg, kv...)
-		reg.Counter("prefix_trace_events_total", kv...).Add(uint64(s.Events))
-		reg.Counter("prefix_trace_allocs_total", kv...).Add(s.Allocs)
-		reg.Counter("prefix_trace_accesses_total", kv...).Add(s.Accesses)
-		reg.Gauge("prefix_trace_sites", kv...).Set(float64(s.Sites))
+		stats.Publish(reg, kv...)
+		reg.Counter("prefix_trace_events_total", kv...).Add(stats.Events)
+		reg.Counter("prefix_trace_allocs_total", kv...).Add(metrics.Mallocs)
+		reg.Counter("prefix_trace_accesses_total", kv...).Add(metrics.MemInstr)
 	}
-	fmt.Fprintf(stdout, "%s: %d events (%d allocs over %d sites, %d accesses), %d instructions -> %s\n",
-		*bench, s.Events, s.Allocs, s.Sites, s.Accesses, metrics.Instr, *out)
+	fmt.Fprintf(stdout, "%s: %d events (%d allocs, %d accesses), %d instructions, %d chunks (peak %d events buffered) -> %s\n",
+		*bench, stats.Events, metrics.Mallocs, metrics.MemInstr, metrics.Instr, stats.Chunks, stats.PeakBufferedEvents, *out)
 	printAttrib(stdout, m.Attrib(), *bench, sess)
 	return nil
-}
-
-// writeBinary encodes tr in chunks of chunkEvents events.
-func writeBinary(w io.Writer, tr *trace.Trace, chunkEvents int) error {
-	sw, err := trace.NewStreamWriter(w, chunkEvents)
-	if err != nil {
-		return err
-	}
-	if err := sw.AppendBatch(tr.Events); err != nil {
-		return err
-	}
-	sw.SetInstr(tr.Instr)
-	return sw.Close()
 }
 
 // printAttrib prints the attributed top sites and publishes the
@@ -197,44 +195,4 @@ func printAttrib(stdout io.Writer, a machine.AttribCounts, bench string, sess *o
 		fmt.Fprintf(stdout, "  site %d: %d accesses, %d L1 misses, %d LLC misses (%.1f%% of all LLC misses)\n",
 			s.Site, s.Counts.Accesses, s.Counts.L1Misses, s.Counts.LLCMisses, a.LLCMissSharePct(s.Site))
 	}
-}
-
-// runStreaming records the run through the spill recorder directly into
-// the (already created) output file. The caller closes the file.
-func runStreaming(stdout io.Writer, f *os.File, spec workloads.Spec, cfg workloads.Config,
-	bench string, chunkEvents int, attrib bool, sess *obsflags.Session, root *obs.Span, perfScope *perfstat.Scope) error {
-	runSpan := root.Child("profile-run")
-	rec, err := trace.NewSpillRecorder(f, chunkEvents)
-	if err != nil {
-		runSpan.End()
-		return err
-	}
-	mopts := []machine.Option{machine.WithRecorder(rec)}
-	if attrib {
-		mopts = append(mopts, machine.WithAttribution())
-	}
-	m := machine.New(baselines.NewBaseline(cachesim.DefaultCost()), cachesim.ScaledConfig(), mopts...)
-	spec.Program.Run(m, cfg)
-	metrics := m.Finish()
-	if err := rec.Close(); err != nil {
-		runSpan.End()
-		return err
-	}
-	stats := rec.Stats()
-	runSpan.Set("events", stats.Events)
-	runSpan.Set("chunks", stats.Chunks)
-	runSpan.Set("peak_buffered_events", stats.PeakBufferedEvents)
-	runSpan.End()
-	perfScope.AddEvents(stats.Events)
-
-	metrics.Publish(sess.Metrics, "benchmark", bench, "run", "trace")
-	if reg := sess.Metrics; reg != nil {
-		kv := []string{"benchmark", bench}
-		stats.Publish(reg, kv...)
-		reg.Counter("prefix_trace_events_total", kv...).Add(stats.Events)
-	}
-	fmt.Fprintf(stdout, "%s: %d events streamed in %d chunks (peak %d buffered), %d instructions -> %s\n",
-		bench, stats.Events, stats.Chunks, stats.PeakBufferedEvents, metrics.Instr, f.Name())
-	printAttrib(stdout, m.Attrib(), bench, sess)
-	return nil
 }

@@ -2,13 +2,18 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
+	"prefix/internal/baselines"
+	"prefix/internal/cachesim"
+	"prefix/internal/machine"
 	"prefix/internal/trace"
+	"prefix/internal/workloads"
 )
 
 func TestRunUnwritableOutputFailsEarly(t *testing.T) {
@@ -46,57 +51,54 @@ func TestRunWritesReadableTrace(t *testing.T) {
 	}
 }
 
-// TestRunStreamMatchesInMemory: both modes write the one chunked format,
-// so at the same -chunk-events the files match byte for byte.
+// TestRunStreamMatchesInMemory: binary output streams through the spill
+// recorder straight into the file, and must match byte for byte the
+// same run recorded in memory and written at the same -chunk-events.
 func TestRunStreamMatchesInMemory(t *testing.T) {
-	dir := t.TempDir()
-	memPath := filepath.Join(dir, "mem.pfxt")
-	streamPath := filepath.Join(dir, "stream.pfxt")
+	path := filepath.Join(t.TempDir(), "ft.pfxt")
 	var out bytes.Buffer
-	if err := run([]string{"-bench", "ft", "-o", memPath, "-chunk-events", "64"}, &out); err != nil {
+	if err := run([]string{"-bench", "ft", "-o", path, "-chunk-events", "64"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"-bench", "ft", "-o", streamPath, "-stream", "-chunk-events", "64"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	read := func(p string) *trace.Trace {
-		f, err := os.Open(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer f.Close()
-		tr, err := trace.Read(f)
-		if err != nil {
-			t.Fatalf("%s: %v", p, err)
-		}
-		return tr
-	}
-	mem, streamed := read(memPath), read(streamPath)
-	if !reflect.DeepEqual(mem.Events, streamed.Events) || mem.Instr != streamed.Instr {
-		t.Fatalf("streamed trace differs from in-memory trace: %d vs %d events",
-			len(streamed.Events), len(mem.Events))
-	}
-	if !strings.Contains(out.String(), "streamed") {
-		t.Errorf("stream summary missing: %q", out.String())
-	}
-	memBytes, err := os.ReadFile(memPath)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streamBytes, err := os.ReadFile(streamPath)
+
+	spec, err := workloads.Get("ft")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(memBytes, streamBytes) {
-		t.Fatalf("files differ: %d bytes in memory, %d streamed", len(memBytes), len(streamBytes))
+	rec := trace.NewRecorder()
+	m := machine.New(baselines.NewBaseline(cachesim.DefaultCost()), cachesim.ScaledConfig(), machine.WithRecorder(rec))
+	spec.Program.Run(m, spec.Profile)
+	m.Finish()
+	tr := rec.Trace()
+	var want bytes.Buffer
+	sp, err := trace.NewSpillRecorder(&want, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.RecordBatch(tr.Events)
+	sp.AddInstr(tr.Instr)
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("streamed file differs from the in-memory recording: %d vs %d bytes", len(got), want.Len())
+	}
+	wantLine := fmt.Sprintf("ft: %d events (", len(tr.Events))
+	chunks := fmt.Sprintf("%d chunks (peak 64 events buffered)", (len(tr.Events)+63)/64)
+	if s := out.String(); !strings.HasPrefix(s, wantLine) || !strings.Contains(s, chunks) {
+		t.Errorf("summary %q, want prefix %q and %q", s, wantLine, chunks)
 	}
 }
 
 func TestRunFlagValidation(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-bench", "ft", "-o", "x", "-stream", "-text"}, &out); err == nil ||
-		!strings.Contains(err.Error(), "-text") {
-		t.Errorf("-stream -text conflict not rejected: %v", err)
+	// -stream is gone: binary output always streams.
+	if err := run([]string{"-bench", "ft", "-o", "x", "-stream"}, &out); !errors.Is(err, errUsage) {
+		t.Errorf("-stream not rejected as an unknown flag: %v", err)
 	}
 	if err := run([]string{"-bench", "ft", "-o", "x", "-chunk-events", "0"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "-chunk-events") {

@@ -21,6 +21,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"text/tabwriter"
 
 	"prefix/internal/benchstore"
@@ -185,8 +186,12 @@ func orShort(sha string) string {
 	if sha == "" {
 		return "-"
 	}
-	if len(sha) > 12 {
-		return sha[:12]
+	base, dirty := strings.CutSuffix(sha, "-dirty")
+	if len(base) > 12 {
+		base = base[:12]
 	}
-	return sha
+	if dirty {
+		return base + "-dirty"
+	}
+	return base
 }

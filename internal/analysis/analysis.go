@@ -18,7 +18,10 @@
 //
 //	//lint:ignore <analyzer>[,<analyzer>...] <reason>
 //
-// The reason is mandatory; a malformed directive is itself reported.
+// The reason is mandatory; a malformed directive is itself reported, and
+// so is a stale one: a directive whose named analyzers all ran and that
+// suppressed no diagnostic. Stale-directive findings cannot themselves
+// be suppressed.
 package analysis
 
 import (
@@ -86,8 +89,9 @@ func (d Diagnostic) String() string {
 // ignoreDirective is one parsed //lint:ignore comment.
 type ignoreDirective struct {
 	analyzers map[string]bool
-	file      string
-	line      int
+	names     string // the analyzer list as written
+	pos       token.Position
+	used      bool // suppressed at least one diagnostic
 }
 
 const ignorePrefix = "lint:ignore"
@@ -120,7 +124,7 @@ func parseDirectives(fset *token.FileSet, files []*ast.File, report func(Diagnos
 				for _, n := range strings.Split(names, ",") {
 					set[strings.TrimSpace(n)] = true
 				}
-				out = append(out, ignoreDirective{analyzers: set, file: pos.Filename, line: pos.Line})
+				out = append(out, ignoreDirective{analyzers: set, names: names, pos: pos})
 			}
 		}
 	}
@@ -128,27 +132,49 @@ func parseDirectives(fset *token.FileSet, files []*ast.File, report func(Diagnos
 }
 
 // suppressed reports whether d is covered by a directive on its own
-// line or the line directly above it.
+// line or the line directly above it, marking every such directive used.
 func suppressed(d Diagnostic, directives []ignoreDirective) bool {
-	for _, dir := range directives {
-		if dir.file != d.Pos.Filename || !dir.analyzers[d.Analyzer] {
+	hit := false
+	for i := range directives {
+		dir := &directives[i]
+		if dir.pos.Filename != d.Pos.Filename || !dir.analyzers[d.Analyzer] {
 			continue
 		}
-		if dir.line == d.Pos.Line || dir.line == d.Pos.Line-1 {
-			return true
+		if dir.pos.Line == d.Pos.Line || dir.pos.Line == d.Pos.Line-1 {
+			dir.used = true
+			hit = true
 		}
 	}
-	return false
+	return hit
+}
+
+// stale reports whether dir suppressed nothing although every analyzer
+// it names ran: a suppression left behind after its finding went away,
+// which would silently hide the next finding on that line.
+func (dir *ignoreDirective) stale(ran map[string]bool) bool {
+	if dir.used {
+		return false
+	}
+	for name := range dir.analyzers {
+		if !ran[name] {
+			return false
+		}
+	}
+	return true
 }
 
 // RunAnalyzers runs every analyzer over every package, applies
-// //lint:ignore suppressions, and returns the surviving diagnostics
-// sorted by position. Analyzer-internal errors are returned as an error
-// after all packages have been visited.
+// //lint:ignore suppressions, reports stale directives, and returns the
+// surviving diagnostics sorted by position. Analyzer-internal errors are
+// returned as an error after all packages have been visited.
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	var errs []string
 	module := buildModuleIndex(pkgs)
+	ran := make(map[string]bool, len(analyzers))
+	for _, a := range analyzers {
+		ran[a.Name] = true
+	}
 	for _, pkg := range pkgs {
 		var raw []Diagnostic
 		collect := func(d Diagnostic) {
@@ -173,6 +199,18 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 		for _, d := range raw {
 			if !suppressed(d, directives) {
 				diags = append(diags, d)
+			}
+		}
+		for i := range directives {
+			if dir := &directives[i]; dir.stale(ran) {
+				diags = append(diags, Diagnostic{
+					Analyzer: "lint",
+					Pos:      dir.pos,
+					File:     dir.pos.Filename,
+					Line:     dir.pos.Line,
+					Col:      dir.pos.Column,
+					Message:  fmt.Sprintf("stale //lint:ignore %s: it suppresses no diagnostic; delete it", dir.names),
+				})
 			}
 		}
 	}

@@ -6,7 +6,9 @@
 //
 // Each backquoted (or quoted) string after `want` is a regular
 // expression that must match a diagnostic reported on that line; every
-// diagnostic must be matched by some expectation and vice versa.
+// diagnostic must be matched by some expectation and vice versa. A block
+// comment /* want `...` */ carries an expectation on a line whose own
+// comment is the subject, such as a //lint:ignore directive.
 // //lint:ignore suppressions are applied before matching, so a golden
 // line carrying a directive and no want comment demonstrates an
 // accepted suppression.
@@ -85,7 +87,11 @@ func check(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysi
 	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+				text := strings.TrimPrefix(c.Text, "//")
+				if block, ok := strings.CutPrefix(c.Text, "/*"); ok {
+					text = strings.TrimSuffix(block, "*/")
+				}
+				text = strings.TrimSpace(text)
 				if !strings.HasPrefix(text, "want ") {
 					continue
 				}

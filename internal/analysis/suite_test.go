@@ -57,6 +57,12 @@ func TestEscapebudgetGolden(t *testing.T) {
 	analysistest.Run(t, mustLookup(t, "escapebudget"), "escapebudget")
 }
 
+func TestStaleDirectiveGolden(t *testing.T) {
+	// The runner, not an analyzer, reports stale suppressions; any
+	// analyzer exercises it. The fixture runs under mapiter.
+	analysistest.Run(t, mustLookup(t, "mapiter"), "stale")
+}
+
 func TestNodeterminismCmdScope(t *testing.T) {
 	// Satellite: the deterministic scope now covers the CLIs too.
 	analysistest.Run(t, mustLookup(t, "nodeterminism"), "prefix/cmd/clitool")

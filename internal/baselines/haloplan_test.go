@@ -12,16 +12,17 @@ import (
 // planTrace: site 1 allocates under stack A, site 2 under stack B, site 3
 // under stack C; objects from A and B co-occur in a stream.
 func planTrace() (*trace.Analysis, *hotness.Set) {
-	r := trace.NewRecorder()
-	r.Alloc(1, 0xA, 0x1000, 32)
-	r.Alloc(2, 0xB, 0x2000, 32)
-	r.Alloc(3, 0xC, 0x3000, 32)
+	tr := &trace.Trace{Events: []trace.Event{
+		{Kind: trace.KindAlloc, Site: 1, Stack: 0xA, Addr: 0x1000, Size: 32},
+		{Kind: trace.KindAlloc, Site: 2, Stack: 0xB, Addr: 0x2000, Size: 32},
+		{Kind: trace.KindAlloc, Site: 3, Stack: 0xC, Addr: 0x3000, Size: 32},
+	}}
 	for i := 0; i < 10; i++ {
-		r.Access(0x1000, 8, false)
-		r.Access(0x2000, 8, false)
-		r.Access(0x3000, 8, false)
+		for _, addr := range []mem.Addr{0x1000, 0x2000, 0x3000} {
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.KindAccess, Addr: addr, Size: 8})
+		}
 	}
-	a := trace.Analyze(r.Trace())
+	a := trace.Analyze(tr)
 	hot := hotness.Select(a, hotness.Config{Coverage: 1, MinAccesses: 1})
 	return a, hot
 }

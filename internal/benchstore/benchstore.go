@@ -209,16 +209,28 @@ func Filename(t time.Time) string {
 	return "BENCH_" + t.UTC().Format("20060102T150405Z") + ".json"
 }
 
-// GitSHA returns the repository's short HEAD commit in dir, or "" when
-// git (or the repository) is unavailable — metadata, never an error.
+// GitSHA returns the repository's short HEAD commit in dir, suffixed
+// "-dirty" when tracked files differ from HEAD (a snapshot recorded
+// before its change is committed measures code HEAD does not hold), or
+// "" when git (or the repository) is unavailable — metadata, never an
+// error. Untracked files do not count.
 func GitSHA(dir string) string {
-	cmd := exec.Command("git", "rev-parse", "--short=12", "HEAD")
-	cmd.Dir = dir
-	out, err := cmd.Output()
+	sha, err := git(dir, "rev-parse", "--short=12", "HEAD")
 	if err != nil {
 		return ""
 	}
-	return strings.TrimSpace(string(out))
+	if status, err := git(dir, "status", "--porcelain", "--untracked-files=no"); err == nil && status != "" {
+		sha += "-dirty"
+	}
+	return sha
+}
+
+// git runs one git command in dir and returns its trimmed stdout.
+func git(dir string, args ...string) (string, error) {
+	cmd := exec.Command("git", args...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
+	return strings.TrimSpace(string(out)), err
 }
 
 // Write writes the run as indented JSON.
@@ -246,7 +258,9 @@ func (r *Run) WriteFile(path string) error {
 // has no host sections, and gating degrades gracefully (host metrics
 // only gate once a baseline records them). A document must name at
 // least one benchmark, each exactly once: a baseline with no entries
-// would gate nothing and pass every run.
+// would gate nothing and pass every run. Every metric must lie in the
+// range a run can produce (see Benchmark.validate): a doctored baseline
+// would otherwise gate every run against a value none can reach.
 func Read(rd io.Reader) (*Run, error) {
 	var run Run
 	dec := json.NewDecoder(rd)
@@ -270,8 +284,54 @@ func Read(rd io.Reader) (*Run, error) {
 			return nil, fmt.Errorf("benchstore: benchmark %q listed twice", b.Name)
 		}
 		seen[b.Name] = true
+		if err := b.validate(); err != nil {
+			return nil, fmt.Errorf("benchstore: benchmark %q: %w", b.Name, err)
+		}
 	}
 	return &run, nil
+}
+
+// validate rejects metric values no run can produce: negative cycle
+// counts, host costs and miss rates, shares outside [0, 100], and a
+// time reduction beyond 100%. Miss rates have no upper bound: they
+// count misses per access, and an access that straddles a line
+// boundary misses on both lines.
+func (b *Benchmark) validate() error {
+	inf := math.Inf(1)
+	type bound struct {
+		name      string
+		v, lo, hi float64
+	}
+	bounds := []bound{
+		{"baseline_cycles", b.BaselineCycles, 0, inf},
+		{"best_cycles", b.BestCycles, 0, inf},
+		{"time_delta_pct", b.TimeDeltaPct, -100, inf},
+		{"l1_miss_pct", b.L1MissPct, 0, inf},
+		{"llc_miss_pct", b.LLCMissPct, 0, inf},
+		{"capture_pct", b.CapturePct, 0, 100},
+	}
+	if h := b.Host; h != nil {
+		bounds = append(bounds,
+			bound{"host.wall_nanos", float64(h.WallNanos), 0, inf},
+			bound{"host.events_per_sec", h.EventsPerSec, 0, inf},
+			bound{"host.goroutines", float64(h.Goroutines), 0, inf})
+	}
+	if a := b.Analysis; a != nil {
+		bounds = append(bounds,
+			bound{"analysis.wall_nanos", float64(a.WallNanos), 0, inf},
+			bound{"analysis.events_per_sec", a.EventsPerSec, 0, inf})
+	}
+	if a := b.Attrib; a != nil {
+		bounds = append(bounds,
+			bound{"attrib.top_site_llc_pct", a.TopSiteLLCPct, 0, 100},
+			bound{"attrib.unattributed_llc_pct", a.UnattributedLLCPct, 0, 100})
+	}
+	for _, c := range bounds {
+		if !(c.v >= c.lo && c.v <= c.hi) {
+			return fmt.Errorf("%s = %g is outside [%g, %g]", c.name, c.v, c.lo, c.hi)
+		}
+	}
+	return nil
 }
 
 // ReadFile reads a run document from path.

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"io"
 	"math"
+	"os"
+	"os/exec"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -184,14 +186,112 @@ func TestFilename(t *testing.T) {
 }
 
 func TestGitSHA(t *testing.T) {
-	// The repo root is two levels up; a real git checkout yields a SHA.
+	// The repo root is two levels up; a real git checkout yields a SHA,
+	// marked dirty while tracked files are modified.
 	if sha := GitSHA("../.."); sha == "" {
 		t.Skip("not a git checkout")
-	} else if len(sha) != 12 {
-		t.Errorf("GitSHA = %q, want 12 hex chars", sha)
+	} else if len(strings.TrimSuffix(sha, "-dirty")) != 12 {
+		t.Errorf("GitSHA = %q, want 12 hex chars and an optional -dirty", sha)
 	}
 	if sha := GitSHA(t.TempDir()); sha != "" {
 		t.Errorf("GitSHA(non-repo) = %q, want empty", sha)
+	}
+}
+
+// TestGitSHADirty: in a fresh repository, a clean checkout and one with
+// only untracked files yield the bare short SHA; modifying or staging a
+// change to a tracked file appends -dirty.
+func TestGitSHADirty(t *testing.T) {
+	if _, err := exec.LookPath("git"); err != nil {
+		t.Skip("git not installed")
+	}
+	dir := t.TempDir()
+	run := func(args ...string) {
+		t.Helper()
+		cmd := exec.Command("git", append([]string{"-c", "user.name=t", "-c", "user.email=t@example.com",
+			"-c", "commit.gpgsign=false"}, args...)...)
+		cmd.Dir = dir
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Fatalf("git %v: %v\n%s", args, err, out)
+		}
+	}
+	write := func(name, body string) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run("init", "-q")
+	write("a.txt", "one\n")
+	run("add", "a.txt")
+	run("commit", "-q", "-m", "init")
+
+	clean := GitSHA(dir)
+	if len(clean) != 12 || strings.Contains(clean, "-") {
+		t.Fatalf("clean checkout: GitSHA = %q, want 12 hex chars", clean)
+	}
+	write("untracked.txt", "x\n")
+	if got := GitSHA(dir); got != clean {
+		t.Errorf("untracked file only: GitSHA = %q, want %q", got, clean)
+	}
+	write("a.txt", "two\n")
+	if got := GitSHA(dir); got != clean+"-dirty" {
+		t.Errorf("modified tracked file: GitSHA = %q, want %q", got, clean+"-dirty")
+	}
+	run("add", "a.txt")
+	if got := GitSHA(dir); got != clean+"-dirty" {
+		t.Errorf("staged change: GitSHA = %q, want %q", got, clean+"-dirty")
+	}
+	run("commit", "-q", "-m", "two")
+	if got := GitSHA(dir); len(got) != 12 || got == clean {
+		t.Errorf("after commit: GitSHA = %q, want a new clean SHA", got)
+	}
+}
+
+// TestReadRejectsOutOfRangeMetrics: a metric no run can produce fails
+// the load, naming the benchmark and the metric; the edges of each range
+// load.
+func TestReadRejectsOutOfRangeMetrics(t *testing.T) {
+	doc := func(fields string) string {
+		return `{"schema": 4, "benchmarks": [{"name": "mcf", ` + fields + `}]}`
+	}
+	cases := []struct {
+		name, fields, want string
+	}{
+		{"negative baseline cycles", `"baseline_cycles": -1`, "baseline_cycles"},
+		{"negative best cycles", `"best_cycles": -0.5`, "best_cycles"},
+		{"negative l1 miss", `"l1_miss_pct": -1`, "l1_miss_pct"},
+		{"negative llc miss", `"llc_miss_pct": -0.01`, "llc_miss_pct"},
+		{"negative capture", `"capture_pct": -1`, "capture_pct"},
+		{"capture above 100", `"capture_pct": 100.5`, "capture_pct"},
+		{"time delta below -100", `"time_delta_pct": -100.1`, "time_delta_pct"},
+		{"negative host wall", `"host": {"wall_nanos": -1}`, "host.wall_nanos"},
+		{"negative host events/sec", `"host": {"events_per_sec": -3}`, "host.events_per_sec"},
+		{"negative host goroutines", `"host": {"goroutines": -2}`, "host.goroutines"},
+		{"negative analysis wall", `"analysis": {"wall_nanos": -1}`, "analysis.wall_nanos"},
+		{"negative analysis events/sec", `"analysis": {"events_per_sec": -1}`, "analysis.events_per_sec"},
+		{"negative top-site share", `"attrib": {"top_site_llc_pct": -1}`, "attrib.top_site_llc_pct"},
+		{"top-site share above 100", `"attrib": {"top_site_llc_pct": 101}`, "attrib.top_site_llc_pct"},
+		{"negative unattributed share", `"attrib": {"unattributed_llc_pct": -1}`, "attrib.unattributed_llc_pct"},
+		{"unattributed share above 100", `"attrib": {"unattributed_llc_pct": 250}`, "attrib.unattributed_llc_pct"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			run, err := Read(strings.NewReader(doc(c.fields)))
+			if err == nil || !strings.Contains(err.Error(), `"mcf"`) || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("Read(%s) = %+v, %v; want an error naming mcf and %s", c.fields, run, err, c.want)
+			}
+		})
+	}
+	// The edges of every range load; miss rates above 100% are real
+	// (straddling accesses miss on two lines).
+	edges := `"baseline_cycles": 0, "best_cycles": 0, "time_delta_pct": -100, "l1_miss_pct": 150,
+		"llc_miss_pct": 120, "capture_pct": 100,
+		"host": {"wall_nanos": 0, "events_per_sec": 0, "goroutines": 0},
+		"analysis": {"wall_nanos": 0, "events_per_sec": 0},
+		"attrib": {"top_site_llc_pct": 100, "unattributed_llc_pct": 0}`
+	if _, err := Read(strings.NewReader(doc(edges))); err != nil {
+		t.Errorf("range edges rejected: %v", err)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // requested number of accesses.
 func buildTrace(t *testing.T, perSite map[mem.SiteID][]uint64) *trace.Analysis {
 	t.Helper()
-	r := trace.NewRecorder()
+	tr := &trace.Trace{}
 	addr := mem.Addr(0x1000)
 	var sites []mem.SiteID
 	for s := range perSite {
@@ -32,17 +32,17 @@ func buildTrace(t *testing.T, perSite map[mem.SiteID][]uint64) *trace.Analysis {
 	var objs []obj
 	for _, s := range sites {
 		for _, accesses := range perSite[s] {
-			r.Alloc(s, 0, addr, 64)
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.KindAlloc, Site: s, Addr: addr, Size: 64})
 			objs = append(objs, obj{addr, accesses})
 			addr += 0x100
 		}
 	}
 	for _, o := range objs {
 		for i := uint64(0); i < o.n; i++ {
-			r.Access(o.addr, 8, false)
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.KindAccess, Addr: o.addr, Size: 8})
 		}
 	}
-	return trace.Analyze(r.Trace())
+	return trace.Analyze(tr)
 }
 
 func TestSelectOrdering(t *testing.T) {
@@ -150,15 +150,15 @@ func TestPromoteSitesMinAllocs(t *testing.T) {
 }
 
 func TestLiveness(t *testing.T) {
-	r := trace.NewRecorder()
 	// Site 1 churns: never more than 2 live of 4 allocated.
-	r.Alloc(1, 0, 0x1000, 16)
-	r.Alloc(1, 0, 0x2000, 16)
-	r.Free(0x1000)
-	r.Alloc(1, 0, 0x3000, 16)
-	r.Free(0x2000)
-	r.Alloc(1, 0, 0x4000, 16)
-	a := trace.Analyze(r.Trace())
+	a := trace.Analyze(&trace.Trace{Events: []trace.Event{
+		{Kind: trace.KindAlloc, Site: 1, Addr: 0x1000, Size: 16},
+		{Kind: trace.KindAlloc, Site: 1, Addr: 0x2000, Size: 16},
+		{Kind: trace.KindFree, Addr: 0x1000},
+		{Kind: trace.KindAlloc, Site: 1, Addr: 0x3000, Size: 16},
+		{Kind: trace.KindFree, Addr: 0x2000},
+		{Kind: trace.KindAlloc, Site: 1, Addr: 0x4000, Size: 16},
+	}})
 	l := AnalyzeLiveness(a)
 	if l.SiteMaxLive[1] != 2 || l.SiteAllocs[1] != 4 {
 		t.Errorf("liveness: %+v", l)

@@ -136,23 +136,19 @@ const batchEvents = 256
 // machines sharing one recorder) to its trace recorder. The per-event
 // cost is an append into a preallocated buffer through a concrete
 // method — no interface dispatch; the recorder's interface is crossed
-// once per batch, via RecordBatch when the recorder supports bulk
-// delivery and an event-at-a-time replay otherwise. A group's machines
-// share one batch, so the recorded interleaving is exactly the order
-// the workload drove the thread Envs in.
+// once per batch, in RecordBatch. A group's machines share one batch,
+// so the recorded interleaving is exactly the order the workload drove
+// the thread Envs in.
 type eventBatch struct {
-	rec  trace.EventRecorder
-	bulk trace.BatchRecorder // non-nil when rec accepts batches
-	buf  []trace.Event
+	rec trace.EventRecorder
+	buf []trace.Event
 }
 
 func newEventBatch(rec trace.EventRecorder) *eventBatch {
 	if rec == nil {
 		return nil
 	}
-	b := &eventBatch{rec: rec, buf: make([]trace.Event, 0, batchEvents)}
-	b.bulk, _ = rec.(trace.BatchRecorder)
-	return b
+	return &eventBatch{rec: rec, buf: make([]trace.Event, 0, batchEvents)}
 }
 
 // add appends one event, flushing when the batch fills.
@@ -167,38 +163,18 @@ func (b *eventBatch) add(ev trace.Event) {
 }
 
 // flush hands the buffered events to the recorder and empties the
-// batch, keeping its storage. The interface crossings below are the
-// point of the batch: they happen once per batchEvents events (or once
-// per event only on the legacy non-bulk recorder fallback), not on the
-// per-event path.
+// batch, keeping its storage. It runs once per batchEvents events, and
+// is kept out of line so that add, the per-event path, stays within the
+// inlining budget.
 //
 //prefix:hotpath
+//go:noinline
 func (b *eventBatch) flush() {
 	if len(b.buf) == 0 {
 		return
 	}
-	if b.bulk != nil {
-		//lint:ignore hotcall one dispatch per 256-event batch is the amortization this type exists for
-		b.bulk.RecordBatch(b.buf)
-	} else {
-		for i := range b.buf {
-			ev := &b.buf[i]
-			switch ev.Kind {
-			case trace.KindAlloc:
-				//lint:ignore hotcall non-bulk recorder fallback: per-event dispatch is the legacy path, not the pinned one
-				b.rec.Alloc(ev.Site, ev.Stack, ev.Addr, ev.Size)
-			case trace.KindFree:
-				//lint:ignore hotcall non-bulk recorder fallback: per-event dispatch is the legacy path, not the pinned one
-				b.rec.Free(ev.Addr)
-			case trace.KindRealloc:
-				//lint:ignore hotcall non-bulk recorder fallback: per-event dispatch is the legacy path, not the pinned one
-				b.rec.Realloc(ev.Addr, ev.Addr2, ev.Size)
-			case trace.KindAccess:
-				//lint:ignore hotcall non-bulk recorder fallback: per-event dispatch is the legacy path, not the pinned one
-				b.rec.Access(ev.Addr, ev.Size, ev.Write)
-			}
-		}
-	}
+	//lint:ignore hotcall one dispatch per 256-event batch is the amortization this type exists for
+	b.rec.RecordBatch(b.buf)
 	b.buf = b.buf[:0]
 }
 
@@ -218,9 +194,11 @@ type Machine struct {
 type Option func(*Machine)
 
 // WithRecorder attaches a trace recorder (profiling runs): the
-// in-memory *trace.Recorder or the bounded-memory *trace.SpillRecorder.
-// Events reach the recorder in batches; Finish flushes the final
-// partial batch, so read the recorder only after Finish.
+// in-memory *trace.Recorder, the bounded-memory *trace.SpillRecorder, or
+// a *trace.Analyzer that analyzes the run as it executes. Events reach
+// the recorder through RecordBatch, batchEvents at a time; Finish
+// flushes the final partial batch and adds the run's instruction count,
+// so read the recorder only after Finish.
 func WithRecorder(r trace.EventRecorder) Option {
 	return func(m *Machine) { m.rec = newEventBatch(r) }
 }

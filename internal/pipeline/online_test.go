@@ -6,7 +6,6 @@ import (
 
 	"prefix/internal/baselines"
 	"prefix/internal/machine"
-	"prefix/internal/mem"
 	"prefix/internal/obs"
 	"prefix/internal/trace"
 	"prefix/internal/workloads"
@@ -21,26 +20,6 @@ type tee struct {
 }
 
 func newTee() *tee { return &tee{an: trace.NewAnalyzer(), rec: trace.NewRecorder()} }
-
-func (t *tee) Alloc(site mem.SiteID, stack mem.StackSig, addr mem.Addr, size uint64) {
-	t.an.Alloc(site, stack, addr, size)
-	t.rec.Alloc(site, stack, addr, size)
-}
-
-func (t *tee) Free(addr mem.Addr) {
-	t.an.Free(addr)
-	t.rec.Free(addr)
-}
-
-func (t *tee) Realloc(old, new mem.Addr, size uint64) {
-	t.an.Realloc(old, new, size)
-	t.rec.Realloc(old, new, size)
-}
-
-func (t *tee) Access(addr mem.Addr, size uint64, write bool) {
-	t.an.Access(addr, size, write)
-	t.rec.Access(addr, size, write)
-}
 
 func (t *tee) RecordBatch(evs []trace.Event) {
 	t.an.RecordBatch(evs)

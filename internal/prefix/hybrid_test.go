@@ -13,14 +13,15 @@ import (
 // under stack 0x407 — so the hot id is {2} and its profiled signature is
 // 0x407.
 func hybridProfile() *trace.Analysis {
-	r := trace.NewRecorder()
-	r.Alloc(1, 0xC01D, 0x1000, 64) // instance 1: cold
-	r.Alloc(1, 0x407, 0x2000, 64)  // instance 2: hot
+	tr := &trace.Trace{Events: []trace.Event{
+		{Kind: trace.KindAlloc, Site: 1, Stack: 0xC01D, Addr: 0x1000, Size: 64}, // instance 1: cold
+		{Kind: trace.KindAlloc, Site: 1, Stack: 0x407, Addr: 0x2000, Size: 64},  // instance 2: hot
+	}}
 	for i := 0; i < 50; i++ {
-		r.Access(0x2000, 8, false)
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.KindAccess, Addr: 0x2000, Size: 8})
 	}
-	r.Access(0x1000, 8, false)
-	return trace.Analyze(r.Trace())
+	tr.Events = append(tr.Events, trace.Event{Kind: trace.KindAccess, Addr: 0x1000, Size: 8})
+	return trace.Analyze(tr)
 }
 
 func hybridPlan(t *testing.T, hybrid bool) *Plan {

@@ -15,13 +15,16 @@ import (
 // (objects visited together repeatedly), one churn site suitable for
 // recycling, and cold noise.
 func synthTrace() *trace.Analysis {
-	r := trace.NewRecorder()
+	tr := &trace.Trace{}
 	addr := mem.Addr(0x10000)
 	alloc := func(site mem.SiteID, size uint64) mem.Addr {
 		a := addr
-		r.Alloc(site, mem.StackSig(site), a, size)
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.KindAlloc, Site: site, Stack: mem.StackSig(site), Addr: a, Size: size})
 		addr += mem.Addr(size + 16)
 		return a
+	}
+	access := func(a mem.Addr) {
+		tr.Events = append(tr.Events, trace.Event{Kind: trace.KindAccess, Addr: a, Size: 8})
 	}
 	// Tandem pair: 8 rounds of (site1, site2), all hot.
 	var pairs []mem.Addr
@@ -34,21 +37,21 @@ func synthTrace() *trace.Analysis {
 	for i := 0; i < 12; i++ {
 		a := alloc(3, 64)
 		for k := 0; k < 12; k++ {
-			r.Access(a, 8, false)
+			access(a)
 		}
 		ring = append(ring, a)
 		if len(ring) > 2 {
-			r.Free(ring[0])
+			tr.Events = append(tr.Events, trace.Event{Kind: trace.KindFree, Addr: ring[0]})
 			ring = ring[1:]
 		}
 	}
 	// Repeated stream over the pairs.
 	for rep := 0; rep < 30; rep++ {
 		for _, p := range pairs {
-			r.Access(p, 8, false)
+			access(p)
 		}
 	}
-	return trace.Analyze(r.Trace())
+	return trace.Analyze(tr)
 }
 
 func TestBuildPlanEndToEnd(t *testing.T) {
@@ -138,9 +141,8 @@ func TestBuildPlanVariantsDifferInPlacement(t *testing.T) {
 }
 
 func TestBuildPlanNoHotObjects(t *testing.T) {
-	r := trace.NewRecorder()
-	r.Alloc(1, 0, 0x1000, 16)
-	if _, _, err := BuildPlan(trace.Analyze(r.Trace()), DefaultPlanConfig("x", VariantHot)); err == nil {
+	tr := &trace.Trace{Events: []trace.Event{{Kind: trace.KindAlloc, Site: 1, Addr: 0x1000, Size: 16}}}
+	if _, _, err := BuildPlan(trace.Analyze(tr), DefaultPlanConfig("x", VariantHot)); err == nil {
 		t.Error("profile without hot objects should error")
 	}
 }

@@ -38,7 +38,7 @@ func TestAllocatorSemanticsProperty(t *testing.T) {
 		}
 
 		// Profile run on a recorder-backed pseudo-heap.
-		rec := trace.NewRecorder()
+		tr := &trace.Trace{}
 		{
 			next := mem.Addr(0x10000)
 			type liveObj struct {
@@ -49,16 +49,17 @@ func TestAllocatorSemanticsProperty(t *testing.T) {
 			for i, o := range ops {
 				a := next
 				next += mem.Addr(o.size + 32)
-				rec.Alloc(o.site, mem.StackSig(o.site), a, o.size)
-				rec.Access(a, 8, false)
-				rec.Access(a, 8, false)
-				rec.Access(a, 8, true)
-				rec.Access(a, 8, false)
+				tr.Events = append(tr.Events,
+					trace.Event{Kind: trace.KindAlloc, Site: o.site, Stack: mem.StackSig(o.site), Addr: a, Size: o.size},
+					trace.Event{Kind: trace.KindAccess, Addr: a, Size: 8},
+					trace.Event{Kind: trace.KindAccess, Addr: a, Size: 8},
+					trace.Event{Kind: trace.KindAccess, Addr: a, Size: 8, Write: true},
+					trace.Event{Kind: trace.KindAccess, Addr: a, Size: 8})
 				live = append(live, liveObj{a, i + o.live})
 				kept := live[:0]
 				for _, l := range live {
 					if l.until <= i {
-						rec.Free(l.addr)
+						tr.Events = append(tr.Events, trace.Event{Kind: trace.KindFree, Addr: l.addr})
 					} else {
 						kept = append(kept, l)
 					}
@@ -66,12 +67,12 @@ func TestAllocatorSemanticsProperty(t *testing.T) {
 				live = kept
 			}
 			for _, l := range live {
-				rec.Free(l.addr)
+				tr.Events = append(tr.Events, trace.Event{Kind: trace.KindFree, Addr: l.addr})
 			}
 		}
 		cfg := DefaultPlanConfig("prop", VariantHDSHot)
 		cfg.Hot.MinAccesses = 1
-		plan, _, err := BuildPlan(trace.Analyze(rec.Trace()), cfg)
+		plan, _, err := BuildPlan(trace.Analyze(tr), cfg)
 		if err != nil {
 			return true // profiles without hot objects are fine to skip
 		}

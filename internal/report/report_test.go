@@ -93,13 +93,15 @@ func TestFigure10Render(t *testing.T) {
 
 // heatmaps builds the heatmap of one recorded run through both entry
 // points: BuildHeatmap over the materialized trace, and BuildHeatmapFrom
-// over an analyzer that recorded the same events. The two must agree.
-func heatmaps(t *testing.T, run func(trace.EventRecorder), timeBuckets, addrBuckets int) *Heatmap {
+// over an analyzer that recorded the same events, delivered as batches
+// of one. The two must agree.
+func heatmaps(t *testing.T, evs []trace.Event, timeBuckets, addrBuckets int) *Heatmap {
 	t.Helper()
-	rec, an := trace.NewRecorder(), trace.NewAnalyzer()
-	run(rec)
-	run(an)
-	h := BuildHeatmap(rec.Trace(), timeBuckets, addrBuckets)
+	an := trace.NewAnalyzer()
+	for i := range evs {
+		an.RecordBatch(evs[i : i+1])
+	}
+	h := BuildHeatmap(&trace.Trace{Events: evs}, timeBuckets, addrBuckets)
 	if from := BuildHeatmapFrom(an.Finish(), timeBuckets, addrBuckets); !reflect.DeepEqual(h, from) {
 		t.Errorf("BuildHeatmapFrom = %+v, BuildHeatmap = %+v", from, h)
 	}
@@ -107,14 +109,16 @@ func heatmaps(t *testing.T, run func(trace.EventRecorder), timeBuckets, addrBuck
 }
 
 func TestHeatmap(t *testing.T) {
-	h := heatmaps(t, func(r trace.EventRecorder) {
-		r.Alloc(1, 0, 0x1000, 64)
-		r.Alloc(1, 0, 0x9000, 64)
-		for i := 0; i < 20; i++ {
-			r.Access(0x1000, 8, false)
-			r.Access(0x9000, 8, false)
-		}
-	}, 4, 4)
+	evs := []trace.Event{
+		{Kind: trace.KindAlloc, Site: 1, Addr: 0x1000, Size: 64},
+		{Kind: trace.KindAlloc, Site: 1, Addr: 0x9000, Size: 64},
+	}
+	for i := 0; i < 20; i++ {
+		evs = append(evs,
+			trace.Event{Kind: trace.KindAccess, Addr: 0x1000, Size: 8},
+			trace.Event{Kind: trace.KindAccess, Addr: 0x9000, Size: 8})
+	}
+	h := heatmaps(t, evs, 4, 4)
 	if h.Footprint != 0x8001 {
 		t.Errorf("footprint = %#x", h.Footprint)
 	}
@@ -137,7 +141,7 @@ func TestHeatmap(t *testing.T) {
 }
 
 func TestHeatmapEmptyTrace(t *testing.T) {
-	h := heatmaps(t, func(trace.EventRecorder) {}, 4, 4)
+	h := heatmaps(t, nil, 4, 4)
 	if h.Footprint != 0 {
 		t.Error("empty trace should have zero footprint")
 	}

@@ -6,46 +6,14 @@ import (
 	"testing"
 )
 
-// TestAppendBatchByteParity: AppendBatch must produce byte-identical
-// output to event-at-a-time Append for every batch/chunk alignment —
-// including batches that span chunk boundaries — because the delta
-// encoder state is continuous across both paths.
-func TestAppendBatchByteParity(t *testing.T) {
-	tr := record()
-	want := writeChunked(t, tr, 5) // per-event reference bytes
-
-	for _, batch := range []int{1, 2, 3, 7, len(tr.Events)} {
-		var buf bytes.Buffer
-		sw, err := NewStreamWriter(&buf, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < len(tr.Events); i += batch {
-			end := i + batch
-			if end > len(tr.Events) {
-				end = len(tr.Events)
-			}
-			if err := sw.AppendBatch(tr.Events[i:end]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sw.SetInstr(tr.Instr)
-		if err := sw.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("batch size %d: encoded bytes differ from per-event Append", batch)
-		}
-	}
-}
-
-// TestRecorderRecordBatch: the in-memory recorder's bulk path must be
-// indistinguishable from the per-event methods.
+// TestRecorderRecordBatch: the in-memory recorder appends batches in
+// order, however the stream is split.
 func TestRecorderRecordBatch(t *testing.T) {
 	tr := record()
 	r := NewRecorder()
 	r.RecordBatch(tr.Events[:4])
-	r.RecordBatch(tr.Events[4:])
+	r.RecordBatch(tr.Events[4:5])
+	r.RecordBatch(tr.Events[5:])
 	r.AddInstr(tr.Instr)
 	got := r.Trace()
 	if !reflect.DeepEqual(got.Events, tr.Events) || got.Instr != tr.Instr {
@@ -53,52 +21,38 @@ func TestRecorderRecordBatch(t *testing.T) {
 	}
 }
 
-// TestSpillRecorderRecordBatchParity: bulk delivery into the spill
-// recorder must yield byte-identical output to per-event delivery.
+// TestSpillRecorderRecordBatchParity: the spill recorder's bytes depend
+// only on the events and the chunk size, not on how the stream is split
+// into batches — including batches that span chunk boundaries — because
+// the delta encoder state runs continuously across batches and chunks.
+// Every split must match batches of one and round-trip the trace.
 func TestSpillRecorderRecordBatchParity(t *testing.T) {
 	tr := record()
-
-	var single bytes.Buffer
-	sp1, err := NewSpillRecorder(&single, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ev := range tr.Events {
-		switch ev.Kind {
-		case KindAlloc:
-			sp1.Alloc(ev.Site, ev.Stack, ev.Addr, ev.Size)
-		case KindFree:
-			sp1.Free(ev.Addr)
-		case KindRealloc:
-			sp1.Realloc(ev.Addr, ev.Addr2, ev.Size)
-		case KindAccess:
-			sp1.Access(ev.Addr, ev.Size, ev.Write)
+	for _, chunk := range []int{4, 5} {
+		want := writeChunked(t, tr, chunk) // batches of one
+		for _, batch := range []int{1, 2, 3, 7, len(tr.Events)} {
+			var buf bytes.Buffer
+			sp, err := NewSpillRecorder(&buf, chunk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < len(tr.Events); i += batch {
+				sp.RecordBatch(tr.Events[i:min(i+batch, len(tr.Events))])
+			}
+			sp.AddInstr(tr.Instr)
+			if err := sp.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("chunk %d, batch size %d: encoded bytes differ from batches of one", chunk, batch)
+			}
+			got, err := Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got.Events, tr.Events) || got.Instr != tr.Instr {
+				t.Errorf("chunk %d, batch size %d: spill does not round-trip the trace", chunk, batch)
+			}
 		}
-	}
-	sp1.AddInstr(tr.Instr)
-	if err := sp1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	var bulk bytes.Buffer
-	sp2, err := NewSpillRecorder(&bulk, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sp2.RecordBatch(tr.Events)
-	sp2.AddInstr(tr.Instr)
-	if err := sp2.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	if !bytes.Equal(single.Bytes(), bulk.Bytes()) {
-		t.Fatal("bulk spill bytes differ from per-event spill bytes")
-	}
-	got, err := Read(&bulk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Events, tr.Events) || got.Instr != tr.Instr {
-		t.Error("bulk spill does not round-trip the trace")
 	}
 }

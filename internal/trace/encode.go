@@ -146,21 +146,20 @@ func (d *eventDecoder) decode(i uint64) (Event, error) {
 }
 
 // Write serializes the trace as a chunked stream of DefaultChunkEvents
-// events per chunk, byte-identical to what a StreamWriter (or a spill
-// recorder) at that chunk size produces for the same events.
+// events per chunk, through the same SpillRecorder a recorded run
+// writes with, so a run spilled at that chunk size yields the same
+// bytes.
 func (t *Trace) Write(w io.Writer) error {
-	sw, err := NewStreamWriter(w, DefaultChunkEvents)
+	r, err := NewSpillRecorder(w, DefaultChunkEvents)
 	if err != nil {
 		return err
 	}
-	if err := sw.AppendBatch(t.Events); err != nil {
-		return err
-	}
-	sw.SetInstr(t.Instr)
-	return sw.Close()
+	r.RecordBatch(t.Events)
+	r.AddInstr(t.Instr)
+	return r.Close()
 }
 
-// Read materializes a trace file written by Write or by a StreamWriter.
+// Read materializes a trace file written by Write or by a SpillRecorder.
 // It is the in-memory convenience over NewStreamReader; use the stream
 // reader directly to stay within a bounded event buffer.
 func Read(r io.Reader) (*Trace, error) {

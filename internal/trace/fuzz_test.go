@@ -28,17 +28,13 @@ func FuzzRead(f *testing.F) {
 	}
 	// Multi-chunk seeds: a valid stream and a truncated chunk.
 	var chunked bytes.Buffer
-	sw, err := NewStreamWriter(&chunked, 4)
+	sp, err := NewSpillRecorder(&chunked, 4)
 	if err != nil {
 		f.Fatal(err)
 	}
-	for _, ev := range record().Events {
-		if err := sw.Append(ev); err != nil {
-			f.Fatal(err)
-		}
-	}
-	sw.SetInstr(record().Instr)
-	if err := sw.Close(); err != nil {
+	sp.RecordBatch(record().Events)
+	sp.AddInstr(record().Instr)
+	if err := sp.Close(); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(chunked.Bytes())

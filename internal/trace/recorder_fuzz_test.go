@@ -33,12 +33,12 @@ func fuzzEvents(data []byte) []Event {
 }
 
 // FuzzAnalyzerRecorder: an Analyzer fed as a machine recorder — events
-// delivered in fuzz-chosen RecordBatch splits mixed with the per-event
-// methods, instruction counts added along the way — must produce exactly
-// the Analysis that Analyze computes from the materialized trace.
+// delivered in fuzz-chosen RecordBatch splits, batches of one included,
+// instruction counts added along the way — must produce exactly the
+// Analysis that Analyze computes from the materialized trace.
 func FuzzAnalyzerRecorder(f *testing.F) {
 	// Seeds: alloc/access/free/reuse, realloc chains, unknown frees, and
-	// delivery plans of all-per-event, all-batched and mixed.
+	// delivery plans of all-batches-of-one, larger batches and mixed.
 	f.Add([]byte{0, 1, 10, 4, 1, 3, 2, 1, 0, 0, 1, 20, 5, 1, 7}, []byte{0})
 	f.Add([]byte{0, 2, 40, 3, 2, 5, 4, 5, 9, 3, 5, 2, 6, 2, 1, 2, 9, 1}, []byte{0x83, 0x85})
 	f.Add([]byte{1, 0, 0, 2, 0, 1, 2, 0, 0, 5, 0, 3, 8, 3, 3}, []byte{1, 0x82, 0, 3})
@@ -60,14 +60,7 @@ func FuzzAnalyzerRecorder(f *testing.F) {
 				an.AddInstr(uint64(b & 0x7f))
 				instr += uint64(b & 0x7f)
 			}
-			n := int(b % 16)
-			if n == 0 {
-				deliverOne(an, evs[i])
-				i++
-				peak = max(peak, 1)
-				continue
-			}
-			n = min(n, len(evs)-i)
+			n := min(max(int(b%16), 1), len(evs)-i)
 			batch = append(batch[:0], evs[i:i+n]...)
 			an.RecordBatch(batch)
 			// The analyzer must not keep the caller's buffer.
@@ -90,18 +83,4 @@ func FuzzAnalyzerRecorder(f *testing.F) {
 			t.Errorf("recorder analysis differs from Analyze:\n got %+v\nwant %+v", got, want)
 		}
 	})
-}
-
-// deliverOne hands ev to the recorder through its per-event method.
-func deliverOne(r EventRecorder, ev Event) {
-	switch ev.Kind {
-	case KindAlloc:
-		r.Alloc(ev.Site, ev.Stack, ev.Addr, ev.Size)
-	case KindFree:
-		r.Free(ev.Addr)
-	case KindRealloc:
-		r.Realloc(ev.Addr, ev.Addr2, ev.Size)
-	case KindAccess:
-		r.Access(ev.Addr, ev.Size, ev.Write)
-	}
 }

@@ -8,19 +8,21 @@ import (
 	"fmt"
 	"io"
 
-	"prefix/internal/mem"
 	"prefix/internal/obs"
 )
 
 // This file is the streaming half of the trace layer. The in-memory
 // *Trace stays the reference implementation, but every consumer that can
-// work single-pass goes through the Source/Sink pair so profiling runs
-// with tens of millions of events never materialize the whole stream:
+// work single-pass reads a Source, and every producer hands its events to
+// an EventRecorder, so profiling runs with tens of millions of events
+// never have to materialize the whole stream:
 //
-//	Source — pull iterator over events (in-memory slice, or an
-//	         incremental decode of a trace file)
-//	Sink   — incremental consumer (in-memory slice, or the chunked
-//	         stream writer that spills fixed-size chunks to disk)
+//	EventRecorder — the one write interface: batches of events in trace
+//	                order plus the run's instruction count (*Recorder
+//	                keeps them, *SpillRecorder spills fixed-size chunks
+//	                to a writer, *Analyzer analyzes them as they arrive)
+//	Source        — pull iterator over events (in-memory slice, or an
+//	                incremental decode of a trace file)
 //
 // Both ends speak the one PFXT container (see encode.go): events framed
 // into chunks of at most the writer's configured size, so writer and
@@ -40,36 +42,17 @@ type Source interface {
 	Instr() uint64
 }
 
-// Sink is an incremental consumer of an event stream.
-type Sink interface {
-	// Append adds the next event in trace order.
-	Append(Event) error
-	// SetInstr records the run's total dynamic instruction count; call
-	// it before Close.
-	SetInstr(uint64)
-	// Close finalizes the stream. No Append may follow.
-	Close() error
-}
-
 // EventRecorder is the write interface the machine layer feeds during a
-// profiled run. *Recorder (in-memory), *SpillRecorder (bounded memory)
-// and *Analyzer (analyze while recording, nothing kept) implement it.
+// profiled run: the machine buffers its events and hands each full
+// batch over in one RecordBatch call, so the recorder interface is
+// crossed once per batch rather than once per event. RecordBatch must
+// not retain evs (the caller reuses the buffer). AddInstr accumulates
+// the run's dynamic instruction count; each machine of a group reports
+// its own. *Recorder (in-memory), *SpillRecorder (bounded memory) and
+// *Analyzer (analyze while recording, nothing kept) implement it.
 type EventRecorder interface {
-	Alloc(site mem.SiteID, stack mem.StackSig, addr mem.Addr, size uint64)
-	Free(addr mem.Addr)
-	Realloc(old, new mem.Addr, size uint64)
-	Access(addr mem.Addr, size uint64, write bool)
-	AddInstr(n uint64)
-}
-
-// BatchRecorder is implemented by recorders that accept events in bulk.
-// The machine layer batches its event hand-off and delivers whole
-// batches through this when available, so the per-event recording cost
-// is an append into the batch rather than an interface dispatch;
-// semantics are identical to feeding the events one at a time through
-// EventRecorder.
-type BatchRecorder interface {
 	RecordBatch(evs []Event)
+	AddInstr(n uint64)
 }
 
 // RecorderStats describes what a recorder captured and how much of it
@@ -96,8 +79,6 @@ func (s RecorderStats) Publish(reg *obs.Registry, kv ...string) {
 	reg.Gauge("prefix_trace_peak_buffered_events", kv...).Set(float64(s.PeakBufferedEvents))
 }
 
-// --- In-memory Trace as Source and Sink -------------------------------
-
 // Source returns an iterator over the in-memory events.
 func (t *Trace) Source() Source { return &sliceSource{t: t} }
 
@@ -118,182 +99,11 @@ func (s *sliceSource) Next() (Event, bool) {
 func (s *sliceSource) Err() error    { return nil }
 func (s *sliceSource) Instr() uint64 { return s.t.Instr }
 
-// Append implements Sink by growing the in-memory slice.
-func (t *Trace) Append(ev Event) error {
-	t.Events = append(t.Events, ev)
-	return nil
-}
-
-// SetInstr implements Sink.
-func (t *Trace) SetInstr(n uint64) { t.Instr = n }
-
-// Close implements Sink; the in-memory trace needs no finalization.
-func (t *Trace) Close() error { return nil }
-
 var (
-	_ Sink          = (*Trace)(nil)
 	_ EventRecorder = (*Recorder)(nil)
-	_ BatchRecorder = (*Recorder)(nil)
-	_ BatchRecorder = (*SpillRecorder)(nil)
+	_ EventRecorder = (*SpillRecorder)(nil)
 	_ EventRecorder = (*Analyzer)(nil)
-	_ BatchRecorder = (*Analyzer)(nil)
 )
-
-// --- Chunked stream writer --------------------------------------------
-
-// DefaultChunkEvents is the default chunk size of the streaming writer
-// and the spill recorder: the maximum number of events buffered in
-// memory before a chunk is flushed to the backing writer.
-const DefaultChunkEvents = 1 << 16
-
-// StreamWriter writes the chunked stream format incrementally. Events
-// are encoded into an in-memory chunk as they arrive; when the chunk
-// holds chunkEvents events it is framed and flushed, so the writer never
-// buffers more than one chunk.
-type StreamWriter struct {
-	w           *bufio.Writer
-	enc         eventEncoder
-	chunk       bytes.Buffer // encoded bytes of the open chunk
-	chunkEvents int
-	n           int // events in the open chunk
-	instr       uint64
-	stats       RecorderStats
-	closed      bool
-	err         error
-}
-
-// NewStreamWriter starts a chunked stream on w. chunkEvents is the
-// memory budget in events per chunk; values < 1 select
-// DefaultChunkEvents. The stream is invalid until Close succeeds.
-func NewStreamWriter(w io.Writer, chunkEvents int) (*StreamWriter, error) {
-	if chunkEvents < 1 {
-		chunkEvents = DefaultChunkEvents
-	}
-	sw := &StreamWriter{w: bufio.NewWriter(w), chunkEvents: chunkEvents}
-	sw.enc.w = &sw.chunk
-	if _, err := sw.w.WriteString(magic); err != nil {
-		return nil, err
-	}
-	if err := writeUvarint(sw.w, version); err != nil {
-		return nil, err
-	}
-	if err := writeUvarint(sw.w, uint64(chunkEvents)); err != nil {
-		return nil, err
-	}
-	return sw, nil
-}
-
-func (sw *StreamWriter) fail(err error) error {
-	if sw.err == nil {
-		sw.err = err
-	}
-	return sw.err
-}
-
-// Append implements Sink: encode the event into the open chunk,
-// flushing it when full.
-func (sw *StreamWriter) Append(ev Event) error {
-	if sw.err != nil {
-		return sw.err
-	}
-	if sw.closed {
-		return sw.fail(errors.New("trace: Append after Close"))
-	}
-	if err := sw.enc.encode(ev); err != nil {
-		return sw.fail(err)
-	}
-	sw.n++
-	sw.stats.Events++
-	if sw.n > sw.stats.PeakBufferedEvents {
-		sw.stats.PeakBufferedEvents = sw.n
-	}
-	if sw.n >= sw.chunkEvents {
-		return sw.flushChunk()
-	}
-	return nil
-}
-
-// AppendBatch encodes a batch of events in order, flushing chunks as
-// they fill. It produces byte-for-byte the same stream as appending the
-// events one at a time — the delta-encoder state runs continuously and
-// chunk boundaries fall at the same event indexes — while hoisting the
-// per-event error and lifecycle checks out of the loop. The chunk
-// staging buffer is reused across chunks, so steady-state bulk encoding
-// allocates nothing.
-func (sw *StreamWriter) AppendBatch(evs []Event) error {
-	if sw.err != nil {
-		return sw.err
-	}
-	if sw.closed {
-		return sw.fail(errors.New("trace: Append after Close"))
-	}
-	for i := range evs {
-		if err := sw.enc.encode(evs[i]); err != nil {
-			return sw.fail(err)
-		}
-		sw.n++
-		sw.stats.Events++
-		if sw.n > sw.stats.PeakBufferedEvents {
-			sw.stats.PeakBufferedEvents = sw.n
-		}
-		if sw.n >= sw.chunkEvents {
-			if err := sw.flushChunk(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// flushChunk frames and writes the open chunk: its event count, then
-// the encoded events.
-func (sw *StreamWriter) flushChunk() error {
-	if err := writeUvarint(sw.w, uint64(sw.n)); err != nil {
-		return sw.fail(err)
-	}
-	if _, err := sw.chunk.WriteTo(sw.w); err != nil {
-		return sw.fail(err)
-	}
-	sw.chunk.Reset()
-	sw.n = 0
-	sw.stats.Chunks++
-	return nil
-}
-
-// SetInstr implements Sink; the count lands in the stream terminator.
-func (sw *StreamWriter) SetInstr(n uint64) { sw.instr = n }
-
-// Close flushes the final partial chunk and writes the terminator.
-// Close is idempotent; the first error wins.
-func (sw *StreamWriter) Close() error {
-	if sw.err != nil {
-		return sw.err
-	}
-	if sw.closed {
-		return nil
-	}
-	sw.closed = true
-	if sw.n > 0 {
-		if err := sw.flushChunk(); err != nil {
-			return err
-		}
-	}
-	if err := writeUvarint(sw.w, 0); err != nil {
-		return sw.fail(err)
-	}
-	if err := writeUvarint(sw.w, sw.instr); err != nil {
-		return sw.fail(err)
-	}
-	if err := sw.w.Flush(); err != nil {
-		return sw.fail(err)
-	}
-	return nil
-}
-
-// Stats reports what the writer has accepted and spilled so far.
-func (sw *StreamWriter) Stats() RecorderStats { return sw.stats }
-
-var _ Sink = (*StreamWriter)(nil)
 
 // --- Chunked stream reader ---------------------------------------------
 
@@ -311,8 +121,8 @@ type StreamReader struct {
 }
 
 // NewStreamReader reads the container header and returns a Source over
-// the file's events. Any version other than the one StreamWriter emits
-// is rejected.
+// the file's events. Any version other than the one SpillRecorder
+// writes is rejected.
 func NewStreamReader(r io.Reader) (*StreamReader, error) {
 	br := bufio.NewReader(r)
 	head := make([]byte, len(magic))
@@ -412,77 +222,143 @@ func (s *StreamReader) capHint() int {
 
 var _ Source = (*StreamReader)(nil)
 
-// --- Spill-to-disk recorder -------------------------------------------
+// --- Spill-to-disk recorder: the chunked writer --------------------------
 
-// SpillRecorder is the bounded-memory trace recorder: the machine layer
-// feeds it exactly like the in-memory Recorder, but events stream into a
-// chunked trace file as chunks fill, so the run's peak trace-buffer
-// memory is one chunk regardless of trace length.
+// DefaultChunkEvents is the default chunk size of the spill recorder:
+// the maximum number of events buffered in memory before a chunk is
+// flushed to the backing writer.
+const DefaultChunkEvents = 1 << 16
+
+// SpillRecorder is the bounded-memory trace recorder and the one writer
+// of the chunked PFXT container. Events are encoded into an in-memory
+// chunk as they arrive; when the chunk holds chunkEvents events it is
+// framed and flushed, so the recorder never buffers more than one chunk
+// regardless of trace length. Trace.Write writes through it too, so a
+// run recorded here and the same events written from memory are
+// byte-identical at the same chunk size.
 //
-// The Env recording methods cannot return errors, so a write failure is
-// latched: recording becomes a no-op and the error surfaces from Err and
-// Close. Callers must Close the recorder (which writes the stream
-// terminator) before reading the spill file back.
+// RecordBatch cannot return errors, so a write failure is latched:
+// recording becomes a no-op and the error surfaces from Err and Close.
+// Callers must Close the recorder (which writes the stream terminator)
+// before reading the file back.
 type SpillRecorder struct {
-	sw    *StreamWriter
-	instr uint64
+	w           *bufio.Writer
+	enc         eventEncoder
+	chunk       bytes.Buffer // encoded bytes of the open chunk
+	chunkEvents int
+	n           int // events in the open chunk
+	instr       uint64
+	stats       RecorderStats
+	closed      bool
+	err         error
 }
 
-// NewSpillRecorder starts a spilling recorder over w (typically a temp
-// file). chunkEvents bounds the in-memory buffer; values < 1 select
-// DefaultChunkEvents.
+// NewSpillRecorder starts a chunked stream on w (typically a file).
+// chunkEvents is the memory budget in events per chunk; values < 1
+// select DefaultChunkEvents. The stream is invalid until Close succeeds.
 func NewSpillRecorder(w io.Writer, chunkEvents int) (*SpillRecorder, error) {
-	sw, err := NewStreamWriter(w, chunkEvents)
-	if err != nil {
+	if chunkEvents < 1 {
+		chunkEvents = DefaultChunkEvents
+	}
+	r := &SpillRecorder{w: bufio.NewWriter(w), chunkEvents: chunkEvents}
+	r.enc.w = &r.chunk
+	if _, err := r.w.WriteString(magic); err != nil {
 		return nil, err
 	}
-	return &SpillRecorder{sw: sw}, nil
+	if err := writeUvarint(r.w, version); err != nil {
+		return nil, err
+	}
+	if err := writeUvarint(r.w, uint64(chunkEvents)); err != nil {
+		return nil, err
+	}
+	return r, nil
 }
 
-// Alloc implements EventRecorder.
-func (r *SpillRecorder) Alloc(site mem.SiteID, stack mem.StackSig, addr mem.Addr, size uint64) {
-	_ = r.sw.Append(Event{Kind: KindAlloc, Site: site, Stack: stack, Addr: addr, Size: size})
+// fail latches the first error.
+func (r *SpillRecorder) fail(err error) {
+	if r.err == nil {
+		r.err = err
+	}
 }
 
-// Free implements EventRecorder.
-func (r *SpillRecorder) Free(addr mem.Addr) {
-	_ = r.sw.Append(Event{Kind: KindFree, Addr: addr})
-}
-
-// Realloc implements EventRecorder.
-func (r *SpillRecorder) Realloc(old, new mem.Addr, size uint64) {
-	_ = r.sw.Append(Event{Kind: KindRealloc, Addr: old, Addr2: new, Size: size})
-}
-
-// Access implements EventRecorder.
-func (r *SpillRecorder) Access(addr mem.Addr, size uint64, write bool) {
-	_ = r.sw.Append(Event{Kind: KindAccess, Addr: addr, Size: size, Write: write})
-}
-
-// RecordBatch implements BatchRecorder: the batch bulk-encodes through
-// the stream writer, flushing chunks as they fill. Write errors latch
-// exactly as on the per-event path.
+// RecordBatch implements EventRecorder: the events are encoded in
+// order, flushing chunks as they fill. The delta-encoder state runs
+// continuously and chunk boundaries fall at the same event indexes
+// however the stream is split into batches, so the bytes depend only on
+// the events and the chunk size. The chunk staging buffer is reused
+// across chunks, so steady-state encoding allocates nothing.
 func (r *SpillRecorder) RecordBatch(evs []Event) {
-	_ = r.sw.AppendBatch(evs)
+	if r.err != nil {
+		return
+	}
+	if r.closed {
+		r.fail(errors.New("trace: RecordBatch after Close"))
+		return
+	}
+	for i := range evs {
+		if err := r.enc.encode(evs[i]); err != nil {
+			r.fail(err)
+			return
+		}
+		r.n++
+		r.stats.Events++
+		if r.n > r.stats.PeakBufferedEvents {
+			r.stats.PeakBufferedEvents = r.n
+		}
+		if r.n >= r.chunkEvents && !r.flushChunk() {
+			return
+		}
+	}
 }
 
-// AddInstr implements EventRecorder.
+// flushChunk frames and writes the open chunk: its event count, then
+// the encoded events. It reports whether the write succeeded.
+func (r *SpillRecorder) flushChunk() bool {
+	if err := writeUvarint(r.w, uint64(r.n)); err != nil {
+		r.fail(err)
+		return false
+	}
+	if _, err := r.chunk.WriteTo(r.w); err != nil {
+		r.fail(err)
+		return false
+	}
+	r.chunk.Reset()
+	r.n = 0
+	r.stats.Chunks++
+	return true
+}
+
+// AddInstr implements EventRecorder; the total lands in the stream
+// terminator.
 func (r *SpillRecorder) AddInstr(n uint64) { r.instr += n }
 
 // Err returns the first write error, if any.
-func (r *SpillRecorder) Err() error { return r.sw.err }
+func (r *SpillRecorder) Err() error { return r.err }
 
-// Close finalizes the spill stream (terminator + instruction count).
+// Close flushes the final partial chunk and writes the terminator (the
+// end marker and the instruction count). Close is idempotent; the first
+// error wins.
 func (r *SpillRecorder) Close() error {
-	r.sw.SetInstr(r.instr)
-	return r.sw.Close()
+	if r.err != nil || r.closed {
+		return r.err
+	}
+	r.closed = true
+	if r.n > 0 && !r.flushChunk() {
+		return r.err
+	}
+	if err := writeUvarint(r.w, 0); err != nil {
+		r.fail(err)
+	} else if err := writeUvarint(r.w, r.instr); err != nil {
+		r.fail(err)
+	} else if err := r.w.Flush(); err != nil {
+		r.fail(err)
+	}
+	return r.err
 }
 
 // Stats reports events recorded, chunks spilled, and the peak number of
 // buffered events.
-func (r *SpillRecorder) Stats() RecorderStats { return r.sw.Stats() }
-
-var _ EventRecorder = (*SpillRecorder)(nil)
+func (r *SpillRecorder) Stats() RecorderStats { return r.stats }
 
 // --- Streaming analysis ------------------------------------------------
 

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -29,22 +30,20 @@ func drain(t *testing.T, src Source) []Event {
 	return evs
 }
 
-// writeChunked streams tr through a StreamWriter with the given chunk
-// size and returns the encoded bytes.
+// writeChunked records tr through a SpillRecorder with the given chunk
+// size, one event per batch, and returns the encoded bytes.
 func writeChunked(t *testing.T, tr *Trace, chunkEvents int) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf, chunkEvents)
+	sp, err := NewSpillRecorder(&buf, chunkEvents)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range tr.Events {
-		if err := sw.Append(ev); err != nil {
-			t.Fatal(err)
-		}
+	for i := range tr.Events {
+		sp.RecordBatch(tr.Events[i : i+1])
 	}
-	sw.SetInstr(tr.Instr)
-	if err := sw.Close(); err != nil {
+	sp.AddInstr(tr.Instr)
+	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -72,22 +71,19 @@ func TestStreamRoundtripChunkSizes(t *testing.T) {
 	}
 }
 
-func TestStreamWriterStats(t *testing.T) {
+func TestSpillRecorderStats(t *testing.T) {
 	tr := record()
 	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf, 5)
+	sp, err := NewSpillRecorder(&buf, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, ev := range tr.Events {
-		if err := sw.Append(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := sw.Close(); err != nil {
+	sp.RecordBatch(tr.Events[:7])
+	sp.RecordBatch(tr.Events[7:])
+	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s := sw.Stats()
+	s := sp.Stats()
 	if s.Events != uint64(len(tr.Events)) {
 		t.Errorf("Events = %d, want %d", s.Events, len(tr.Events))
 	}
@@ -144,11 +140,11 @@ func TestStreamOverlongChunkHeaderRejected(t *testing.T) {
 	// A chunk claiming more events than the declared chunk size is
 	// corrupt and must fail without trusting the count.
 	var buf bytes.Buffer
-	sw, err := NewStreamWriter(&buf, 2)
+	sp, err := NewSpillRecorder(&buf, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sw.Close(); err != nil {
+	if err := sp.Close(); err != nil {
 		t.Fatal(err)
 	}
 	data := buf.Bytes()
@@ -168,30 +164,21 @@ func TestStreamOverlongChunkHeaderRejected(t *testing.T) {
 	}
 }
 
+// TestTraceSourceSink: a Trace's Source drained into a Recorder, the
+// in-memory sink, reproduces the trace.
 func TestTraceSourceSink(t *testing.T) {
 	tr := record()
-	var sink Trace
 	src := tr.Source()
-	for {
-		ev, ok := src.Next()
-		if !ok {
-			break
-		}
-		if err := sink.Append(ev); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sink.SetInstr(src.Instr())
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(sink.Events, tr.Events) || sink.Instr != tr.Instr {
-		t.Fatal("Trace source->sink copy differs")
+	rec := NewRecorder()
+	rec.RecordBatch(drain(t, src))
+	rec.AddInstr(src.Instr())
+	if got := rec.Trace(); !reflect.DeepEqual(got.Events, tr.Events) || got.Instr != tr.Instr {
+		t.Fatal("Trace source->recorder copy differs")
 	}
 }
 
 func TestSpillRecorderMatchesRecorder(t *testing.T) {
-	// Drive both recorders with the same calls; the spill file must
+	// Drive both recorders with the same batches; the spill file must
 	// decode to exactly the in-memory trace.
 	mm := NewRecorder()
 	var buf bytes.Buffer
@@ -200,14 +187,12 @@ func TestSpillRecorderMatchesRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, rec := range []EventRecorder{mm, sp} {
-		rec.Alloc(1, 0xabc, 0x1000, 64)
-		rec.Access(0x1000, 8, false)
-		rec.Access(0x1020, 8, true)
-		rec.Alloc(2, 0xdef, 0x2000, 32)
-		rec.Free(0x1000)
-		rec.Realloc(0x2000, 0x3000, 96)
-		rec.Access(0x3000, 8, true)
-		rec.AddInstr(4321)
+		rec.RecordBatch([]Event{allocEv(1, 0xabc, 0x1000, 64)})
+		rec.RecordBatch([]Event{accessEv(0x1000, 8, false), accessEv(0x1020, 8, true), allocEv(2, 0xdef, 0x2000, 32)})
+		rec.RecordBatch(nil)
+		rec.RecordBatch([]Event{freeEv(0x1000), reallocEv(0x2000, 0x3000, 96), accessEv(0x3000, 8, true)})
+		rec.AddInstr(4000)
+		rec.AddInstr(321)
 	}
 	if err := sp.Close(); err != nil {
 		t.Fatal(err)
@@ -242,10 +227,43 @@ func TestSpillRecorderLatchesWriteError(t *testing.T) {
 	}
 	f.Close() // every subsequent chunk flush fails
 	for i := 0; i < 10; i++ {
-		sp.Access(0x1000, 8, false) // must not panic
+		sp.RecordBatch([]Event{accessEv(0x1000, 8, false)}) // must not panic
 	}
 	if sp.Err() == nil && sp.Close() == nil {
 		t.Fatal("write error on closed file never surfaced")
+	}
+}
+
+// TestSpillRecorderLatchesMisuse: an event the container cannot encode
+// and a batch after Close both latch an error that Close (and Write)
+// return, and recording stops.
+func TestSpillRecorderLatchesMisuse(t *testing.T) {
+	var buf bytes.Buffer
+	sp, err := NewSpillRecorder(&buf, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp.RecordBatch([]Event{accessEv(0x1000, 8, false), {Kind: 0}, accessEv(0x1008, 8, false)})
+	if err := sp.Close(); err == nil || !strings.Contains(err.Error(), "cannot encode") {
+		t.Errorf("Close after a bad event = %v, want the encode error", err)
+	}
+	if s := sp.Stats(); s.Events != 1 {
+		t.Errorf("recorded %d events, want 1 (recording stops at the error)", s.Events)
+	}
+	if err := (&Trace{Events: []Event{{Kind: 9}}}).Write(io.Discard); err == nil {
+		t.Error("Trace.Write accepted an event of unknown kind")
+	}
+
+	sp, err = NewSpillRecorder(&buf, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sp.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sp.RecordBatch([]Event{accessEv(0x1000, 8, false)})
+	if err := sp.Err(); err == nil || !strings.Contains(err.Error(), "after Close") {
+		t.Errorf("RecordBatch after Close: Err = %v", err)
 	}
 }
 
@@ -312,13 +330,14 @@ func TestStreamBoundedMemoryLargeTrace(t *testing.T) {
 	// 1M rounds of alloc + 9 accesses + free: >10M events with a live
 	// set of one object, so the analyzer side stays small too.
 	const rounds = 1_000_000
+	batch := make([]Event, 0, 11) // reused, as the machine reuses its batch
 	for i := 0; i < rounds; i++ {
 		addr := mem.Addr(0x1000 + uint64(i%64)*0x100)
-		rec.Alloc(mem.SiteID(i%7+1), mem.StackSig(i%13), addr, 128)
+		batch = append(batch[:0], allocEv(mem.SiteID(i%7+1), mem.StackSig(i%13), addr, 128))
 		for j := 0; j < 9; j++ {
-			rec.Access(addr+mem.Addr(j*8), 8, j%2 == 0)
+			batch = append(batch, accessEv(addr+mem.Addr(j*8), 8, j%2 == 0))
 		}
-		rec.Free(addr)
+		rec.RecordBatch(append(batch, freeEv(addr)))
 	}
 	rec.AddInstr(rounds * 11)
 	if err := rec.Close(); err != nil {

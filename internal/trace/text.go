@@ -40,40 +40,3 @@ func (t *Trace) WriteText(w io.Writer) error {
 	}
 	return bw.Flush()
 }
-
-// Stats summarizes a trace for quick inspection.
-type Stats struct {
-	Events   int
-	Allocs   uint64
-	Frees    uint64
-	Reallocs uint64
-	Accesses uint64
-	Writes   uint64
-	Bytes    uint64 // total bytes allocated
-	Sites    int    // distinct malloc sites
-}
-
-// Summarize computes trace statistics in one pass.
-func (t *Trace) Summarize() Stats {
-	s := Stats{Events: len(t.Events)}
-	sites := make(map[uint32]bool)
-	for _, ev := range t.Events {
-		switch ev.Kind {
-		case KindAlloc:
-			s.Allocs++
-			s.Bytes += ev.Size
-			sites[uint32(ev.Site)] = true
-		case KindFree:
-			s.Frees++
-		case KindRealloc:
-			s.Reallocs++
-		case KindAccess:
-			s.Accesses++
-			if ev.Write {
-				s.Writes++
-			}
-		}
-	}
-	s.Sites = len(sites)
-	return s
-}

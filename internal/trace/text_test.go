@@ -22,27 +22,3 @@ func TestWriteText(t *testing.T) {
 		t.Errorf("lines = %d, want %d (events + header)", lines, len(tr.Events)+1)
 	}
 }
-
-func TestSummarize(t *testing.T) {
-	s := record().Summarize()
-	if s.Allocs != 4 || s.Frees != 1 || s.Reallocs != 1 || s.Accesses != 5 {
-		t.Errorf("stats = %+v", s)
-	}
-	if s.Writes != 2 {
-		t.Errorf("writes = %d, want 2", s.Writes)
-	}
-	if s.Sites != 2 {
-		t.Errorf("sites = %d, want 2", s.Sites)
-	}
-	if s.Bytes != 64+32+16+48 {
-		t.Errorf("bytes = %d", s.Bytes)
-	}
-}
-
-func TestSummarizeEmpty(t *testing.T) {
-	var tr Trace
-	s := tr.Summarize()
-	if s.Events != 0 || s.Allocs != 0 || s.Sites != 0 {
-		t.Errorf("empty stats = %+v", s)
-	}
-}

@@ -53,8 +53,8 @@ type Trace struct {
 	Instr uint64
 }
 
-// Recorder accumulates events during a profiling run. The machine layer
-// feeds it; analyses read the resulting Trace.
+// Recorder accumulates events in memory during a profiling run. The
+// machine layer feeds it batches; analyses read the resulting Trace.
 type Recorder struct {
 	tr Trace
 }
@@ -62,33 +62,13 @@ type Recorder struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Alloc records an allocation event.
-func (r *Recorder) Alloc(site mem.SiteID, stack mem.StackSig, addr mem.Addr, size uint64) {
-	r.tr.Events = append(r.tr.Events, Event{Kind: KindAlloc, Site: site, Stack: stack, Addr: addr, Size: size})
-}
-
-// Free records a deallocation event.
-func (r *Recorder) Free(addr mem.Addr) {
-	r.tr.Events = append(r.tr.Events, Event{Kind: KindFree, Addr: addr})
-}
-
-// Realloc records a reallocation from old to new with the new size.
-func (r *Recorder) Realloc(old, new mem.Addr, size uint64) {
-	r.tr.Events = append(r.tr.Events, Event{Kind: KindRealloc, Addr: old, Addr2: new, Size: size})
-}
-
-// Access records a memory reference.
-func (r *Recorder) Access(addr mem.Addr, size uint64, write bool) {
-	r.tr.Events = append(r.tr.Events, Event{Kind: KindAccess, Addr: addr, Size: size, Write: write})
-}
-
-// RecordBatch implements BatchRecorder: one bulk append of the batch
+// RecordBatch implements EventRecorder: one bulk append of the batch
 // into the in-memory event slice.
 func (r *Recorder) RecordBatch(evs []Event) {
 	r.tr.Events = append(r.tr.Events, evs...)
 }
 
-// AddInstr accumulates dynamic instruction count.
+// AddInstr implements EventRecorder: instruction counts accumulate.
 func (r *Recorder) AddInstr(n uint64) { r.tr.Instr += n }
 
 // Trace returns the recorded trace. The recorder must not be used after.
@@ -153,10 +133,10 @@ type Analysis struct {
 // AnalyzeSource are both built on it, so the in-memory and streaming
 // paths produce identical results by construction.
 //
-// An Analyzer is also a trace recorder (EventRecorder and
-// BatchRecorder): attached to a machine, it analyzes the run while it
-// executes, so the trace is never materialized. Every delivered event
-// goes through Feed, the same path Analyze takes.
+// An Analyzer is also a trace recorder (EventRecorder): attached to a
+// machine, it analyzes the run while it executes, so the trace is never
+// materialized. Every delivered event goes through Feed, the same path
+// Analyze takes.
 type Analyzer struct {
 	a *Analysis
 	// idx maps each live object's address interval to its position in
@@ -167,7 +147,7 @@ type Analyzer struct {
 	siteLive map[mem.SiteID]uint64
 	i        int // event index == logical time
 
-	// peak is the largest batch delivered through the recorder methods.
+	// peak is the largest batch delivered through RecordBatch.
 	peak int
 	// now, when set, times every delivery; feedNanos accumulates it.
 	now       func() time.Time
@@ -266,34 +246,7 @@ func (an *Analyzer) Reserve(accesses uint64) {
 // SetInstr records the traced run's dynamic instruction count.
 func (an *Analyzer) SetInstr(n uint64) { an.a.Instr = n }
 
-// Alloc implements EventRecorder.
-func (an *Analyzer) Alloc(site mem.SiteID, stack mem.StackSig, addr mem.Addr, size uint64) {
-	an.deliver1(Event{Kind: KindAlloc, Site: site, Stack: stack, Addr: addr, Size: size})
-}
-
-// Free implements EventRecorder.
-func (an *Analyzer) Free(addr mem.Addr) {
-	an.deliver1(Event{Kind: KindFree, Addr: addr})
-}
-
-// Realloc implements EventRecorder.
-func (an *Analyzer) Realloc(old, new mem.Addr, size uint64) {
-	an.deliver1(Event{Kind: KindRealloc, Addr: old, Addr2: new, Size: size})
-}
-
-// Access implements EventRecorder.
-func (an *Analyzer) Access(addr mem.Addr, size uint64, write bool) {
-	an.deliver1(Event{Kind: KindAccess, Addr: addr, Size: size, Write: write})
-}
-
-// deliver1 feeds one event delivered through a per-event recorder
-// method, as a batch of one.
-func (an *Analyzer) deliver1(ev Event) {
-	evs := [1]Event{ev}
-	an.RecordBatch(evs[:])
-}
-
-// RecordBatch implements BatchRecorder: the batch is fed in order and
+// RecordBatch implements EventRecorder: the batch is fed in order and
 // not retained.
 func (an *Analyzer) RecordBatch(evs []Event) {
 	if len(evs) > an.peak {

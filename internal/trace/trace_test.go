@@ -12,21 +12,35 @@ import (
 	"prefix/internal/xrand"
 )
 
+// Event constructors for hand-written test streams.
+func allocEv(site mem.SiteID, stack mem.StackSig, addr mem.Addr, size uint64) Event {
+	return Event{Kind: KindAlloc, Site: site, Stack: stack, Addr: addr, Size: size}
+}
+
+func freeEv(addr mem.Addr) Event { return Event{Kind: KindFree, Addr: addr} }
+
+func reallocEv(old, new mem.Addr, size uint64) Event {
+	return Event{Kind: KindRealloc, Addr: old, Addr2: new, Size: size}
+}
+
+func accessEv(addr mem.Addr, size uint64, write bool) Event {
+	return Event{Kind: KindAccess, Addr: addr, Size: size, Write: write}
+}
+
 func record() *Trace {
-	r := NewRecorder()
-	r.Alloc(1, 0xabc, 0x1000, 64) // obj1
-	r.Access(0x1000, 8, false)
-	r.Access(0x1020, 8, true)     // interior access to obj1
-	r.Alloc(1, 0xabc, 0x2000, 32) // obj2, site1 instance 2
-	r.Alloc(2, 0xdef, 0x3000, 16) // obj3
-	r.Access(0x2000, 8, false)
-	r.Free(0x1000)
-	r.Alloc(2, 0xdef, 0x1000, 48) // obj4 reuses obj1's address
-	r.Access(0x1000, 8, false)
-	r.Realloc(0x3000, 0x4000, 128)
-	r.Access(0x4000, 8, true)
-	r.AddInstr(1234)
-	return r.Trace()
+	return &Trace{Events: []Event{
+		allocEv(1, 0xabc, 0x1000, 64), // obj1
+		accessEv(0x1000, 8, false),
+		accessEv(0x1020, 8, true),     // interior access to obj1
+		allocEv(1, 0xabc, 0x2000, 32), // obj2, site1 instance 2
+		allocEv(2, 0xdef, 0x3000, 16), // obj3
+		accessEv(0x2000, 8, false),
+		freeEv(0x1000),
+		allocEv(2, 0xdef, 0x1000, 48), // obj4 reuses obj1's address
+		accessEv(0x1000, 8, false),
+		reallocEv(0x3000, 0x4000, 128),
+		accessEv(0x4000, 8, true),
+	}, Instr: 1234}
 }
 
 func TestAnalyzeObjectIdentity(t *testing.T) {
@@ -85,10 +99,10 @@ func TestAnalyzeRefs(t *testing.T) {
 }
 
 func TestAnalyzeNonHeapAccess(t *testing.T) {
-	r := NewRecorder()
-	r.Alloc(1, 0, 0x1000, 16)
-	r.Access(0x9000, 8, false) // no live object there
-	a := Analyze(r.Trace())
+	a := Analyze(&Trace{Events: []Event{
+		allocEv(1, 0, 0x1000, 16),
+		accessEv(0x9000, 8, false), // no live object there
+	}})
 	if a.HeapAccesses != 0 || a.TotalAccesses != 1 {
 		t.Errorf("heap=%d total=%d", a.HeapAccesses, a.TotalAccesses)
 	}
@@ -238,8 +252,8 @@ func TestDecodeDoctoredCountBoundsPrealloc(t *testing.T) {
 	}
 }
 
-// TestStreamReaderRejectsBadHeaders: only the version StreamWriter emits
-// is accepted. The retired header-counted (1) and indexed-frame (3)
+// TestStreamReaderRejectsBadHeaders: only the version SpillRecorder
+// writes is accepted. The retired header-counted (1) and indexed-frame (3)
 // layouts, and a zero chunk size, fail with an error.
 func TestStreamReaderRejectsBadHeaders(t *testing.T) {
 	cases := []struct {
@@ -290,32 +304,31 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 func TestEncodeDecodeRandomTraces(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := xrand.New(seed)
-		r := NewRecorder()
+		tr := &Trace{}
 		var live []mem.Addr
 		addr := mem.Addr(0x1000)
 		for i := 0; i < 200; i++ {
 			switch rng.Intn(4) {
 			case 0:
-				r.Alloc(mem.SiteID(rng.Intn(5)+1), mem.StackSig(rng.Uint64()), addr, rng.Uint64n(256))
+				tr.Events = append(tr.Events, allocEv(mem.SiteID(rng.Intn(5)+1), mem.StackSig(rng.Uint64()), addr, rng.Uint64n(256)))
 				live = append(live, addr)
 				addr += 0x100
 			case 1:
 				if len(live) > 0 {
 					i := rng.Intn(len(live))
-					r.Free(live[i])
+					tr.Events = append(tr.Events, freeEv(live[i]))
 					live = append(live[:i], live[i+1:]...)
 				}
 			case 2:
 				if len(live) > 0 {
 					old := live[rng.Intn(len(live))]
-					r.Realloc(old, addr, rng.Uint64n(512))
+					tr.Events = append(tr.Events, reallocEv(old, addr, rng.Uint64n(512)))
 					addr += 0x100
 				}
 			default:
-				r.Access(mem.Addr(rng.Uint64n(uint64(addr))), 8, rng.Bool(0.5))
+				tr.Events = append(tr.Events, accessEv(mem.Addr(rng.Uint64n(uint64(addr))), 8, rng.Bool(0.5)))
 			}
 		}
-		tr := r.Trace()
 		var buf bytes.Buffer
 		if tr.Write(&buf) != nil {
 			return false

@@ -168,17 +168,16 @@ type (
 )
 
 // Streaming re-exports: the bounded-memory trace architecture. A
-// TraceSource pulls events one at a time, a TraceSink consumes them, and
-// the spill recorder keeps profiling runs within a fixed event budget by
-// streaming chunks to a backing writer (see DESIGN.md "Streaming trace
-// architecture").
+// tracing machine hands its events to an EventRecorder in batches; the
+// spill recorder keeps profiling runs within a fixed event budget by
+// streaming chunks to a backing writer, and a TraceSource pulls events
+// back one at a time (see DESIGN.md "Streaming trace architecture").
 type (
 	// TraceSource is a pull iterator over an event stream.
 	TraceSource = trace.Source
-	// TraceSink is an incremental consumer of an event stream.
-	TraceSink = trace.Sink
-	// EventRecorder is the recorder interface a tracing machine feeds;
-	// *Recorder and *SpillRecorder both implement it.
+	// EventRecorder is the recorder interface a tracing machine feeds:
+	// batches of events plus the run's instruction count. *Recorder,
+	// *SpillRecorder and *TraceAnalyzer implement it.
 	EventRecorder = trace.EventRecorder
 	// SpillRecorder records a profiling run within a bounded event
 	// budget, spilling chunks to a backing writer.
