@@ -159,10 +159,12 @@ stream-smoke:
 # Report gate: the report paths no other smoke gate reaches through the
 # CLI — Table 5 with -capture (long-run analysis), Figure 9 (heatmaps)
 # both on its own and from the suite's leela comparison (the full leela
-# report), Figure 10 (machine groups) and the seed-variance table (every
+# report), Figure 10 (machine groups), the seed-variance table (every
 # variant of every seed, where evals are shared between same-behaviour
-# plans) — must print exactly the committed stdout:
-# testdata/report-smoke.sha256 holds one sha256 per report.
+# plans), and the narrowest demands: Table 4 (HDS and HALO only, no
+# PreFix eval) and Figure 1 (profiles only, no eval) — must print
+# exactly the committed stdout: testdata/report-smoke.sha256 holds one
+# sha256 per report.
 REPORT_SMOKE_ARGS = -scale bench -jobs 2
 
 report-smoke:
@@ -172,9 +174,11 @@ report-smoke:
 	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only figure9 > "$$tmpdir/figure9.txt" && \
 	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only figure10 > "$$tmpdir/figure10.txt" && \
 	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only variance -seeds 3 -bench roms,health,mcf > "$$tmpdir/variance.txt" && \
-	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -bench leela > "$$tmpdir/leela-report.txt" || exit 1; \
+	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -bench leela > "$$tmpdir/leela-report.txt" && \
+	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only table4 > "$$tmpdir/table4.txt" && \
+	"$$tmpdir/prefix-bench" $(REPORT_SMOKE_ARGS) -only figure1 > "$$tmpdir/figure1.txt" || exit 1; \
 	if (cd "$$tmpdir" && sha256sum -c --quiet "$(CURDIR)/testdata/report-smoke.sha256"); then \
-		echo "report-smoke: table5 -capture, figure9, figure10, variance and leela full reports match testdata/report-smoke.sha256"; \
+		echo "report-smoke: table5 -capture, figure9, figure10, variance, leela full, table4 and figure1 reports match testdata/report-smoke.sha256"; \
 	else \
 		echo "report-smoke: a report differs from its committed digest"; exit 1; \
 	fi
@@ -186,7 +190,8 @@ report-smoke:
 # testdata/fuzz/ for replay.
 FUZZ_TARGETS = ./internal/trace:FuzzRead ./internal/trace:FuzzAnalyzerRecorder \
 	./internal/simalloc:FuzzHeapMatchesReference ./internal/hds:FuzzLCSKernel \
-	./internal/prefix:FuzzReadPlan ./internal/mem:FuzzLiveIndex
+	./internal/prefix:FuzzReadPlan ./internal/mem:FuzzLiveIndex \
+	./internal/benchstore:FuzzReadBaseline ./internal/prefix:FuzzReadLedger
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -30,8 +30,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -43,18 +45,45 @@ import (
 	"prefix/internal/workloads"
 )
 
-// artifacts is every value -only accepts.
-var artifacts = []string{
-	"figure1", "figure2", "table2", "table3", "table4", "table5", "table6",
-	"figure9", "figure10", "figure11", "figure12", "figure13", "figure14",
-	"variance", "attribution",
+// artifact is one -only value. needs is what it reads from each
+// benchmark's comparison: the strategies simulated for it. render is set
+// for the artifacts rendered from the comparison suite; -record and
+// -baseline snapshot the suite those run.
+type artifact struct {
+	name   string
+	needs  pipeline.Strategies
+	render func(w io.Writer, cmps []*pipeline.Comparison) error
 }
 
-// comparisonArtifacts are the artifacts computed from the comparison
-// suite; -record and -baseline snapshot/diff exactly these runs.
-var comparisonArtifacts = []string{
-	"figure1", "figure2", "table2", "table3", "table4", "table5", "table6",
-	"figure11", "figure12", "figure13", "figure14", "attribution",
+const baselineAndPreFix = pipeline.StrategyBaseline | pipeline.StrategyPreFix
+
+// artifacts is every value -only accepts, in report order.
+var artifacts = []artifact{
+	{"figure1", 0, report.Figure1},
+	{"figure2", pipeline.StrategyPreFix, figure2},
+	{"table2", pipeline.StrategyPreFix, report.Table2},
+	{"table3", pipeline.AllStrategies, report.Table3},
+	{"table4", pipeline.StrategyHDS | pipeline.StrategyHALO, report.Table4},
+	{"table5", pipeline.StrategyPreFix, report.Table5},
+	{"table6", baselineAndPreFix, report.Table6},
+	{"figure9", baselineAndPreFix, nil}, // leela's comparison, then two analyzed runs
+	{"figure10", 0, nil},                // its own multithreaded runs
+	{"figure11", baselineAndPreFix, report.Figure11},
+	{"figure12", baselineAndPreFix, report.Figure12},
+	{"figure13", baselineAndPreFix, report.Figure13},
+	{"figure14", pipeline.StrategyPreFix, report.Figure14},
+	{"attribution", baselineAndPreFix, attributionTable},
+	{"variance", baselineAndPreFix, nil}, // the seed sweep
+}
+
+// findArtifact returns the artifact -only names, case-insensitively.
+func findArtifact(name string) (artifact, bool) {
+	for _, a := range artifacts {
+		if strings.EqualFold(name, a.name) {
+			return a, true
+		}
+	}
+	return artifact{}, false
 }
 
 func main() {
@@ -64,66 +93,104 @@ func main() {
 	}
 }
 
-// validateArgs checks every flag combination that can be rejected before
+// args are the flags that decide what a run computes.
+type args struct {
+	only, scale     string
+	seeds, jobs     int
+	record          bool
+	baseline        string
+	regressPct      float64
+	stream          bool
+	streamChunk     int
+	attrib, capture bool
+	heatmapDir      string
+}
+
+// validate checks every flag combination that can be rejected before
 // any benchmark burns cycles.
-func validateArgs(only, scale string, seeds, jobs int, record bool, baseline string, regressPct float64, stream bool, streamChunk int, attrib bool, heatmapDir string) error {
-	if only != "" {
-		known := false
-		for _, a := range artifacts {
-			if strings.EqualFold(only, a) {
-				known = true
-				break
-			}
+func (a args) validate() error {
+	only := a.only
+	art, known := findArtifact(only)
+	if only != "" && !known {
+		names := make([]string, len(artifacts))
+		for i, a := range artifacts {
+			names[i] = a.name
 		}
-		if !known {
-			return fmt.Errorf("unknown -only artifact %q (valid: %s)", only, strings.Join(artifacts, ", "))
-		}
+		return fmt.Errorf("unknown -only artifact %q (valid: %s)", only, strings.Join(names, ", "))
 	}
-	if scale != "long" && scale != "bench" {
-		return fmt.Errorf("unknown -scale %q (valid: long, bench)", scale)
+	if a.scale != "long" && a.scale != "bench" {
+		return fmt.Errorf("unknown -scale %q (valid: long, bench)", a.scale)
 	}
-	if jobs < 1 {
-		return fmt.Errorf("-jobs must be at least 1 (got %d)", jobs)
+	if a.jobs < 1 {
+		return fmt.Errorf("-jobs must be at least 1 (got %d)", a.jobs)
 	}
-	if seeds < 0 {
-		return fmt.Errorf("-seeds must be non-negative (got %d)", seeds)
+	if a.seeds < 0 {
+		return fmt.Errorf("-seeds must be non-negative (got %d)", a.seeds)
 	}
-	if strings.EqualFold(only, "variance") && seeds == 0 {
+	if art.name == "variance" && a.seeds == 0 {
 		return fmt.Errorf("-only variance requires -seeds N (without seeds the sweep has nothing to run)")
 	}
-	if regressPct < 0 {
-		return fmt.Errorf("-regress-pct must be non-negative (got %g)", regressPct)
+	if a.seeds > 0 && only != "" && art.name != "variance" {
+		return fmt.Errorf("-seeds only applies when the variance table runs (-only variance or no -only)")
 	}
-	if streamChunk < 0 {
-		return fmt.Errorf("-stream-chunk must be non-negative (got %d)", streamChunk)
+	if a.capture && only != "" && art.name != "table5" {
+		return fmt.Errorf("-capture only applies when Table 5 runs (-only table5 or no -only)")
 	}
-	if streamChunk > 0 && !stream {
+	if a.regressPct < 0 {
+		return fmt.Errorf("-regress-pct must be non-negative (got %g)", a.regressPct)
+	}
+	if a.streamChunk < 0 {
+		return fmt.Errorf("-stream-chunk must be non-negative (got %d)", a.streamChunk)
+	}
+	if a.streamChunk > 0 && !a.stream {
 		return fmt.Errorf("-stream-chunk only applies with -stream")
 	}
-	if heatmapDir != "" && only != "" && !strings.EqualFold(only, "figure9") {
+	if a.heatmapDir != "" && only != "" && art.name != "figure9" {
 		return fmt.Errorf("-heatmap-dir only applies when Figure 9 runs (-only figure9 or no -only)")
 	}
-	if strings.EqualFold(only, "attribution") && !attrib {
+	if art.name == "attribution" && !a.attrib {
 		return fmt.Errorf("-only attribution requires -attrib (nothing attributes misses to sites without it)")
 	}
-	if record || baseline != "" {
-		ok := only == ""
-		for _, a := range comparisonArtifacts {
-			if strings.EqualFold(only, a) {
-				ok = true
-				break
-			}
-		}
-		if !ok {
-			return fmt.Errorf("-record/-baseline snapshot the comparison suite; -only %s does not run it (use a table/figure artifact or drop -only)", only)
-		}
+	if (a.record || a.baseline != "") && only != "" && art.render == nil {
+		return fmt.Errorf("-record/-baseline snapshot the comparison suite; -only %s does not run it (use a table/figure artifact or drop -only)", only)
 	}
 	return nil
 }
 
+// wants reports whether the run emits the named artifact.
+func (a args) wants(name string) bool {
+	if a.only != "" && !strings.EqualFold(a.only, name) {
+		return false
+	}
+	switch name {
+	case "attribution":
+		return a.attrib
+	case "variance":
+		return a.seeds > 0
+	}
+	return true
+}
+
+// demand returns the strategies the emitted artifacts read, which is
+// what the run simulates, and whether the comparison suite runs.
+// -record and -baseline demand every strategy: the snapshot reads the
+// HDS and HALO pollution.
+func (a args) demand() (needs pipeline.Strategies, suite bool) {
+	if a.record || a.baseline != "" {
+		needs, suite = pipeline.AllStrategies, true
+	}
+	for _, art := range artifacts {
+		if a.wants(art.name) {
+			needs |= art.needs
+			suite = suite || art.render != nil
+		}
+	}
+	return needs, suite
+}
+
 func run() (err error) {
 	var (
-		only        = flag.String("only", "", "emit a single artifact: figure1, figure2, table2..table6, figure9..figure14, variance")
+		only        = flag.String("only", "", "emit a single artifact: figure1, figure2, table2..table6, figure9..figure14, attribution, variance")
 		benchList   = flag.String("bench", "", "comma-separated benchmark subset (default: all 13)")
 		scale       = flag.String("scale", "long", "evaluation scale: long or bench")
 		heatmapDir  = flag.String("heatmap-dir", "", "directory for Figure 9 heatmap CSVs")
@@ -144,7 +211,13 @@ func run() (err error) {
 	if *recordOut != "" {
 		*record = true
 	}
-	if err := validateArgs(*only, *scale, *seeds, *jobs, *record, *baseline, *regressPct, *stream, *streamChunk, *attrib, *heatmapDir); err != nil {
+	a := args{
+		only: *only, scale: *scale, seeds: *seeds, jobs: *jobs,
+		record: *record, baseline: *baseline, regressPct: *regressPct,
+		stream: *stream, streamChunk: *streamChunk,
+		attrib: *attrib, capture: *capture, heatmapDir: *heatmapDir,
+	}
+	if err := a.validate(); err != nil {
 		return err
 	}
 	names, err := workloads.ResolveList(*benchList)
@@ -162,9 +235,11 @@ func run() (err error) {
 		}
 	}()
 
+	needs, runSuite := a.demand()
 	opt := pipeline.DefaultOptions()
 	opt.UseBenchScale = *scale == "bench"
 	opt.CaptureLongRun = *capture
+	opt.Demand = pipeline.Demanding(needs)
 	opt.Progress = sess.Progress()
 	opt.Metrics = sess.Metrics
 	opt.Tracer = sess.Tracer
@@ -172,132 +247,39 @@ func run() (err error) {
 	opt.Stream = *stream
 	opt.StreamChunkEvents = *streamChunk
 	opt.Attribution = *attrib
-
-	want := func(artifact string) bool {
-		return *only == "" || strings.EqualFold(*only, artifact)
-	}
-	needComparisons := *record || *baseline != ""
-	for _, a := range comparisonArtifacts {
-		if want(a) {
-			needComparisons = true
-		}
-	}
+	// One memo serves the suite, Figure 9 and the variance sweep: each
+	// benchmark is profiled and placed once, and its comparison at the
+	// evaluation input simulated once.
+	memo := pipeline.NewMemo(opt)
 
 	w := os.Stdout
 	var cmps []*pipeline.Comparison
-	if needComparisons {
-		cmps, err = pipeline.RunSuite(names, opt, *jobs)
+	if runSuite {
+		cmps, err = memo.Suite(names, *jobs)
 		if err != nil {
 			return err
 		}
 	}
 
-	emit := func(name string, f func() error) error {
-		if !want(name) {
-			return nil
-		}
-		if eerr := f(); eerr != nil {
-			return eerr
-		}
-		_, werr := fmt.Fprintln(w)
-		return werr
-	}
-
-	if err := emit("figure1", func() error { return report.Figure1(w, cmps) }); err != nil {
-		return err
-	}
-	if err := emit("figure2", func() error {
-		// Use the first benchmark with a non-trivial reconstitution.
-		for _, c := range cmps {
-			s := c.Summaries[c.Best]
-			if len(s.OHDS) >= 2 {
-				ohds := s.OHDS
-				if len(ohds) > 10 {
-					ohds = ohds[:10]
-				}
-				fmt.Fprintf(w, "(reconstitution example from %s)\n", c.Benchmark)
-				report.Figure2(w, ohds, s.Recon)
-				return nil
+	for _, art := range artifacts {
+		if a.wants(art.name) {
+			if err := emit(w, art, a, memo, opt, names, cmps); err != nil {
+				return err
 			}
-		}
-		fmt.Fprintln(w, "Figure 2: no benchmark produced multi-stream OHDS at this scale")
-		return nil
-	}); err != nil {
-		return err
-	}
-	for _, tbl := range []struct {
-		name string
-		f    func() error
-	}{
-		{"table2", func() error { return report.Table2(w, cmps) }},
-		{"table3", func() error { return report.Table3(w, cmps) }},
-		{"table4", func() error { return report.Table4(w, cmps) }},
-		{"table5", func() error { return report.Table5(w, cmps) }},
-		{"table6", func() error { return report.Table6(w, cmps) }},
-	} {
-		if err := emit(tbl.name, tbl.f); err != nil {
-			return err
-		}
-	}
-
-	if want("figure9") {
-		if err := figure9(w, opt, cmps, *jobs, *heatmapDir); err != nil {
-			return err
-		}
-		fmt.Fprintln(w)
-	}
-	if want("figure10") {
-		for _, name := range []string{"mysql", "mcf"} {
-			results, rerr := pipeline.RunMultithreadedJobs(name, []int{1, 2, 4, 8, 16}, opt, *jobs)
-			if rerr != nil {
-				return rerr
-			}
-			if rerr := report.Figure10(w, name, results); rerr != nil {
-				return rerr
-			}
-			fmt.Fprintln(w)
-		}
-	}
-	for _, fig := range []struct {
-		name string
-		f    func() error
-	}{
-		{"figure11", func() error { return report.Figure11(w, cmps) }},
-		{"figure12", func() error { return report.Figure12(w, cmps) }},
-		{"figure13", func() error { return report.Figure13(w, cmps) }},
-		{"figure14", func() error { return report.Figure14(w, cmps) }},
-	} {
-		if err := emit(fig.name, fig.f); err != nil {
-			return err
-		}
-	}
-
-	if *attrib {
-		if err := emit("attribution", func() error {
-			return report.AttributionTable(w, cmps, pipeline.ExplainTopSites)
-		}); err != nil {
-			return err
-		}
-	}
-
-	if *seeds > 0 && want("variance") {
-		vs, verr := pipeline.RunSuiteVariance(names, *seeds, opt, *jobs)
-		if verr != nil {
-			return verr
-		}
-		if verr := report.VarianceTable(w, vs); verr != nil {
-			return verr
 		}
 	}
 
 	if *record || *baseline != "" {
-		snap := benchstore.FromComparisons(cmps, benchstore.Meta{
+		snap, serr := benchstore.FromComparisons(cmps, benchstore.Meta{
 			//lint:ignore nodeterminism snapshot provenance metadata; never enters simulated results or the regression gate
 			Timestamp: time.Now(),
 			GitSHA:    benchstore.GitSHA("."),
 			Jobs:      *jobs,
 			Scale:     *scale,
 		})
+		if serr != nil {
+			return serr
+		}
 		if *record {
 			path := *recordOut
 			if path == "" {
@@ -322,30 +304,86 @@ func run() (err error) {
 	return nil
 }
 
-// figure9 analyzes leela under baseline and PreFix and summarizes (and
-// optionally dumps) the access heatmaps. It takes leela's comparison
-// from the suite's cmps when the suite evaluated leela, and evaluates
-// leela on its own otherwise.
-func figure9(w *os.File, opt pipeline.Options, cmps []*pipeline.Comparison, jobs int, dir string) error {
-	var cmp *pipeline.Comparison
-	for _, c := range cmps {
-		if c.Benchmark == "leela" {
-			cmp = c
-			break
+// emit writes one artifact: rendered from the suite's comparisons, or,
+// for Figure 9 and the variance sweep, from the memo's, or from Figure
+// 10's own runs.
+func emit(w io.Writer, art artifact, a args, memo *pipeline.Memo, opt pipeline.Options, names []string, cmps []*pipeline.Comparison) error {
+	switch art.name {
+	case "figure9":
+		if err := figure9(w, memo, opt, cmps, art.needs, a.jobs, a.heatmapDir); err != nil {
+			return err
 		}
-	}
-	if cmp == nil {
-		fmt.Fprintln(os.Stderr, "evaluating leela for figure 9...")
-		evalOpt := opt
-		evalOpt.CaptureLongRun = false
-		var err error
-		if cmp, err = pipeline.RunBenchmark("leela", evalOpt); err != nil {
+	case "figure10":
+		for _, name := range []string{"mysql", "mcf"} {
+			results, err := pipeline.RunMultithreadedJobs(name, []int{1, 2, 4, 8, 16}, opt, a.jobs)
+			if err != nil {
+				return err
+			}
+			if err := report.Figure10(w, name, results); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
+		}
+		return nil
+	case "variance":
+		vs, err := memo.Variance(names, a.seeds, a.jobs)
+		if err != nil {
+			return err
+		}
+		return report.VarianceTable(w, vs)
+	default:
+		if err := art.render(w, cmps); err != nil {
 			return err
 		}
 	}
+	_, err := fmt.Fprintln(w)
+	return err
+}
+
+// figure2 walks through the layout determination of the first
+// benchmark whose best plan reconstitutes two or more streams.
+func figure2(w io.Writer, cmps []*pipeline.Comparison) error {
+	for _, c := range cmps {
+		if err := c.Need(pipeline.StrategyPreFix); err != nil {
+			return err
+		}
+	}
+	for _, c := range cmps {
+		s := c.Summaries[c.Best]
+		if len(s.OHDS) >= 2 {
+			ohds := s.OHDS
+			if len(ohds) > 10 {
+				ohds = ohds[:10]
+			}
+			fmt.Fprintf(w, "(reconstitution example from %s)\n", c.Benchmark)
+			report.Figure2(w, ohds, s.Recon)
+			return nil
+		}
+	}
+	fmt.Fprintln(w, "Figure 2: no benchmark produced multi-stream OHDS at this scale")
+	return nil
+}
+
+// attributionTable is the -attrib table over the suite's top sites.
+func attributionTable(w io.Writer, cmps []*pipeline.Comparison) error {
+	return report.AttributionTable(w, cmps, pipeline.ExplainTopSites)
+}
+
+// figure9 analyzes leela under baseline and PreFix and summarizes (and
+// optionally dumps) the access heatmaps. Leela's comparison, with the
+// needs strategies simulated, comes from the memo: the suite's when the
+// suite evaluated leela, one evaluated now otherwise.
+func figure9(w io.Writer, memo *pipeline.Memo, opt pipeline.Options, cmps []*pipeline.Comparison, needs pipeline.Strategies, jobs int, dir string) error {
+	if !slices.ContainsFunc(cmps, func(c *pipeline.Comparison) bool { return c.Benchmark == "leela" }) {
+		fmt.Fprintln(os.Stderr, "evaluating leela for figure 9...")
+	}
+	cmp, err := memo.Comparison("leela", needs)
+	if err != nil {
+		return err
+	}
 	fmt.Fprintf(os.Stderr, "tracing leela for figure 9 (best variant: %s)...\n", cmp.Best)
 	var hb, ho *report.Heatmap
-	err := pipeline.AnalyzeBaselineAndBest(cmp, opt, jobs, func(best bool, a *trace.Analysis) {
+	err = pipeline.AnalyzeBaselineAndBest(cmp, opt, jobs, func(best bool, a *trace.Analysis) {
 		if best {
 			ho = report.BuildHeatmapFrom(a, 120, 80)
 		} else {

@@ -93,6 +93,8 @@ func run(args []string, stdout io.Writer) (err error) {
 	opt := pipeline.DefaultOptions()
 	opt.UseBenchScale = *scale == "bench"
 	opt.Attribution = true
+	// The documents read only the baseline and the best PreFix run.
+	opt.Demand = pipeline.Demanding(pipeline.StrategyBaseline | pipeline.StrategyPreFix)
 	opt.Progress = sess.Progress()
 	opt.Metrics = sess.Metrics
 	opt.Tracer = sess.Tracer
@@ -105,7 +107,11 @@ func run(args []string, stdout io.Writer) (err error) {
 
 	var docs []*pipeline.Explain
 	for _, c := range cmps {
-		docs = append(docs, pipeline.BuildExplain(c, *top))
+		ex, err := pipeline.BuildExplain(c, *top)
+		if err != nil {
+			return err
+		}
+		docs = append(docs, ex)
 	}
 
 	if *ledgerDir != "" {

@@ -129,8 +129,15 @@ type Meta struct {
 }
 
 // FromComparisons snapshots a comparison suite into a Run. GOOS/GOARCH
-// are filled from the running binary.
-func FromComparisons(cmps []*pipeline.Comparison, meta Meta) *Run {
+// are filled from the running binary. A snapshot reads every strategy
+// (the HDS and HALO pollution too), so a comparison that did not
+// simulate all of them is an error.
+func FromComparisons(cmps []*pipeline.Comparison, meta Meta) (*Run, error) {
+	for _, c := range cmps {
+		if err := c.Need(pipeline.AllStrategies); err != nil {
+			return nil, err
+		}
+	}
 	run := &Run{
 		Schema:    Schema,
 		Timestamp: meta.Timestamp.UTC().Format(time.RFC3339),
@@ -200,7 +207,7 @@ func FromComparisons(cmps []*pipeline.Comparison, meta Meta) *Run {
 		}
 		run.Benchmarks = append(run.Benchmarks, b)
 	}
-	return run
+	return run, nil
 }
 
 // Filename renders the canonical snapshot name for a run started at t:

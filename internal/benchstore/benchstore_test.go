@@ -316,7 +316,7 @@ func TestFromComparisons(t *testing.T) {
 		Jobs:      4,
 		Scale:     "bench",
 	}
-	run := FromComparisons([]*pipeline.Comparison{cmp}, meta)
+	run := snapshot(t, cmp, meta)
 	if run.Schema != Schema || run.Timestamp != "2026-08-05T12:00:00Z" ||
 		run.GitSHA != "deadbeef0000" || run.Jobs != 4 || run.Scale != "bench" {
 		t.Errorf("run metadata = %+v", run)
@@ -355,6 +355,37 @@ func TestFromComparisons(t *testing.T) {
 	}
 }
 
+// snapshot is FromComparisons of one comparison that must succeed.
+func snapshot(t *testing.T, cmp *pipeline.Comparison, meta Meta) *Run {
+	t.Helper()
+	run, err := FromComparisons([]*pipeline.Comparison{cmp}, meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// TestFromComparisonsNeedsEveryStrategy: a snapshot reads every
+// strategy, so a comparison that left one out is an error rather than a
+// row of zero pollution or cycles.
+func TestFromComparisonsNeedsEveryStrategy(t *testing.T) {
+	for _, s := range []pipeline.Strategies{pipeline.StrategyBaseline, pipeline.StrategyHDS, pipeline.StrategyHALO, pipeline.StrategyPreFix} {
+		cmp := &pipeline.Comparison{
+			Benchmark: "mcf",
+			Ran:       pipeline.Demanding(pipeline.AllStrategies &^ s),
+			Baseline:  result(1000, 100, 5, 1, 0),
+			PreFix: map[prefix.Variant]pipeline.RunResult{
+				prefix.VariantHot: result(900, 100, 4, 1, 1<<20),
+			},
+			Best: prefix.VariantHot,
+		}
+		run, err := FromComparisons([]*pipeline.Comparison{cmp}, Meta{Timestamp: time.Unix(0, 0)})
+		if err == nil || !strings.Contains(err.Error(), s.String()+" not simulated") {
+			t.Errorf("without %s: FromComparisons = %v, %v; want a %q error", s, run, err, s.String()+" not simulated")
+		}
+	}
+}
+
 // TestFromComparisonsNoHost: a run recorded without a perfstat collector
 // omits the host section rather than writing zeros.
 func TestFromComparisonsNoHost(t *testing.T) {
@@ -366,7 +397,7 @@ func TestFromComparisonsNoHost(t *testing.T) {
 		},
 		Best: prefix.VariantHot,
 	}
-	run := FromComparisons([]*pipeline.Comparison{cmp}, Meta{Timestamp: time.Unix(0, 0)})
+	run := snapshot(t, cmp, Meta{Timestamp: time.Unix(0, 0)})
 	if run.Benchmarks[0].Host != nil {
 		t.Errorf("Host = %+v, want nil without a collector", run.Benchmarks[0].Host)
 	}
@@ -684,7 +715,7 @@ func TestFromComparisonsAttrib(t *testing.T) {
 		PreFix:    map[prefix.Variant]pipeline.RunResult{prefix.VariantHot: best},
 		Best:      prefix.VariantHot,
 	}
-	run := FromComparisons([]*pipeline.Comparison{cmp}, Meta{Timestamp: time.Unix(0, 0)})
+	run := snapshot(t, cmp, Meta{Timestamp: time.Unix(0, 0)})
 	a := run.Benchmarks[0].Attrib
 	if a == nil {
 		t.Fatal("attributed comparison produced no attrib section")
@@ -700,7 +731,7 @@ func TestFromComparisonsAttrib(t *testing.T) {
 	}
 
 	cmp.PreFix[prefix.VariantHot] = result(900, 100, 4, 1, 1<<20)
-	run = FromComparisons([]*pipeline.Comparison{cmp}, Meta{Timestamp: time.Unix(0, 0)})
+	run = snapshot(t, cmp, Meta{Timestamp: time.Unix(0, 0)})
 	if run.Benchmarks[0].Attrib != nil {
 		t.Errorf("unattributed comparison wrote attrib = %+v, want nil", run.Benchmarks[0].Attrib)
 	}

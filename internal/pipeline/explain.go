@@ -88,11 +88,18 @@ func siteDecisions(led *prefix.Ledger, site mem.SiteID) (ds []prefix.Decision, p
 
 // BuildExplain assembles the explain document for one attributed
 // comparison: the top-N sites by baseline LLC-miss share, each joined
-// with its best-variant attribution and ledger decisions. Returns nil
-// when the comparison ran without attribution.
-func BuildExplain(c *Comparison, topN int) *Explain {
-	if c == nil || !c.Baseline.Attrib.Enabled {
-		return nil
+// with its best-variant attribution and ledger decisions. It returns an
+// error when the comparison did not simulate the baseline and PreFix,
+// and nil when it ran without attribution.
+func BuildExplain(c *Comparison, topN int) (*Explain, error) {
+	if c == nil {
+		return nil, nil
+	}
+	if err := c.Need(StrategyBaseline | StrategyPreFix); err != nil {
+		return nil, err
+	}
+	if !c.Baseline.Attrib.Enabled {
+		return nil, nil
 	}
 	best := c.BestResult()
 	led := c.Summaries[c.Best].Ledger
@@ -114,5 +121,5 @@ func BuildExplain(c *Comparison, topN int) *Explain {
 		se.Decisions, se.Placements = siteDecisions(led, s.Site)
 		ex.Sites = append(ex.Sites, se)
 	}
-	return ex
+	return ex, nil
 }

@@ -76,7 +76,10 @@ func TestBuildExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ex := BuildExplain(cmp, 3)
+	ex, err := BuildExplain(cmp, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ex == nil {
 		t.Fatal("BuildExplain returned nil for an attributed comparison")
 	}
@@ -124,17 +127,49 @@ func TestBuildExplain(t *testing.T) {
 	}
 }
 
-// TestBuildExplainNil: nil comparisons and unattributed runs yield nil.
+// TestBuildExplainNil: nil comparisons and unattributed runs yield nil
+// without an error.
 func TestBuildExplainNil(t *testing.T) {
-	if BuildExplain(nil, 3) != nil {
-		t.Error("BuildExplain(nil) != nil")
+	if ex, err := BuildExplain(nil, 3); ex != nil || err != nil {
+		t.Errorf("BuildExplain(nil) = %v, %v; want nil, nil", ex, err)
 	}
 	cmp, err := RunBenchmark("swissmap", fastOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if BuildExplain(cmp, 3) != nil {
-		t.Error("BuildExplain(unattributed) != nil")
+	if ex, err := BuildExplain(cmp, 3); ex != nil || err != nil {
+		t.Errorf("BuildExplain(unattributed) = %v, %v; want nil, nil", ex, err)
+	}
+}
+
+// TestBuildExplainNeedsBaselineAndPreFix: an attributed comparison that
+// did not simulate the baseline or PreFix is an error, not a document
+// of zero misses; one that simulated only those two explains exactly as
+// the full comparison does.
+func TestBuildExplainNeedsBaselineAndPreFix(t *testing.T) {
+	full, err := RunBenchmark("swissmap", attribOpt())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := BuildExplain(full, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := attribOpt()
+	opt.Demand = Demanding(StrategyBaseline | StrategyPreFix)
+	minimal, err := RunBenchmark("swissmap", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := BuildExplain(minimal, 3); err != nil || !reflect.DeepEqual(got, want) {
+		t.Errorf("baseline+prefix demand: BuildExplain = %+v, %v; want %+v", got, err, want)
+	}
+	for _, s := range []Strategies{StrategyBaseline, StrategyPreFix} {
+		cmp := *full
+		cmp.Ran = Demanding(AllStrategies &^ s)
+		if ex, err := BuildExplain(&cmp, 3); err == nil {
+			t.Errorf("without %s: BuildExplain = %+v, want an error", s, ex)
+		}
 	}
 }
 

@@ -2,7 +2,7 @@
 // Figure 8 for one benchmark: run the profiling input under the tracing
 // machine, analyze the trace (hot objects, hot data streams, layout,
 // contexts), build the per-variant plans and baseline configurations, run
-// the evaluation input once per distinct strategy — variants whose plans
+// the evaluation input once per demanded strategy — variants whose plans
 // behave the same share one simulation — and assemble the measurements
 // every table and figure reports.
 package pipeline
@@ -38,6 +38,12 @@ type Options struct {
 	// analyzes that run as it executes, producing the Table 5 long-run
 	// columns. It costs one more evaluation run; the trace is not kept.
 	CaptureLongRun bool
+	// Demand is the set of strategies each evaluation simulates; its zero
+	// value is every strategy. Work only a left-out strategy reads is
+	// skipped too: Sequitur is mined only when the HDS baseline is
+	// demanded (or Plan.Miner is Sequitur), and the variants are placed
+	// only when PreFix is. CaptureLongRun needs PreFix.
+	Demand Demand
 	// Variants to evaluate; defaults to all three. Every variant gets its
 	// own plan, result, eval span and metric series, but a variant whose
 	// plan behaves like an earlier one's (prefix.Plan.SameBehaviour)
@@ -131,7 +137,9 @@ type Profile struct {
 	Hot      *hotness.Set
 	// StreamsLCS is the paper's LCS-mined OHDS (drives PreFix planning
 	// and HALO affinity grouping); StreamsSequitur drives the HDS
-	// baseline's site choice, as in the original HDS work.
+	// baseline's site choice, as in the original HDS work, and is mined
+	// only when the HDS baseline is demanded or the planner mines with
+	// Sequitur.
 	StreamsLCS      []hds.Stream
 	StreamsSequitur []hds.Stream
 	// Metrics of the profiling run itself.
@@ -167,7 +175,8 @@ func CollectProfile(spec workloads.Spec, opt Options) (*Profile, error) {
 // context-inference and recycling) and publishes the stage counters when
 // a registry is attached. Options.Stream selects the spill-file
 // recording and analysis path; the resulting Profile is identical either
-// way.
+// way. Sequitur runs only when Options.Demand or the planner reads its
+// streams.
 func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profile, error) {
 	name := spec.Program.Name()
 	sc := opt.Perf.Begin("profile").AttachSpan(parent)
@@ -204,14 +213,18 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 	mineSpan := parent.Child("hds-mining")
 	refs := hds.CollapseRefs(a.Refs, hot.IDs)
 	lcs := prefix.WeighStreams(hds.MineLCS(refs, cfg.HDS), hot)
-	seq := prefix.WeighStreams(hds.MineSequitur(refs, cfg.HDS), hot)
 	mineSpan.Set("refs", len(refs))
 	mineSpan.Set("streams_lcs", len(lcs))
-	mineSpan.Set("streams_sequitur", len(seq))
+	mineSeq := opt.Demand.Has(StrategyHDS) || cfg.Miner == prefix.MinerSequitur
+	var seq []hds.Stream
+	if mineSeq {
+		seq = prefix.WeighStreams(hds.MineSequitur(refs, cfg.HDS), hot)
+		mineSpan.Set("streams_sequitur", len(seq))
+	}
 	mineSpan.End()
 
-	// Both miners ran for the baselines; the planner reuses its miner's
-	// streams instead of mining again per variant.
+	// The planner reuses its miner's streams instead of mining again per
+	// variant.
 	ohds := lcs
 	if cfg.Miner == prefix.MinerSequitur {
 		ohds = seq
@@ -232,7 +245,9 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 		reg.Gauge("prefix_profile_hot_objects", kv...).Set(float64(len(hot.Objects)))
 		reg.Gauge("prefix_profile_hot_coverage_pct", kv...).Set(hot.CoveragePct())
 		reg.Gauge("prefix_profile_streams_lcs", kv...).Set(float64(len(lcs)))
-		reg.Gauge("prefix_profile_streams_sequitur", kv...).Set(float64(len(seq)))
+		if mineSeq {
+			reg.Gauge("prefix_profile_streams_sequitur", kv...).Set(float64(len(seq)))
+		}
 	}
 
 	return &Profile{

@@ -170,11 +170,17 @@ func pickBest(variants []prefix.Variant, runs map[prefix.Variant]RunResult) pref
 	return best
 }
 
-// Comparison is the full evaluation of one benchmark: every strategy's
-// run, the plans, and the profile it was all derived from.
+// Comparison is the evaluation of one benchmark: every demanded
+// strategy's run, the plans, and the profile it was all derived from.
 type Comparison struct {
 	Benchmark string
 	Profile   *Profile
+	// Ran is the demand the comparison was simulated at. A strategy
+	// outside it did not run: its RunResult is the zero value and, for
+	// PreFix, PreFix, Plans and Summaries are nil and Best is unset.
+	// Readers check with Need. Its zero value, as in a hand-built
+	// Comparison, means every strategy ran.
+	Ran       Demand
 	Baseline  RunResult
 	HDS       RunResult
 	HALO      RunResult
@@ -216,34 +222,11 @@ type LongRunCapture struct {
 // BestResult returns the best PreFix run.
 func (c *Comparison) BestResult() RunResult { return c.PreFix[c.Best] }
 
-// RunBenchmark evaluates one benchmark end to end.
+// RunBenchmark evaluates one benchmark end to end, simulating the
+// strategies opt.Demand names.
 func RunBenchmark(name string, opt Options) (*Comparison, error) {
-	spec, err := workloads.Get(name)
-	if err != nil {
-		return nil, err
-	}
-	if len(opt.Variants) == 0 {
-		opt.Variants = DefaultOptions().Variants
-	}
-	root := opt.Tracer.Start("benchmark " + name)
-	profSpan := root.Child("profile")
-	prof, err := collectProfile(spec, opt, profSpan)
-	profSpan.End()
-	if err != nil {
-		root.End()
-		return nil, err
-	}
-	plans, err := placeVariants(name, opt, prof, root)
-	if err != nil {
-		root.End()
-		return nil, err
-	}
-	cmp, err := compareStrategies(spec, opt, prof, plans, root)
-	root.End()
-	if err == nil {
-		cmp.Events += prof.Stats.Events
-		root.ObserveDurations(opt.Metrics.Histogram("prefix_stage_seconds", obs.TimeBuckets))
-	}
+	m := NewMemo(opt)
+	cmp, _, err := m.benchmark(name, m.opt)
 	return cmp, err
 }
 
@@ -302,36 +285,47 @@ func placeVariants(name string, opt Options, prof *Profile, parent *obs.Span) (v
 	return vp, nil
 }
 
-// compareStrategies runs the evaluation input under every strategy for an
-// already-collected profile and its placed plans. The root span (nil when
+// compareStrategies runs the evaluation input under every strategy
+// opt.Demand names for an already-collected profile and its placed plans
+// (which must exist when PreFix is demanded). The root span (nil when
 // tracing is off) receives the per-run child spans.
 func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, vp variantPlans, root *obs.Span) (*Comparison, error) {
 	name := spec.Program.Name()
-	cmp := &Comparison{
-		Benchmark: name,
-		Profile:   prof,
-		Plans:     vp.plans,
-		Summaries: vp.summaries,
+	d := opt.Demand
+	if opt.CaptureLongRun && !d.Has(StrategyPreFix) {
+		return nil, fmt.Errorf("pipeline: %s: the long-run capture re-runs the best PreFix plan, but the demand is %s", name, d)
+	}
+	cmp := &Comparison{Benchmark: name, Profile: prof, Ran: d}
+	cost := opt.Cache.Cost
+
+	if d.Has(StrategyBaseline) {
+		cmp.Baseline = runOne(spec, opt, baselines.NewBaseline(cost), root)
+		cmp.Events += cmp.Baseline.Metrics.Events()
 	}
 
-	cost := opt.Cache.Cost
-	hotSet := baselines.HotSetOf(prof.Hot)
+	var hotSet baselines.HotSet
+	if d.Has(StrategyHDS) || d.Has(StrategyHALO) {
+		hotSet = baselines.HotSetOf(prof.Hot)
+	}
+	if d.Has(StrategyHDS) {
+		// Sites from Sequitur streams, per the original work.
+		hdsSites := baselines.HDSSites(prof.Analysis, prof.StreamsSequitur)
+		cmp.HDS = runOne(spec, opt, baselines.NewHDS(hdsSites, hotSet, cost), root)
+		cmp.Events += cmp.HDS.Metrics.Events()
+	}
 
-	// Baseline.
-	cmp.Baseline = runOne(spec, opt, baselines.NewBaseline(cost), root)
-	cmp.Events += cmp.Baseline.Metrics.Events()
+	if d.Has(StrategyHALO) {
+		// Affinity-grouped allocation contexts.
+		haloCfg := baselines.PlanHALO(prof.Analysis, prof.Hot, prof.StreamsLCS)
+		cmp.HALO = runOne(spec, opt, baselines.NewHALO(haloCfg, hotSet, cost), root)
+		cmp.Events += cmp.HALO.Metrics.Events()
+	}
 
-	// HDS baseline: sites from Sequitur streams, per the original work.
-	hdsSites := baselines.HDSSites(prof.Analysis, prof.StreamsSequitur)
-	cmp.HDS = runOne(spec, opt, baselines.NewHDS(hdsSites, hotSet, cost), root)
-	cmp.Events += cmp.HDS.Metrics.Events()
-
-	// HALO baseline: affinity-grouped allocation contexts.
-	haloCfg := baselines.PlanHALO(prof.Analysis, prof.Hot, prof.StreamsLCS)
-	cmp.HALO = runOne(spec, opt, baselines.NewHALO(haloCfg, hotSet, cost), root)
-	cmp.Events += cmp.HALO.Metrics.Events()
-
+	if !d.Has(StrategyPreFix) {
+		return cmp, nil
+	}
 	// PreFix variants: one simulation per distinct plan behaviour.
+	cmp.Plans, cmp.Summaries = vp.plans, vp.summaries
 	if reg := opt.Metrics; reg != nil {
 		for _, v := range opt.Variants {
 			plan := vp.plans[v]
@@ -381,8 +375,12 @@ func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, be
 // reserves its reference string from the access count cmp measured for
 // the same run. use receives each finished analysis inside its job
 // (best tells the two apart), so it must be safe for concurrent use when
-// jobs > 1; the analysis is not referenced after use returns.
+// jobs > 1; the analysis is not referenced after use returns. cmp must
+// have simulated the baseline and PreFix.
 func AnalyzeBaselineAndBest(cmp *Comparison, opt Options, jobs int, use func(best bool, a *trace.Analysis)) error {
+	if err := cmp.Need(StrategyBaseline | StrategyPreFix); err != nil {
+		return err
+	}
 	spec, err := workloads.Get(cmp.Benchmark)
 	if err != nil {
 		return err

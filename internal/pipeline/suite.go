@@ -87,19 +87,28 @@ func joinErrors(errs []error, name func(i int) string) error {
 // every benchmark gets its own root span. Per-benchmark errors are
 // aggregated (in suite order) with the benchmark name attached.
 func RunSuite(names []string, opt Options, jobs int) ([]*Comparison, error) {
+	return NewMemo(opt).Suite(names, jobs)
+}
+
+// Suite is RunSuite on the memo: every named benchmark's comparison at
+// the memo's demand, kept for Figure 9 and variance seed 0.
+func (m *Memo) Suite(names []string, jobs int) ([]*Comparison, error) {
+	opt := m.opt
 	cmps := make([]*Comparison, len(names))
 	errs := runJobs(len(names), jobs, func(i int) error {
 		ev := obs.JobEvent{Phase: "suite", Benchmark: names[i], Job: i, Jobs: len(names), Seed: -1}
 		return opt.instrumentJob(ev, func() error {
 			sc := opt.Perf.Begin("suite")
-			cmp, err := RunBenchmark(names[i], opt)
+			cmp, reused, err := m.benchmark(names[i], opt)
 			if err != nil {
 				sc.End()
 				return err
 			}
-			sc.AddEvents(cmp.Events)
+			if !reused {
+				sc.AddEvents(cmp.Events)
+			}
 			sample := sc.End()
-			if opt.Perf != nil {
+			if opt.Perf != nil && !reused {
 				cmp.Host = &sample
 			}
 			cmps[i] = cmp

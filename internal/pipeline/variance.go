@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"prefix/internal/obs"
-	"prefix/internal/workloads"
 )
 
 // Variance is the seed-sweep analogue of the paper's "execution times
@@ -34,46 +33,59 @@ func RunVariance(name string, runs int, opt Options) (*Variance, error) {
 	return vs[0], nil
 }
 
+// varianceNeeds is what the sweep reads from each seed's comparison:
+// the best PreFix run's time change against the baseline.
+const varianceNeeds = StrategyBaseline | StrategyPreFix
+
 // RunSuiteVariance evaluates every named benchmark across `runs`
 // perturbed evaluation seeds on one bounded worker pool of `jobs`
-// workers (1 = the serial path). The unit of work is one
-// (benchmark, seed) evaluation; the profile is collected, every
-// variant's plan placed and the plans grouped by behaviour exactly once
-// per benchmark — the first of its seed jobs to run does all three under
-// the benchmark's "variance" root span, and the remaining seeds reuse the
-// shared *Profile and plans, which compareStrategies and the allocators
-// treat as read-only. Each seed simulates one PreFix eval per distinct
-// plan behaviour.
-// Each seed evaluation runs under its own "seed N" child span and
-// publishes its metrics with a "seed" label, so N runs produce N
-// distinguishable series in the export. Deltas are indexed by seed,
-// never by completion order, so the summary is identical at any job
-// count.
+// workers (1 = the serial path). Whatever opt.Demand says, each seed
+// simulates only the baseline and PreFix, the two strategies the sweep
+// reads; see Memo.Variance.
 func RunSuiteVariance(names []string, runs int, opt Options, jobs int) ([]*Variance, error) {
+	opt.Demand = Demanding(varianceNeeds)
+	return NewMemo(opt).Variance(names, runs, jobs)
+}
+
+// Variance is RunSuiteVariance on the memo. The unit of work is one
+// (benchmark, seed) evaluation; the profile is collected and every
+// variant's plan placed once per benchmark by the memo — under the
+// benchmark's "variance" root span when the sweep is the first to ask —
+// and the seeds share the *Profile and plans, which compareStrategies
+// and the allocators treat as read-only. Each seed simulates the
+// baseline and one PreFix eval per distinct plan behaviour. Seed 0's
+// input is the evaluation input itself, so its comparison is the memo's
+// (the suite's, when the suite ran the benchmark: its "seed 0" span then
+// carries reused_from and publishes no series of its own). Each seed
+// evaluation runs under its own "seed N" child span and publishes its
+// metrics with a "seed" label, so N runs produce N distinguishable series
+// in the export. Deltas are indexed by seed, never by completion order,
+// so the summary is identical at any job count. The memo's demand must
+// include the baseline and PreFix.
+func (m *Memo) Variance(names []string, runs, jobs int) ([]*Variance, error) {
 	if runs <= 0 {
 		return nil, fmt.Errorf("pipeline: runs must be positive")
 	}
-	if len(opt.Variants) == 0 {
-		opt.Variants = DefaultOptions().Variants
+	if !m.opt.Demand.Has(varianceNeeds) {
+		return nil, fmt.Errorf("pipeline: the variance sweep needs %s, outside the memo's demand %s", varianceNeeds, m.opt.Demand)
 	}
+	opt := m.opt
+	opt.Demand = Demanding(varianceNeeds)
+	opt.CaptureLongRun = false
 	type benchState struct {
-		spec    workloads.Spec
-		base    workloads.Config
+		b       *benchMemo
 		once    sync.Once
 		root    *obs.Span
-		prof    *Profile
-		plans   variantPlans
-		profErr error
 		pending atomic.Int64
 		deltas  []float64
 	}
 	states := make([]*benchState, len(names))
 	for i, name := range names {
-		spec, err := workloads.Get(name)
+		b, err := m.bench(name)
 		if err != nil {
 			return nil, err
 		}
-		st := &benchState{spec: spec, base: evalConfig(spec, opt), deltas: make([]float64, runs)}
+		st := &benchState{b: b, deltas: make([]float64, runs)}
 		st.pending.Store(int64(runs))
 		states[i] = st
 	}
@@ -90,43 +102,50 @@ func RunSuiteVariance(names []string, runs int, opt Options, jobs int) ([]*Varia
 				st.root.End()
 			}
 		}()
-		st.once.Do(func() {
-			st.root = opt.Tracer.Start("variance " + name)
-			span := st.root.Child("profile")
-			st.prof, st.profErr = collectProfile(st.spec, opt, span)
-			span.End()
-			if st.profErr == nil {
-				st.plans, st.profErr = placeVariants(name, opt, st.prof, st.root)
-			}
-		})
-		if st.profErr != nil {
+		st.once.Do(func() { st.root = opt.Tracer.Start("variance " + name) })
+		if _, err := m.prepare(st.b, st.root); err != nil {
 			if si == 0 {
-				return st.profErr
+				return err
 			}
 			return nil // already reported by the benchmark's seed-0 job
-		}
-		cfg := st.base
-		cfg.Seed = st.base.Seed + uint64(si)*1_000_003
-		runSpec := st.spec
-		if opt.UseBenchScale {
-			runSpec.Bench = cfg
-		} else {
-			runSpec.Long = cfg
 		}
 		seedOpt := opt
 		seedOpt.Labels = append(append([]string(nil), opt.Labels...), "seed", strconv.Itoa(si))
 		span := st.root.Child("seed " + strconv.Itoa(si))
 		sc := opt.Perf.Begin("variance").AttachSpan(span)
-		// Keep the profiling input fixed: the plan must survive input
-		// changes (Table 5's claim).
-		cmp, err := compareStrategies(runSpec, seedOpt, st.prof, st.plans, span)
-		if err == nil {
+		var (
+			cmp    *Comparison
+			reused bool
+			err    error
+		)
+		if si == 0 {
+			cmp, reused, err = m.evaluate(st.b, seedOpt, st.root, span)
+			if reused {
+				span.Set("reused_from", "benchmark "+name)
+			}
+		} else {
+			// Keep the profiling input fixed: the plan must survive input
+			// changes (Table 5's claim).
+			cfg := evalConfig(st.b.spec, opt)
+			cfg.Seed += uint64(si) * 1_000_003
+			runSpec := st.b.spec
+			if opt.UseBenchScale {
+				runSpec.Bench = cfg
+			} else {
+				runSpec.Long = cfg
+			}
+			cmp, err = compareStrategies(runSpec, seedOpt, st.b.prof, st.b.plans, span)
+		}
+		if err == nil && !reused {
 			// cmp.Events counts only this seed's evaluation runs; the
 			// shared profile is accounted by its own "profile" scope.
 			sc.AddEvents(cmp.Events)
 		}
 		sc.End()
 		span.End()
+		if err == nil {
+			err = cmp.Need(varianceNeeds)
+		}
 		if err != nil {
 			return fmt.Errorf("seed %d: %w", si, err)
 		}

@@ -160,6 +160,9 @@ func Figure9(w io.Writer, benchmark string, base, opt *Heatmap) {
 
 // Figure14 prints the binary-size accounting.
 func Figure14(w io.Writer, cmps []*pipeline.Comparison) error {
+	if err := need(cmps, pipeline.StrategyPreFix); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Figure 14: Binary Sizes: Baseline -> Best PreFix")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "benchmark\tbaseline\toptimized\tgrowth\tgrowth excl .bolt.orig.text")

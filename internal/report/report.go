@@ -37,8 +37,22 @@ func newTab(w io.Writer) *tabwriter.Writer {
 	return tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 }
 
+// need returns the error of the first comparison that did not simulate
+// every strategy in s. Each emitter checks what it reads before writing
+// anything, so a strategy that did not run fails the emitter instead of
+// printing as zero.
+func need(cmps []*pipeline.Comparison, s pipeline.Strategies) error {
+	for _, c := range cmps {
+		if err := c.Need(s); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // Figure1 prints the hot-object coverage bars: % of heap accesses from
 // hot heap objects, with the number of hot dynamic objects per benchmark.
+// It reads only the profiles, so it needs no strategy.
 func Figure1(w io.Writer, cmps []*pipeline.Comparison) error {
 	fmt.Fprintln(w, "Figure 1: Percentage of Memory Accesses from Heap Objects vs. Hot Heap Objects (profiling runs)")
 	tw := newTab(w)
@@ -57,6 +71,9 @@ func Figure1(w io.Writer, cmps []*pipeline.Comparison) error {
 
 // Table2 prints the context summary: pattern types, #sites, #counters.
 func Table2(w io.Writer, cmps []*pipeline.Comparison) error {
+	if err := need(cmps, pipeline.StrategyPreFix); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Table 2: Context Used")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "benchmark\ttype\t#sites\t#counters")
@@ -69,6 +86,9 @@ func Table2(w io.Writer, cmps []*pipeline.Comparison) error {
 
 // Table3 prints the execution-time comparison.
 func Table3(w io.Writer, cmps []*pipeline.Comparison) error {
+	if err := need(cmps, pipeline.AllStrategies); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Table 3: Relative Changes in Execution Time (negative = reduction)")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "benchmark\tbaseline cycles\tmem refs\tHDS\tHALO\tPreFix:Hot\tPreFix:HDS\tPreFix:HDS+Hot\tBest")
@@ -96,24 +116,29 @@ func Table3(w io.Writer, cmps []*pipeline.Comparison) error {
 
 // Table4 prints pollution counts for the HDS and HALO baselines.
 func Table4(w io.Writer, cmps []*pipeline.Comparison) error {
+	if err := need(cmps, pipeline.StrategyHDS|pipeline.StrategyHALO); err != nil {
+		return err
+	}
+	for _, c := range cmps {
+		if c.HDS.Pollution == nil || c.HALO.Pollution == nil {
+			return fmt.Errorf("report: %s: the HDS or HALO run recorded no pollution", c.Benchmark)
+		}
+	}
 	fmt.Fprintln(w, "Table 4: Pollution in HDS and HALO (objects directed to the special regions)")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "benchmark\tHDS hot\tHDS all\tHALO hot\tHALO all")
 	for _, c := range cmps {
-		var hh, ha, gh, ga uint64
-		if p := c.HDS.Pollution; p != nil {
-			hh, ha = p.Hot, p.All
-		}
-		if p := c.HALO.Pollution; p != nil {
-			gh, ga = p.Hot, p.All
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\n", c.Benchmark, hh, ha, gh, ga)
+		h, g := c.HDS.Pollution, c.HALO.Pollution
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\n", c.Benchmark, h.Hot, h.All, g.Hot, g.All)
 	}
 	return tw.Flush()
 }
 
 // Table5 prints PreFix capture statistics: profiling-run vs long-run.
 func Table5(w io.Writer, cmps []*pipeline.Comparison) error {
+	if err := need(cmps, pipeline.StrategyPreFix); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Table 5: PreFix Object Capture in Profiling vs. Long Run")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "benchmark\tprof HA%\tprof Hot\tprof HDS\tlong HA%\tlong Hot\tlong HDS\tcaptured")
@@ -136,6 +161,9 @@ func Table5(w io.Writer, cmps []*pipeline.Comparison) error {
 // Table6 prints costs and benefits: calls avoided, dynamic instruction
 // change, peak memory change.
 func Table6(w io.Writer, cmps []*pipeline.Comparison) error {
+	if err := need(cmps, pipeline.StrategyBaseline|pipeline.StrategyPreFix); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, "Table 6: Best PreFix: Benefits and Costs")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "benchmark\tcalls avoided\tdyn. instr change\tpeak memory change")
@@ -179,6 +207,9 @@ func Figure13(w io.Writer, cmps []*pipeline.Comparison) error {
 }
 
 func missFigure(w io.Writer, cmps []*pipeline.Comparison, title string, metric func(pipeline.RunResult) float64) error {
+	if err := need(cmps, pipeline.StrategyBaseline|pipeline.StrategyPreFix); err != nil {
+		return err
+	}
 	fmt.Fprintln(w, title)
 	tw := newTab(w)
 	fmt.Fprintln(tw, "benchmark\tbaseline\tPreFix\tchange")
@@ -193,14 +224,22 @@ func missFigure(w io.Writer, cmps []*pipeline.Comparison, title string, metric f
 // AttributionTable prints the per-site before/after attribution: the
 // top-N allocation sites by baseline LLC-miss share, each with its
 // best-variant share and the ledger's one-line placement rationale.
-// Benchmarks run without attribution print a skip note instead, so the
-// table is safe to request unconditionally.
+// Benchmarks run without attribution print a skip note instead; a
+// comparison that did not simulate the baseline and PreFix is an error.
 func AttributionTable(w io.Writer, cmps []*pipeline.Comparison, topN int) error {
+	exs := make([]*pipeline.Explain, len(cmps))
+	for i, c := range cmps {
+		ex, err := pipeline.BuildExplain(c, topN)
+		if err != nil {
+			return err
+		}
+		exs[i] = ex
+	}
 	fmt.Fprintln(w, "Attribution: per-site LLC-miss share, baseline -> best PreFix (top sites)")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "benchmark\tsite\tbase LLC\tbase share\tbest LLC\tbest share\twhy")
-	for _, c := range cmps {
-		ex := pipeline.BuildExplain(c, topN)
+	for i, c := range cmps {
+		ex := exs[i]
 		if ex == nil {
 			fmt.Fprintf(tw, "%s\t-\t-\t-\t-\t-\t(run without -attrib; no attribution collected)\n", c.Benchmark)
 			continue
@@ -232,8 +271,14 @@ func attributionWhy(s pipeline.SiteExplain) string {
 }
 
 // VarianceTable prints the seed-sweep summary (the paper's "averaged
-// over 10 runs" methodology).
+// over 10 runs" methodology). A sweep with no runs, or fewer deltas than
+// runs, is an error rather than a row of zeros.
 func VarianceTable(w io.Writer, vs []*pipeline.Variance) error {
+	for i, v := range vs {
+		if v == nil || v.Runs < 1 || len(v.Deltas) != v.Runs {
+			return fmt.Errorf("report: variance entry %d holds no complete sweep", i)
+		}
+	}
 	fmt.Fprintln(w, "Seed variance: best-PreFix reduction across perturbed evaluation inputs")
 	tw := newTab(w)
 	fmt.Fprintln(tw, "benchmark\truns\tmean\tbest\tworst")

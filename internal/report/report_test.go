@@ -286,3 +286,96 @@ func TestVarianceTableBytesIdenticalAcrossJobs(t *testing.T) {
 		t.Errorf("variance table differs between jobs=1 and jobs=6:\n%s\n---\n%s", serial, parallel)
 	}
 }
+
+// TestReportsNeedTheirStrategies: every emitter that reads a strategy
+// fails, before writing a byte, on a comparison that did not simulate
+// it — Table 4 no longer prints 0 for a missing HDS run, and the
+// attribution table with -attrib but no baseline run is an error, not
+// the skip note — and succeeds on one that simulated exactly what it
+// reads.
+func TestReportsNeedTheirStrategies(t *testing.T) {
+	opt := pipeline.DefaultOptions()
+	opt.UseBenchScale = true
+	opt.Attribution = true
+	full, err := pipeline.RunBenchmark("mcf", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const bp = pipeline.StrategyBaseline | pipeline.StrategyPreFix
+	emitters := []struct {
+		name  string
+		reads pipeline.Strategies
+		emit  func(w *bytes.Buffer, cmps []*pipeline.Comparison) error
+	}{
+		{"figure1", 0, func(w *bytes.Buffer, c []*pipeline.Comparison) error { return Figure1(w, c) }},
+		{"table2", pipeline.StrategyPreFix, func(w *bytes.Buffer, c []*pipeline.Comparison) error { return Table2(w, c) }},
+		{"table3", pipeline.AllStrategies, func(w *bytes.Buffer, c []*pipeline.Comparison) error { return Table3(w, c) }},
+		{"table4", pipeline.StrategyHDS | pipeline.StrategyHALO, func(w *bytes.Buffer, c []*pipeline.Comparison) error { return Table4(w, c) }},
+		{"table5", pipeline.StrategyPreFix, func(w *bytes.Buffer, c []*pipeline.Comparison) error { return Table5(w, c) }},
+		{"table6", bp, func(w *bytes.Buffer, c []*pipeline.Comparison) error { return Table6(w, c) }},
+		{"figure11", bp, func(w *bytes.Buffer, c []*pipeline.Comparison) error { return Figure11(w, c) }},
+		{"figure12", bp, func(w *bytes.Buffer, c []*pipeline.Comparison) error { return Figure12(w, c) }},
+		{"figure13", bp, func(w *bytes.Buffer, c []*pipeline.Comparison) error { return Figure13(w, c) }},
+		{"figure14", pipeline.StrategyPreFix, func(w *bytes.Buffer, c []*pipeline.Comparison) error { return Figure14(w, c) }},
+		{"attribution", bp, func(w *bytes.Buffer, c []*pipeline.Comparison) error { return AttributionTable(w, c, 3) }},
+	}
+	with := func(ran pipeline.Strategies) []*pipeline.Comparison {
+		cmp := *full
+		cmp.Ran = pipeline.Demanding(ran)
+		return []*pipeline.Comparison{&cmp}
+	}
+	for _, e := range emitters {
+		var want bytes.Buffer
+		if err := e.emit(&want, []*pipeline.Comparison{full}); err != nil {
+			t.Fatalf("%s: %v", e.name, err)
+		}
+		var got bytes.Buffer
+		if err := e.emit(&got, with(e.reads)); err != nil || got.String() != want.String() {
+			t.Errorf("%s with exactly %s: err %v, output differs: %v", e.name, e.reads, err, got.String() != want.String())
+		}
+		for s := pipeline.Strategies(1); s&pipeline.AllStrategies != 0; s <<= 1 {
+			var out bytes.Buffer
+			err := e.emit(&out, with(pipeline.AllStrategies&^s))
+			if e.reads&s == 0 {
+				if err != nil {
+					t.Errorf("%s without %s (which it does not read): %v", e.name, s, err)
+				}
+				continue
+			}
+			if err == nil || !strings.Contains(err.Error(), s.String()+" not simulated") {
+				t.Errorf("%s without %s: err = %v, want a %q error", e.name, s, err, s.String()+" not simulated")
+			}
+			if out.Len() != 0 {
+				t.Errorf("%s without %s: wrote %q before failing", e.name, s, out.String())
+			}
+		}
+	}
+
+	// A comparison that ran HDS but lost its pollution record is an
+	// error too, not a row of zeros.
+	cmp := *full
+	cmp.HDS.Pollution = nil
+	if err := Table4(new(bytes.Buffer), []*pipeline.Comparison{&cmp}); err == nil {
+		t.Error("Table4 with no HDS pollution record: err = nil")
+	}
+}
+
+// TestVarianceTableRejectsIncompleteSweeps: a nil entry, a sweep with no
+// runs, or one with fewer deltas than runs is an error, not a row of
+// +0.00%.
+func TestVarianceTableRejectsIncompleteSweeps(t *testing.T) {
+	ok := &pipeline.Variance{Benchmark: "mcf", Runs: 2, Deltas: []float64{-1, -2}, MeanPct: -1.5, MinPct: -2, MaxPct: -1}
+	if err := VarianceTable(new(bytes.Buffer), []*pipeline.Variance{ok}); err != nil {
+		t.Fatalf("complete sweep: %v", err)
+	}
+	for _, bad := range []*pipeline.Variance{
+		nil,
+		{Benchmark: "mcf"},
+		{Benchmark: "mcf", Runs: 3, Deltas: []float64{-1, -2}},
+	} {
+		var out bytes.Buffer
+		if err := VarianceTable(&out, []*pipeline.Variance{ok, bad}); err == nil || out.Len() != 0 {
+			t.Errorf("VarianceTable(%+v) = %v, wrote %d bytes; want an error and no output", bad, err, out.Len())
+		}
+	}
+}
