@@ -1,19 +1,19 @@
 package cachesim
 
 import (
+	"reflect"
 	"testing"
 
 	"prefix/internal/mem"
 	"prefix/internal/xrand"
 )
 
-// deltaConfigs exercises AccessDelta across every hierarchy shape: the
-// paper geometry, the scaled one, and a three-level stack with an L2.
+// deltaConfigs exercises AccessDelta across hierarchy shapes: the paper
+// geometry, the scaled one, and the scaled one without the prefetcher.
 func deltaConfigs() []Config {
-	withL2 := ScaledConfig()
-	withL2.L2Size = 256 << 10
-	withL2.L2Ways = 8
-	return []Config{PaperConfig(), ScaledConfig(), withL2}
+	noPrefetch := ScaledConfig()
+	noPrefetch.NextLinePrefetch = false
+	return []Config{PaperConfig(), ScaledConfig(), noPrefetch}
 }
 
 // TestAccessDeltaMatchesAccess drives two identical hierarchies with the
@@ -46,10 +46,22 @@ func TestAccessDeltaMatchesAccess(t *testing.T) {
 	}
 }
 
-// TestCountsSubRoundTrip: Sub inverts Add field-by-field.
+// filledCounts returns a Counts with field i set to base+i. Reflection
+// reaches every field, so tests built on it cover fields added later.
+func filledCounts(base uint64) Counts {
+	var c Counts
+	v := reflect.ValueOf(&c).Elem()
+	for i := 0; i < v.NumField(); i++ {
+		v.Field(i).SetUint(base + uint64(i))
+	}
+	return c
+}
+
+// TestCountsSubRoundTrip: Sub inverts Add on every field, so neither can
+// drop one (and AccessDelta, which is Sub, cannot either).
 func TestCountsSubRoundTrip(t *testing.T) {
-	a := Counts{Accesses: 10, L1Misses: 9, L2Hits: 8, LLCHits: 7, LLCMisses: 6, TLB1Miss: 5, TLB2Miss: 4, Prefetches: 3}
-	b := Counts{Accesses: 1, L1Misses: 2, L2Hits: 3, LLCHits: 4, LLCMisses: 5, TLB1Miss: 1, TLB2Miss: 2, Prefetches: 1}
+	a := filledCounts(10)
+	b := filledCounts(100)
 	c := a
 	c.Add(b)
 	if got := c.Sub(b); got != a {

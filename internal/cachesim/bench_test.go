@@ -16,7 +16,7 @@ func BenchmarkCacheAccess(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			c.Access(mem.Addr(uint64(i) * stride % span))
+			c.probe(uint64(i) * stride % span >> c.shift)
 		}
 	}
 	// Stride past L1 capacity so hits and misses both occur.

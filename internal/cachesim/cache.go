@@ -10,36 +10,33 @@
 // seconds; EXPERIMENTS.md documents the scaling.
 package cachesim
 
-import (
-	"fmt"
-
-	"prefix/internal/mem"
-)
+import "fmt"
 
 // Cache is one set-associative, write-allocate LRU cache level. Tags
-// are line (or page) numbers; no data is stored.
+// are line (or page) numbers; no data is stored, and the cache keeps no
+// counters: Hierarchy counts every event in its Counts.
 //
 // Tag storage is one flat preallocated array of sets*ways words: set s
 // occupies tags[s*ways : s*ways+fill[s]], ordered MRU-first. Every
-// Access is one pass over that window — no per-set slice headers to
-// chase, and no allocation ever happens after construction (Reset
-// reuses the storage).
+// probe is one pass over that window — no per-set slice headers to
+// chase, and no allocation ever happens after construction.
 type Cache struct {
-	sets     uint64
-	ways     int
-	shift    uint     // address bits consumed below the index (line/page)
-	tags     []uint64 // flat sets*ways tag array
-	fill     []int32  // valid ways per set
-	accesses uint64
-	misses   uint64
+	sets  uint64
+	ways  int
+	shift uint     // address bits consumed below the index (line/page)
+	tags  []uint64 // flat sets*ways tag array
+	fill  []int32  // valid ways per set
 }
 
 // NewCache builds a cache of size bytes with the given associativity and
-// line size. size must be divisible by ways*line and the set count must be
-// a power of two.
+// line size. size must be a multiple of ways*line and the set count must
+// be a power of two.
 func NewCache(size, line uint64, ways int) (*Cache, error) {
 	if size == 0 || line == 0 || ways <= 0 {
 		return nil, fmt.Errorf("cachesim: bad geometry size=%d line=%d ways=%d", size, line, ways)
+	}
+	if size%line != 0 {
+		return nil, fmt.Errorf("cachesim: size %d not a multiple of the %d-byte line", size, line)
 	}
 	lines := size / line
 	if lines%uint64(ways) != 0 {
@@ -71,49 +68,10 @@ func MustCache(size, line uint64, ways int) *Cache {
 	return c
 }
 
-// BlockOf returns the tag (line or page number) of the block holding
-// addr; the *Block entry points take it directly so a hierarchy walk
-// computes each address's block number once across levels.
-func (c *Cache) BlockOf(addr mem.Addr) uint64 { return uint64(addr) >> c.shift }
-
-// Access touches the block containing addr and reports whether it hit.
-//
-//prefix:hotpath
-func (c *Cache) Access(addr mem.Addr) bool {
-	return c.AccessBlock(uint64(addr) >> c.shift)
-}
-
-// AccessBlock is Access on a precomputed block number.
-//
-//prefix:hotpath
-func (c *Cache) AccessBlock(block uint64) bool {
-	c.accesses++
-	if c.probe(block) {
-		return true
-	}
-	c.misses++
-	return false
-}
-
-// Install fills or refreshes the block containing addr exactly like a
-// demand access — same LRU refresh on hit, same fill/eviction on miss —
-// but without touching the demand accesses/misses counters. Prefetchers
-// use it so non-demand traffic never skews MissRate.
-//
-//prefix:hotpath
-func (c *Cache) Install(addr mem.Addr) {
-	c.InstallBlock(uint64(addr) >> c.shift)
-}
-
-// InstallBlock is Install on a precomputed block number.
-//
-//prefix:hotpath
-func (c *Cache) InstallBlock(block uint64) { c.probe(block) }
-
-// probe moves block to the MRU way of its set and reports whether it
-// was already resident. It is the only code that changes a set, shared
-// by the demand and install paths so their content transitions are
-// identical by construction.
+// probe moves block (a line or page number) to the MRU way of its set
+// and reports whether it was already resident. It is the cache's only
+// operation: demand lookups and prefetch installs both go through it,
+// so their content transitions are identical by construction.
 //
 // One pass does the whole move-to-front: each way receives the tag of
 // the way before it, starting with block itself at way 0. On a hit the
@@ -140,45 +98,4 @@ func (c *Cache) probe(block uint64) bool {
 		c.fill[set] = int32(n + 1)
 	}
 	return false
-}
-
-// Contains reports whether the block holding addr is resident (no state
-// change, no accounting).
-func (c *Cache) Contains(addr mem.Addr) bool {
-	block := uint64(addr) >> c.shift
-	set := block & (c.sets - 1)
-	base := int(set) * c.ways
-	for _, tag := range c.tags[base : base+int(c.fill[set])] {
-		if tag == block {
-			return true
-		}
-	}
-	return false
-}
-
-// Accesses returns the number of demand Access calls (Install traffic is
-// not counted).
-func (c *Cache) Accesses() uint64 { return c.accesses }
-
-// Misses returns the number of demand misses.
-func (c *Cache) Misses() uint64 { return c.misses }
-
-// MissRate returns misses/accesses (0 when empty).
-func (c *Cache) MissRate() float64 {
-	if c.accesses == 0 {
-		return 0
-	}
-	return float64(c.misses) / float64(c.accesses)
-}
-
-// Reset clears contents and counters in place: fill counts drop to zero
-// and the flat tag array is kept, so a post-reset refill re-pays no
-// allocations.
-//
-//prefix:hotpath
-func (c *Cache) Reset() {
-	for i := range c.fill {
-		c.fill[i] = 0
-	}
-	c.accesses, c.misses = 0, 0
 }

@@ -8,6 +8,9 @@ import (
 	"prefix/internal/xrand"
 )
 
+// touch probes the block holding addr, as Hierarchy does for each line.
+func touch(c *Cache, addr mem.Addr) bool { return c.probe(uint64(addr) >> c.shift) }
+
 func TestGeometryValidation(t *testing.T) {
 	if _, err := NewCache(32<<10, 64, 8); err != nil {
 		t.Fatalf("valid geometry rejected: %v", err)
@@ -19,9 +22,12 @@ func TestGeometryValidation(t *testing.T) {
 		{0, 64, 8},
 		{32 << 10, 0, 8},
 		{32 << 10, 64, 0},
-		{32 << 10, 63, 8},   // non-power-of-two line
-		{48 << 10, 64, 8},   // set count not a power of two
-		{32 << 10, 64, 768}, // lines not divisible by ways... (512/768)
+		{32 << 10, 63, 8},    // non-power-of-two line
+		{48 << 10, 64, 8},    // set count not a power of two
+		{32 << 10, 64, 768},  // lines not divisible by ways... (512/768)
+		{32, 64, 8},          // smaller than a line: zero sets
+		{63, 64, 1},          // smaller than a line: zero sets
+		{32<<10 + 32, 64, 8}, // not a multiple of the line
 	}
 	for _, c := range bad {
 		if _, err := NewCache(c.size, c.line, c.ways); err == nil {
@@ -32,70 +38,46 @@ func TestGeometryValidation(t *testing.T) {
 
 func TestHitAfterFill(t *testing.T) {
 	c := MustCache(1024, 64, 2)
-	if c.Access(0x100) {
+	if touch(c, 0x100) {
 		t.Error("first access should miss")
 	}
-	if !c.Access(0x100) {
+	if !touch(c, 0x100) {
 		t.Error("second access should hit")
 	}
-	if !c.Access(0x13f) {
+	if !touch(c, 0x13f) {
 		t.Error("same-line access should hit")
 	}
-	if c.Access(0x140) {
+	if touch(c, 0x140) {
 		t.Error("next line should miss")
-	}
-	if c.Misses() != 2 || c.Accesses() != 4 {
-		t.Errorf("misses=%d accesses=%d", c.Misses(), c.Accesses())
 	}
 }
 
 func TestLRUEviction(t *testing.T) {
 	// 2 sets, 2 ways, 64B lines => lines mapping to set 0: 0, 128, 256...
 	c := MustCache(256, 64, 2)
-	c.Access(0)   // set0: [0]
-	c.Access(128) // set0: [128 0]
-	c.Access(0)   // set0: [0 128] (MRU refresh)
-	c.Access(256) // evicts 128
-	if !c.Access(0) {
+	touch(c, 0)   // set0: [0]
+	touch(c, 128) // set0: [128 0]
+	touch(c, 0)   // set0: [0 128] (MRU refresh)
+	touch(c, 256) // evicts 128
+	if !touch(c, 0) {
 		t.Error("line 0 should have survived (was MRU)")
 	}
-	if c.Access(128) {
+	if touch(c, 128) {
 		t.Error("line 128 should have been evicted")
 	}
 }
 
 func TestLRURefreshesOnHit(t *testing.T) {
 	c := MustCache(128, 64, 2)
-	c.Access(0)
-	c.Access(1 << 20)
-	c.Access(0)
-	c.Access(2 << 20)
-	if !c.Contains(0) {
+	touch(c, 0)
+	touch(c, 1<<20)
+	touch(c, 0)
+	touch(c, 2<<20)
+	if !touch(c, 0) {
 		t.Error("LRU should keep the refreshed line")
 	}
-	if c.Contains(1 << 20) {
+	if touch(c, 1<<20) {
 		t.Error("LRU should evict the least recent line")
-	}
-}
-
-func TestContainsDoesNotTouch(t *testing.T) {
-	c := MustCache(256, 64, 2)
-	c.Access(0)
-	acc := c.Accesses()
-	if !c.Contains(0) || c.Contains(64) {
-		t.Error("Contains wrong")
-	}
-	if c.Accesses() != acc {
-		t.Error("Contains must not count as access")
-	}
-}
-
-func TestReset(t *testing.T) {
-	c := MustCache(256, 64, 2)
-	c.Access(0)
-	c.Reset()
-	if c.Accesses() != 0 || c.Misses() != 0 || c.Contains(0) {
-		t.Error("reset incomplete")
 	}
 }
 
@@ -146,7 +128,7 @@ func TestAgainstReferenceModel(t *testing.T) {
 		ref := newReferenceLRU(4096, 64, 4)
 		for i := 0; i < 3000; i++ {
 			a := mem.Addr(rng.Uint64n(32 << 10))
-			if c.Access(a) != ref.access(a) {
+			if touch(c, a) != ref.access(a) {
 				return false
 			}
 		}
@@ -157,41 +139,30 @@ func TestAgainstReferenceModel(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	c := MustCache(1024, 64, 2)
-	if c.MissRate() != 0 {
-		t.Error("empty cache miss rate should be 0")
+// sweepMisses touches [0, span) line by line reps times and returns the
+// number of misses.
+func sweepMisses(c *Cache, span mem.Addr, reps int) (misses int) {
+	for rep := 0; rep < reps; rep++ {
+		for a := mem.Addr(0); a < span; a += 64 {
+			if !touch(c, a) {
+				misses++
+			}
+		}
 	}
-	c.Access(0)
-	c.Access(0)
-	if c.MissRate() != 0.5 {
-		t.Errorf("miss rate = %v", c.MissRate())
-	}
+	return misses
 }
 
 func TestWorkingSetFits(t *testing.T) {
-	c := MustCache(32<<10, 64, 8)
 	// 16KB working set fits a 32KB cache: second sweep must be all hits.
-	for rep := 0; rep < 2; rep++ {
-		for a := mem.Addr(0); a < 16<<10; a += 64 {
-			c.Access(a)
-		}
-	}
-	if c.Misses() != 256 {
-		t.Errorf("misses = %d, want 256 (first sweep only)", c.Misses())
+	if got := sweepMisses(MustCache(32<<10, 64, 8), 16<<10, 2); got != 256 {
+		t.Errorf("misses = %d, want 256 (first sweep only)", got)
 	}
 }
 
 func TestWorkingSetThrashes(t *testing.T) {
-	c := MustCache(32<<10, 64, 8)
 	// A 64KB working set in a 32KB cache with a sequential sweep thrashes
 	// under LRU: every access misses.
-	for rep := 0; rep < 3; rep++ {
-		for a := mem.Addr(0); a < 64<<10; a += 64 {
-			c.Access(a)
-		}
-	}
-	if c.Misses() != c.Accesses() {
-		t.Errorf("sequential over-capacity sweep should always miss: %d/%d", c.Misses(), c.Accesses())
+	if got := sweepMisses(MustCache(32<<10, 64, 8), 64<<10, 3); got != 3*1024 {
+		t.Errorf("sequential over-capacity sweep should always miss: %d/%d", got, 3*1024)
 	}
 }

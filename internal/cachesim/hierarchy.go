@@ -1,19 +1,12 @@
 package cachesim
 
-import (
-	"prefix/internal/mem"
-)
+import "prefix/internal/mem"
 
 // Config describes a full hierarchy: L1D + LLC + two-level TLB, with the
 // cycle cost model used to derive execution time and backend stalls.
 type Config struct {
-	L1Size uint64
-	L1Ways int
-	// L2Size/L2Ways add an optional private mid-level cache between L1
-	// and the LLC; 0 disables it (the default — the evaluation's
-	// calibration uses the two-level hierarchy of §3.2).
-	L2Size  uint64
-	L2Ways  int
+	L1Size  uint64
+	L1Ways  int
 	LLCSize uint64
 	LLCWays int
 	Line    uint64
@@ -40,8 +33,7 @@ type Config struct {
 type CostModel struct {
 	CyclesPerInstr float64 // base IPC⁻¹ for non-memory work
 	L1HitCycles    float64 // charged per memory access
-	L2HitCycles    float64 // extra cycles when L1 misses but L2 hits
-	L1MissCycles   float64 // extra cycles when L1 misses but LLC hits
+	L1MissCycles   float64 // extra cycles per L1 line miss
 	LLCMissCycles  float64 // extra cycles when LLC misses (DRAM)
 	TLB1MissCycles float64 // extra when L1 TLB misses but L2 TLB hits
 	TLB2MissCycles float64 // extra for a page walk
@@ -55,7 +47,6 @@ func DefaultCost() CostModel {
 	return CostModel{
 		CyclesPerInstr: 0.5,
 		L1HitCycles:    1,
-		L2HitCycles:    6,  // L1 miss, L2 hit (when an L2 is configured)
 		L1MissCycles:   12, // L1 miss, LLC hit
 		LLCMissCycles:  200,
 		TLB1MissCycles: 8,
@@ -94,12 +85,11 @@ func ScaledConfig() Config {
 // Hierarchy simulates one hardware thread's view of the memory system: a
 // private L1 and TLBs in front of a (possibly shared) LLC.
 type Hierarchy struct {
-	cfg  Config
-	l1   *Cache
-	l2   *Cache // optional private mid-level cache (nil when disabled)
-	llc  *Cache // may be shared between hierarchies
-	tlb1 *Cache
-	tlb2 *Cache
+	l1       *Cache
+	llc      *Cache // may be shared between hierarchies
+	tlb1     *Cache
+	tlb2     *Cache
+	prefetch bool // Config.NextLinePrefetch
 
 	// tlb1Page is the page Access last probed in tlb1. Only Access
 	// touches the private tlb1, so that page sits at MRU way 0 of its
@@ -111,12 +101,14 @@ type Hierarchy struct {
 	counts Counts
 }
 
-// Counts aggregates simulation totals.
+// Counts aggregates simulation totals. Accesses counts references; the
+// L1 fields count line probes, so a reference straddling a line
+// boundary adds two to L1Hits+L1Misses.
 type Counts struct {
 	Accesses   uint64 `json:"accesses"`
+	L1Hits     uint64 `json:"l1_hits"`
 	L1Misses   uint64 `json:"l1_misses"`
-	L2Hits     uint64 `json:"l2_hits"`  // L1 misses served by the optional L2
-	LLCHits    uint64 `json:"llc_hits"` // misses served by LLC
+	LLCHits    uint64 `json:"llc_hits"` // L1 misses served by the LLC
 	LLCMisses  uint64 `json:"llc_misses"`
 	TLB1Miss   uint64 `json:"tlb1_misses"`
 	TLB2Miss   uint64 `json:"tlb2_misses"`
@@ -135,18 +127,14 @@ func NewShared(cfg Config, llc *Cache) *Hierarchy {
 	if cfg.Page < 2 {
 		panic("cachesim: page size must be at least 2 bytes")
 	}
-	h := &Hierarchy{
-		cfg:      cfg,
+	return &Hierarchy{
 		l1:       MustCache(cfg.L1Size, cfg.Line, cfg.L1Ways),
 		llc:      llc,
 		tlb1:     MustCache(uint64(cfg.TLB1Entries)*cfg.Page, cfg.Page, cfg.TLB1Ways),
 		tlb2:     MustCache(uint64(cfg.TLB2Entries)*cfg.Page, cfg.Page, cfg.TLB2Ways),
+		prefetch: cfg.NextLinePrefetch,
 		tlb1Page: ^uint64(0),
 	}
-	if cfg.L2Size > 0 {
-		h.l2 = MustCache(cfg.L2Size, cfg.Line, cfg.L2Ways)
-	}
-	return h
 }
 
 // SharedLLC builds an LLC suitable for NewShared from cfg.
@@ -159,7 +147,7 @@ func SharedLLC(cfg Config) *Cache { return MustCache(cfg.LLCSize, cfg.Line, cfg.
 //
 // The walk is flat: each address's page and line block numbers are
 // computed once and probed directly against every level's flat tag
-// array, so the whole L1→L2→LLC→TLB path is adds, shifts, and one short
+// array, so the whole TLB→L1→LLC path is adds, shifts, and one short
 // probe loop per level — no per-level address re-derivation and no
 // allocation. An access to the page of the previous access skips the L1
 // TLB probe (see tlb1Page). An access running past the top of the
@@ -174,19 +162,17 @@ func (h *Hierarchy) Access(addr mem.Addr, size uint64) {
 	a := uint64(addr)
 	// TLB lookup for the first page only; straddles are negligible. Both
 	// TLB levels share the page geometry, so one page number serves both.
-	if page := a >> h.tlb1.shift; page == h.tlb1Page {
-		h.tlb1.accesses++
-	} else {
+	if page := a >> h.tlb1.shift; page != h.tlb1Page {
 		h.tlb1Page = page
-		if !h.tlb1.AccessBlock(page) {
+		if !h.tlb1.probe(page) {
 			h.counts.TLB1Miss++
-			if !h.tlb2.AccessBlock(page) {
+			if !h.tlb2.probe(page) {
 				h.counts.TLB2Miss++
 			}
 		}
 	}
-	// L1, L2, and LLC share the line geometry: one block number per line
-	// walks all three levels.
+	// L1 and LLC share the line geometry: one block number per line
+	// walks both levels.
 	lineShift := h.l1.shift
 	end := a + size - 1
 	if end < a {
@@ -195,24 +181,21 @@ func (h *Hierarchy) Access(addr mem.Addr, size uint64) {
 	first := a >> lineShift
 	last := end >> lineShift
 	for blk := first; ; blk++ {
-		if !h.l1.AccessBlock(blk) {
+		if h.l1.probe(blk) {
+			h.counts.L1Hits++
+		} else {
 			h.counts.L1Misses++
-			if h.l2 != nil && h.l2.AccessBlock(blk) {
-				h.counts.L2Hits++
+			if h.llc.probe(blk) {
+				h.counts.LLCHits++
 			} else {
-				if h.llc.AccessBlock(blk) {
-					h.counts.LLCHits++
-				} else {
-					h.counts.LLCMisses++
-				}
-				if h.cfg.NextLinePrefetch {
-					// Install the successor line in the LLC. Prefetch
-					// traffic is tracked separately (Counts.Prefetches)
-					// and installs without demand accounting, so the
-					// LLC's own accesses/misses stay demand-only.
-					h.llc.InstallBlock(blk + 1)
-					h.counts.Prefetches++
-				}
+				h.counts.LLCMisses++
+			}
+			if h.prefetch {
+				// Install the successor line in the LLC. Prefetch
+				// traffic is counted in Prefetches only, so
+				// LLCHits+LLCMisses stays demand-only.
+				h.llc.probe(blk + 1)
+				h.counts.Prefetches++
 			}
 		}
 		if blk == last {
@@ -238,10 +221,8 @@ func (h *Hierarchy) AccessDelta(addr mem.Addr, size uint64) Counts {
 // Counts returns the accumulated totals.
 func (h *Hierarchy) Counts() Counts { return h.counts }
 
-// Config returns the hierarchy configuration.
-func (h *Hierarchy) Config() Config { return h.cfg }
-
-// L1MissRate is L1 misses per access.
+// L1MissRate is L1 line misses per access. It can exceed 1, since an
+// access straddling two lines can miss both.
 func (c Counts) L1MissRate() float64 {
 	if c.Accesses == 0 {
 		return 0
@@ -258,30 +239,11 @@ func (c Counts) LLCMissRate() float64 {
 	return float64(c.LLCMisses) / float64(c.Accesses)
 }
 
-// TLB1MissRate is first-level TLB misses per access.
-func (c Counts) TLB1MissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.TLB1Miss) / float64(c.Accesses)
-}
-
-// TLBMissRate is the combined TLB miss rate per access: misses at either
-// TLB level, so a full page walk contributes both its L1-TLB and L2-TLB
-// miss — mirroring the cost model, which charges TLB1MissCycles for
-// every first-level miss and TLB2MissCycles on top for walks.
-func (c Counts) TLBMissRate() float64 {
-	if c.Accesses == 0 {
-		return 0
-	}
-	return float64(c.TLB1Miss+c.TLB2Miss) / float64(c.Accesses)
-}
-
 // Add accumulates other into c.
 func (c *Counts) Add(o Counts) {
 	c.Accesses += o.Accesses
+	c.L1Hits += o.L1Hits
 	c.L1Misses += o.L1Misses
-	c.L2Hits += o.L2Hits
 	c.LLCHits += o.LLCHits
 	c.LLCMisses += o.LLCMisses
 	c.TLB1Miss += o.TLB1Miss
@@ -297,8 +259,8 @@ func (c *Counts) Add(o Counts) {
 func (c Counts) Sub(o Counts) Counts {
 	return Counts{
 		Accesses:   c.Accesses - o.Accesses,
+		L1Hits:     c.L1Hits - o.L1Hits,
 		L1Misses:   c.L1Misses - o.L1Misses,
-		L2Hits:     c.L2Hits - o.L2Hits,
 		LLCHits:    c.LLCHits - o.LLCHits,
 		LLCMisses:  c.LLCMisses - o.LLCMisses,
 		TLB1Miss:   c.TLB1Miss - o.TLB1Miss,
@@ -312,8 +274,7 @@ func (c Counts) Sub(o Counts) Counts {
 func (m CostModel) Cycles(instr uint64, c Counts) float64 {
 	cy := float64(instr) * m.CyclesPerInstr
 	cy += float64(c.Accesses) * m.L1HitCycles
-	cy += float64(c.L2Hits) * m.L2HitCycles
-	cy += float64(c.L1Misses-c.L2Hits) * m.L1MissCycles
+	cy += float64(c.L1Misses) * m.L1MissCycles
 	cy += float64(c.LLCMisses) * m.LLCMissCycles
 	cy += float64(c.TLB1Miss) * m.TLB1MissCycles
 	cy += float64(c.TLB2Miss) * m.TLB2MissCycles
@@ -323,8 +284,7 @@ func (m CostModel) Cycles(instr uint64, c Counts) float64 {
 // StallCycles returns the memory-stall component of Cycles, the numerator
 // of the paper's Figure 13 "backend stall" metric.
 func (m CostModel) StallCycles(c Counts) float64 {
-	return float64(c.L2Hits)*m.L2HitCycles +
-		float64(c.L1Misses-c.L2Hits)*m.L1MissCycles +
+	return float64(c.L1Misses)*m.L1MissCycles +
 		float64(c.LLCMisses)*m.LLCMissCycles +
 		float64(c.TLB1Miss)*m.TLB1MissCycles +
 		float64(c.TLB2Miss)*m.TLB2MissCycles

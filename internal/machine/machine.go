@@ -104,9 +104,8 @@ func (m Metrics) Publish(reg *obs.Registry, kv ...string) {
 
 	c := m.Cache
 	reg.Counter("prefix_cache_accesses_total", kv...).Add(c.Accesses)
-	reg.Counter("prefix_cache_l1_hits_total", kv...).Add(c.Accesses - c.L1Misses)
+	reg.Counter("prefix_cache_l1_hits_total", kv...).Add(c.L1Hits)
 	reg.Counter("prefix_cache_l1_misses_total", kv...).Add(c.L1Misses)
-	reg.Counter("prefix_cache_l2_hits_total", kv...).Add(c.L2Hits)
 	reg.Counter("prefix_cache_llc_hits_total", kv...).Add(c.LLCHits)
 	reg.Counter("prefix_cache_llc_misses_total", kv...).Add(c.LLCMisses)
 	reg.Counter("prefix_cache_prefetches_total", kv...).Add(c.Prefetches)

@@ -18,7 +18,7 @@ func sampleMetrics() Metrics {
 		Frees:      8,
 		Reallocs:   2,
 		Cache: cachesim.Counts{
-			Accesses: 400, L1Misses: 40, L2Hits: 5,
+			Accesses: 400, L1Hits: 365, L1Misses: 40,
 			LLCHits: 30, LLCMisses: 10,
 			TLB1Miss: 4, TLB2Miss: 1, Prefetches: 10,
 		},
@@ -50,7 +50,7 @@ func TestMetricsJSONStableFields(t *testing.T) {
 		t.Fatalf("cache field is not an object: %s", b)
 	}
 	for _, field := range []string{
-		"accesses", "l1_misses", "l2_hits", "llc_hits", "llc_misses",
+		"accesses", "l1_hits", "l1_misses", "llc_hits", "llc_misses",
 		"tlb1_misses", "tlb2_misses", "prefetches",
 	} {
 		if _, ok := cache[field]; !ok {
@@ -84,8 +84,8 @@ func TestMetricsPublish(t *testing.T) {
 	if got := reg.Counter("prefix_run_instructions_total", "benchmark", "t", "run", "baseline").Value(); got != 1000 {
 		t.Errorf("instructions counter = %d, want 1000", got)
 	}
-	if got := reg.Counter("prefix_cache_l1_hits_total", "benchmark", "t", "run", "baseline").Value(); got != 360 {
-		t.Errorf("l1 hits counter = %d, want 360 (accesses - l1 misses)", got)
+	if got := reg.Counter("prefix_cache_l1_hits_total", "benchmark", "t", "run", "baseline").Value(); got != 365 {
+		t.Errorf("l1 hits counter = %d, want 365 (Counts.L1Hits)", got)
 	}
 	if got := reg.Gauge("prefix_run_backend_stall_pct", "benchmark", "t", "run", "baseline").Value(); got != 40 {
 		t.Errorf("stall pct gauge = %v, want 40", got)
@@ -93,4 +93,20 @@ func TestMetricsPublish(t *testing.T) {
 
 	// Publishing into a nil registry must be a no-op, not a panic.
 	m.Publish(nil, "benchmark", "t")
+}
+
+// TestPublishStraddleL1Hits: L1 hits are line hits. A cold access
+// straddling two lines misses both, so it publishes 0 hits and 2 misses
+// (not accesses minus misses, which wraps below zero).
+func TestPublishStraddleL1Hits(t *testing.T) {
+	h := cachesim.New(cachesim.ScaledConfig())
+	h.Access(0x1030, 32) // spans the 0x1000 and 0x1040 lines
+	reg := obs.NewRegistry()
+	Metrics{Cache: h.Counts()}.Publish(reg, "benchmark", "t")
+	if got := reg.Counter("prefix_cache_l1_hits_total", "benchmark", "t").Value(); got != 0 {
+		t.Errorf("l1 hits counter = %d, want 0", got)
+	}
+	if got := reg.Counter("prefix_cache_l1_misses_total", "benchmark", "t").Value(); got != 2 {
+		t.Errorf("l1 misses counter = %d, want 2", got)
+	}
 }
