@@ -8,6 +8,10 @@
 // with 64-entry 4-way L1 and 1536-entry 6-way L2. A scaled configuration
 // with a smaller LLC is provided so the full 13-benchmark harness runs in
 // seconds; EXPERIMENTS.md documents the scaling.
+//
+// Every level is one flat array of complemented tags, where a zero word
+// is an empty way, changed only by a one-pass move-to-front probe that
+// inlines into the hierarchy walk (see Cache and DESIGN.md §4f).
 package cachesim
 
 import "fmt"
@@ -16,23 +20,27 @@ import "fmt"
 // are line (or page) numbers; no data is stored, and the cache keeps no
 // counters: Hierarchy counts every event in its Counts.
 //
-// Tag storage is one flat preallocated array of sets*ways words: set s
-// occupies tags[s*ways : s*ways+fill[s]], ordered MRU-first. Every
-// probe is one pass over that window — no per-set slice headers to
-// chase, and no allocation ever happens after construction.
+// Tag storage is one flat array of sets*ways words: set s occupies
+// tags[s*ways : (s+1)*ways], ordered MRU-first. Each way holds the
+// complement ^block of its tag, so a zero word is an empty way and a
+// fresh array needs no initialisation pass. No block complements to
+// zero: NewCache requires lines of at least two bytes, so every block
+// (even the next-line successor of the top line) is below ^uint64(0).
+// Every probe is one pass over the set — no per-set slice headers or
+// fill counts to read, and no allocation ever happens after
+// construction.
 type Cache struct {
 	sets  uint64
 	ways  int
 	shift uint     // address bits consumed below the index (line/page)
-	tags  []uint64 // flat sets*ways tag array
-	fill  []int32  // valid ways per set
+	tags  []uint64 // flat sets*ways array of complemented tags
 }
 
 // NewCache builds a cache of size bytes with the given associativity and
-// line size. size must be a multiple of ways*line and the set count must
-// be a power of two.
+// line size. size must be a multiple of ways*line, the set count must
+// be a power of two, and the line at least two bytes.
 func NewCache(size, line uint64, ways int) (*Cache, error) {
-	if size == 0 || line == 0 || ways <= 0 {
+	if size == 0 || line < 2 || ways <= 0 {
 		return nil, fmt.Errorf("cachesim: bad geometry size=%d line=%d ways=%d", size, line, ways)
 	}
 	if size%line != 0 {
@@ -53,10 +61,7 @@ func NewCache(size, line uint64, ways int) (*Cache, error) {
 		}
 		shift++
 	}
-	c := &Cache{sets: sets, ways: ways, shift: shift}
-	c.tags = make([]uint64, sets*uint64(ways))
-	c.fill = make([]int32, sets)
-	return c, nil
+	return &Cache{sets: sets, ways: ways, shift: shift, tags: make([]uint64, sets*uint64(ways))}, nil
 }
 
 // MustCache is NewCache that panics on bad geometry; for package presets.
@@ -76,26 +81,21 @@ func MustCache(size, line uint64, ways int) *Cache {
 // One pass does the whole move-to-front: each way receives the tag of
 // the way before it, starting with block itself at way 0. On a hit the
 // pass stops at the matching way, which the shifted tag overwrites. On
-// a miss the last tag carried out of the window takes the next empty
-// way, or falls off (is evicted) when the set is full.
+// a miss the tag carried out of the last way falls off: the LRU tag
+// when the set is full, an empty (zero) word when it is not.
 //
 //prefix:hotpath
 func (c *Cache) probe(block uint64) bool {
-	set := block & (c.sets - 1)
-	base := int(set) * c.ways
-	n := int(c.fill[set])
-	ws := c.tags[base : base+n]
-	carry := block
+	base := int(block&(c.sets-1)) * c.ways
+	ws := c.tags[base : base+c.ways]
+	want := ^block
+	carry := want
 	for i, tag := range ws {
 		ws[i] = carry
-		if tag == block {
+		if tag == want {
 			return true
 		}
 		carry = tag
-	}
-	if n < c.ways {
-		c.tags[base+n] = carry
-		c.fill[set] = int32(n + 1)
 	}
 	return false
 }

@@ -23,6 +23,7 @@ func TestGeometryValidation(t *testing.T) {
 		{32 << 10, 0, 8},
 		{32 << 10, 64, 0},
 		{32 << 10, 63, 8},    // non-power-of-two line
+		{32 << 10, 1, 8},     // 1-byte line: block ^0 would read as an empty way
 		{48 << 10, 64, 8},    // set count not a power of two
 		{32 << 10, 64, 768},  // lines not divisible by ways... (512/768)
 		{32, 64, 8},          // smaller than a line: zero sets
@@ -49,6 +50,21 @@ func TestHitAfterFill(t *testing.T) {
 	}
 	if touch(c, 0x140) {
 		t.Error("next line should miss")
+	}
+}
+
+// TestFreshCacheMissesExtremeBlocks: an empty way is the zero word, the
+// complement of block ^0, so a fresh cache must still miss on block 0 and
+// on 1<<63, the next-line successor of the top 2-byte line.
+func TestFreshCacheMissesExtremeBlocks(t *testing.T) {
+	for _, block := range []uint64{0, 1 << 63} {
+		c := MustCache(1024, 2, 4)
+		if c.probe(block) {
+			t.Errorf("fresh cache hit on block %#x", block)
+		}
+		if !c.probe(block) {
+			t.Errorf("block %#x missed right after its fill", block)
+		}
 	}
 }
 

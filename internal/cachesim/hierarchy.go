@@ -95,7 +95,7 @@ type Hierarchy struct {
 	// touches the private tlb1, so that page sits at MRU way 0 of its
 	// set: a repeat access to it is a hit that changes no state, and
 	// Access skips the probe. It starts at ^uint64(0), which no page
-	// number reaches: NewShared requires pages of at least two bytes.
+	// number reaches: NewCache requires pages of at least two bytes.
 	tlb1Page uint64
 
 	counts Counts
@@ -124,9 +124,6 @@ func New(cfg Config) *Hierarchy {
 // NewShared builds a hierarchy whose LLC is the given (shared) cache; used
 // for multithreaded simulation where threads have private L1s.
 func NewShared(cfg Config, llc *Cache) *Hierarchy {
-	if cfg.Page < 2 {
-		panic("cachesim: page size must be at least 2 bytes")
-	}
 	return &Hierarchy{
 		l1:       MustCache(cfg.L1Size, cfg.Line, cfg.L1Ways),
 		llc:      llc,

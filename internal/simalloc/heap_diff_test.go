@@ -24,8 +24,23 @@ const (
 // sizeFor decodes a request size from a size class and a 16-bit argument.
 // The classes cover every bin: zero-size requests, the exact 16-byte bins,
 // bin 31's 496/512 pair, unaligned small sizes, each logarithmic bin above
-// 512, and sizes past the last bin's nominal bound.
+// 512, and sizes past the last bin's nominal bound. One class in 32 asks
+// for nearly 2^64 bytes instead: sizes whose alignment or block end
+// passes 2^64, and sizes that fit once or a few times.
 func sizeFor(class byte, v uint16) uint64 {
+	if class%32 == 31 {
+		w := uint64(v >> 2)
+		switch v & 3 {
+		case 0:
+			return ^uint64(0) - w%32
+		case 1:
+			return 1<<63 - w
+		case 2:
+			return 1<<62 + w<<4
+		default:
+			return 1<<40 + w
+		}
+	}
 	switch class % 8 {
 	case 0:
 		return 0
@@ -100,7 +115,9 @@ func (p *heapPair) unknown(v uint16) mem.Addr {
 
 func (p *heapPair) request(class byte, v uint16) uint64 {
 	size := sizeFor(class, v)
-	p.bins[binFor(mem.AlignUp(maxU64(size, MinPayload), Alignment))] = true
+	if payload, ok := payloadSize(size); ok {
+		p.bins[binFor(payload)] = true
+	}
 	return size
 }
 
@@ -118,7 +135,7 @@ func (p *heapPair) apply(op byte, v uint16) {
 	case opMalloc, opMalloc2:
 		size := p.request(class, v)
 		got, want = p.h.Malloc(size), p.ref.Malloc(size)
-		if got == want {
+		if got == want && got != mem.NilAddr {
 			p.live = append(p.live, got)
 		}
 	case opFree, opDoubleFree, opFreeUnknown:
@@ -152,7 +169,7 @@ func (p *heapPair) apply(op byte, v uint16) {
 		}
 		got, gotN = p.h.Realloc(a, size)
 		want, wantN = p.ref.Realloc(a, size)
-		if got == want && gotN == wantN {
+		if got == want && gotN == wantN && got != mem.NilAddr {
 			if k >= 0 && got != a {
 				p.retire(k)
 			}
@@ -301,6 +318,13 @@ func FuzzHeapMatchesReference(f *testing.F) {
 	// Realloc grow, shrink, nil and unknown address.
 	f.Add(seq(op(opMalloc, 6, 3), op(opMalloc, 6, 3), op(opRealloc, 4, 0),
 		op(opRealloc, 0, 0), op(opReallocNil, 1, 5), op(opReallocUnknown, 3, 2)))
+	// Requests near 2^64: a size whose alignment wraps, a break that
+	// would wrap after a 2^63-byte block, reallocs refused both ways, and
+	// small blocks beyond the huge ones.
+	f.Add(seq(op(opMalloc, 31, 0), op(opMalloc, 6, 1), op(opMalloc, 31, 1),
+		op(opMalloc, 31, 1), op(opMalloc, 6, 2), op(opRealloc, 31, 4),
+		op(opRealloc, 31, 1), op(opMalloc, 31, 3), op(opFree, 0, 2),
+		op(opMalloc, 3, 7), op(opFree, 0, 0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 3*512 {
 			data = data[:3*512]

@@ -1,8 +1,9 @@
 package simalloc
 
 // This file keeps the map-based heap that Heap replaced, verbatim apart
-// from its names, as the reference the slab heap is differential-tested
-// against (heap_diff_test.go). Its policy is the specification: a change
+// from its names and the refusal of requests that would pass 2^64, as
+// the reference the slab heap is differential-tested against
+// (heap_diff_test.go). Its policy is the specification: a change
 // to Heap that makes any observable result differ from refHeap's is a
 // change to the simulated allocator, not an optimization.
 
@@ -90,6 +91,9 @@ func refBinFor(size uint64) int {
 // return distinct pointers for zero-byte requests.
 func (h *refHeap) Malloc(size uint64) mem.Addr {
 	h.stats.Mallocs++
+	if size > ^uint64(0)-(Alignment-1) {
+		return mem.NilAddr // the aligned size would wrap
+	}
 	size = mem.AlignUp(maxU64(size, MinPayload), Alignment)
 
 	if a := h.takeFree(size); a != mem.NilAddr {
@@ -99,7 +103,10 @@ func (h *refHeap) Malloc(size uint64) mem.Addr {
 		return a
 	}
 
-	// Extend the break.
+	// Extend the break, unless the new one would pass 2^64.
+	if ^uint64(0)-uint64(h.brk) < HeaderSize+size || HeaderSize+size < size {
+		return mem.NilAddr
+	}
 	payload := h.brk + HeaderSize
 	b := &refBlock{addr: payload, size: size}
 	h.blocks[payload] = b
@@ -230,12 +237,18 @@ func (h *refHeap) Realloc(addr mem.Addr, newSize uint64) (mem.Addr, uint64) {
 		h.stats.FailedFrees++
 		return h.Malloc(newSize), 0
 	}
+	if newSize > ^uint64(0)-(Alignment-1) {
+		return mem.NilAddr, 0
+	}
 	newSize = mem.AlignUp(maxU64(newSize, MinPayload), Alignment)
 	if newSize <= b.size {
 		return addr, newSize // shrink in place (no block split for simplicity)
 	}
 	old := b.size
 	na := h.Malloc(newSize)
+	if na == mem.NilAddr {
+		return mem.NilAddr, 0
+	}
 	h.Free(addr)
 	return na, old
 }

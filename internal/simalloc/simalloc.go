@@ -21,10 +21,13 @@
 //
 // Every simulated malloc and free runs through this heap, so its host
 // cost is a large share of a simulation's. The bookkeeping is therefore
-// allocation-free in steady state: block records live in one slab and
-// link to their address-order neighbours by slab index, the bins hold
-// slab indices and remove in place, and a malloc or free makes one map
-// operation (see Heap).
+// allocation-free in steady state and hashes nothing: block records live
+// in one slab and link to their address-order neighbours by slab index,
+// the bins hold slab indices and remove in place, and a payload address
+// finds its record through a direct table indexed by address (see Heap).
+//
+// A request whose aligned size, or whose block end, would pass 2^64 is
+// refused: Malloc returns NilAddr and Realloc leaves the old block live.
 package simalloc
 
 import (
@@ -45,6 +48,34 @@ const (
 	MinPayload = 16
 )
 
+// The payload index is a direct table with one slot per slotBytes of
+// heap above the base. Two payloads are at least a header and a minimum
+// payload apart, so no two live blocks share a slot. The table is cut
+// into chunks of chunkSlots slots (128 KiB of heap each), allocated when
+// a malloc first writes one and never moved. Chunk pointers sit in
+// windows: directories of at most dirChunks pointers (8 GiB of heap),
+// each starting at its own chunk number. A heap that stays within 8 GiB
+// of its base has one window, at chunk 0; each further window is opened
+// by a payload beyond the reach of the existing ones, which only
+// multi-GiB requests place.
+const (
+	slotBytes  = HeaderSize + MinPayload
+	chunkShift = 12
+	chunkSlots = 1 << chunkShift
+	dirChunks  = 1 << 16
+)
+
+// window holds the pointers of chunks base, base+1, ..., base+len(dir)-1.
+type window struct {
+	base uint64
+	dir  []*[chunkSlots]int32 // a chunk no malloc has written is &untouched
+}
+
+// untouched stands for every chunk no malloc has written yet. It is
+// never written: its slots all read 0, which find validates like any
+// stale slot.
+var untouched [chunkSlots]int32
+
 // numBins segregates free blocks by size class: bins 0..31 hold exact
 // 16-byte multiples up to 512 bytes, later bins are logarithmic.
 const numBins = 48
@@ -56,7 +87,7 @@ const nilIdx int32 = -1
 // block is an allocated or free region of the simulated heap, stored by
 // value in Heap.slab. Blocks partition the heap: every byte between
 // heapStart and brk belongs to exactly one block. A record on the spare
-// list belongs to no block and has addr NilAddr.
+// list belongs to no block, is free and has addr NilAddr.
 type block struct {
 	addr       mem.Addr // payload address
 	size       uint64   // payload size (aligned)
@@ -68,21 +99,21 @@ type block struct {
 // machine layer serializes access (the simulation interleaves logical
 // threads deterministically).
 //
-// A malloc makes exactly one map operation (recording the payload's slab
-// index) and a free makes exactly one (looking it up). Merging a block
-// away on coalescing does not delete its address: the map may keep stale
-// entries, and find treats an entry as valid only when the record it
-// names still holds a live block at that address. Records freed by
-// coalescing go on the spare list with addr NilAddr, so no stale entry
-// can resolve to a reused record.
+// A malloc writes the payload's slab index into its index slot and a
+// free reads it back. Merging a block away on coalescing does not clear
+// its slot: slots may be stale (an untouched slot of an allocated chunk
+// reads 0), and find treats a slot as valid only when the record it
+// names still holds a live block at exactly that address. Records freed
+// by coalescing go on the spare list free, with addr NilAddr, so no slot
+// can resolve to a spare record, even for the address NilAddr.
 type Heap struct {
 	heapStart mem.Addr
 	brk       mem.Addr
 
-	slab  []block            // every block record, indexed by int32
-	spare []int32            // slab indices free for reuse
-	index map[mem.Addr]int32 // payload address -> slab index (may be stale)
-	last  int32              // highest block, nilIdx when the heap is empty
+	slab  []block  // every block record, indexed by int32
+	spare []int32  // slab indices free for reuse
+	index []window // payload slot -> slab index (may be stale), in opening order
+	last  int32    // highest block, nilIdx when the heap is empty
 
 	bins [numBins][]int32 // free blocks' slab indices, address-ordered
 
@@ -142,7 +173,6 @@ func New(base mem.Addr) *Heap {
 	return &Heap{
 		heapStart: base,
 		brk:       base,
-		index:     make(map[mem.Addr]int32),
 		last:      nilIdx,
 	}
 }
@@ -175,13 +205,55 @@ func binFor(size uint64) int {
 }
 
 // find returns the slab index of the live block whose payload starts at
-// addr, or nilIdx when addr is not a live payload address.
+// addr, or nilIdx when addr is not a live payload address. The first
+// window whose directory holds addr's chunk answers; that is the window
+// chunk wrote the slot in, since an earlier window could hold the chunk
+// only if its reach covered it. The slot read, whatever addr is (below
+// the base it wraps around), names a live block only if that record is
+// live at exactly addr.
+//
+//prefix:hotpath
 func (h *Heap) find(addr mem.Addr) int32 {
-	i, ok := h.index[addr]
-	if !ok || h.slab[i].addr != addr || h.slab[i].free {
+	key := uint64(addr-h.heapStart) / slotBytes
+	c := key >> chunkShift
+	i := nilIdx
+	for _, w := range h.index {
+		if d := c - w.base; d < uint64(len(w.dir)) {
+			i = w.dir[d][key%chunkSlots]
+			break
+		}
+	}
+	if i == nilIdx || h.slab[i].addr != addr || h.slab[i].free {
 		return nilIdx
 	}
 	return i
+}
+
+// record writes slab index i, a live block, into its payload's slot.
+func (h *Heap) record(i int32) {
+	key := uint64(h.slab[i].addr-h.heapStart) / slotBytes
+	h.chunk(key >> chunkShift)[key%chunkSlots] = i
+}
+
+// chunk returns index chunk c, allocating it on first use in the first
+// window whose reach covers c, or in a new window based at c.
+func (h *Heap) chunk(c uint64) *[chunkSlots]int32 {
+	k := 0
+	for k < len(h.index) && c-h.index[k].base >= dirChunks {
+		k++
+	}
+	if k == len(h.index) {
+		h.index = append(h.index, window{base: c})
+	}
+	w := &h.index[k]
+	d := c - w.base
+	for uint64(len(w.dir)) <= d {
+		w.dir = append(w.dir, &untouched)
+	}
+	if w.dir[d] == &untouched {
+		w.dir[d] = new([chunkSlots]int32)
+	}
+	return w.dir[d]
 }
 
 // newRecord returns the slab index of a new, unlinked block record,
@@ -199,9 +271,9 @@ func (h *Heap) newRecord(addr mem.Addr, size uint64, free bool) int32 {
 }
 
 // dropRecord unlinks block i, which coalescing merged into its lower
-// neighbour, and puts its record on the spare list. The record's addr
-// becomes NilAddr, so a stale index entry for the old address no longer
-// resolves.
+// neighbour, and puts its record on the spare list. The record becomes
+// a free block at NilAddr, so a stale slot for the old address, or any
+// slot read for NilAddr, no longer resolves.
 func (h *Heap) dropRecord(i int32) {
 	p, n := h.slab[i].prev, h.slab[i].next
 	if p != nilIdx {
@@ -213,20 +285,38 @@ func (h *Heap) dropRecord(i int32) {
 	if h.last == i {
 		h.last = p
 	}
-	h.slab[i] = block{addr: mem.NilAddr, prev: nilIdx, next: nilIdx}
+	h.slab[i] = block{addr: mem.NilAddr, prev: nilIdx, next: nilIdx, free: true}
 	h.spare = append(h.spare, i)
+}
+
+// payloadSize returns the payload a request of size bytes occupies, and
+// false when aligning it would pass 2^64.
+func payloadSize(size uint64) (uint64, bool) {
+	if size > ^uint64(0)-(Alignment-1) {
+		return 0, false
+	}
+	return mem.AlignUp(maxU64(size, MinPayload), Alignment), true
 }
 
 // Malloc allocates size payload bytes and returns the payload address.
 // A size of zero allocates MinPayload bytes, matching common mallocs that
-// return distinct pointers for zero-byte requests.
+// return distinct pointers for zero-byte requests. A request whose
+// aligned size would pass 2^64, or that fits no free block and whose new
+// block would end past 2^64, is refused: Malloc returns NilAddr, and
+// only Stats.Mallocs records the call.
 func (h *Heap) Malloc(size uint64) mem.Addr {
 	h.stats.Mallocs++
-	size = mem.AlignUp(maxU64(size, MinPayload), Alignment)
+	size, ok := payloadSize(size)
+	if !ok {
+		return mem.NilAddr
+	}
 
 	i := h.takeFree(size)
 	if i == nilIdx {
-		// Extend the break.
+		// Extend the break, unless the new one would pass 2^64.
+		if room := ^uint64(0) - uint64(h.brk); room < HeaderSize || room-HeaderSize < size {
+			return mem.NilAddr
+		}
 		i = h.newRecord(h.brk+HeaderSize, size, false)
 		h.linkAfter(h.last, i)
 		h.brk += HeaderSize + mem.Addr(size)
@@ -236,8 +326,8 @@ func (h *Heap) Malloc(size uint64) mem.Addr {
 			h.stats.PeakBytes = h.stats.GrossBytes
 		}
 	}
+	h.record(i)
 	b := &h.slab[i]
-	h.index[b.addr] = i
 	h.stats.LiveBytes += b.size
 	h.stats.LiveBlocks++
 	return b.addr
@@ -357,7 +447,8 @@ func (h *Heap) coalesce(i int32) {
 
 // Realloc resizes the block at addr to newSize, returning the (possibly
 // moved) payload address and the number of payload bytes preserved. A nil
-// addr behaves like Malloc.
+// addr behaves like Malloc. A refused resize returns (NilAddr, 0) and
+// leaves the block at addr live and unchanged.
 func (h *Heap) Realloc(addr mem.Addr, newSize uint64) (mem.Addr, uint64) {
 	h.stats.Reallocs++
 	if addr == mem.NilAddr {
@@ -368,13 +459,19 @@ func (h *Heap) Realloc(addr mem.Addr, newSize uint64) (mem.Addr, uint64) {
 		h.stats.FailedFrees++
 		return h.Malloc(newSize), 0
 	}
-	newSize = mem.AlignUp(maxU64(newSize, MinPayload), Alignment)
+	newSize, ok := payloadSize(newSize)
+	if !ok {
+		return mem.NilAddr, 0
+	}
 	old := h.slab[i].size
 	if newSize <= old {
 		return addr, newSize // shrink in place (no block split for simplicity)
 	}
 	// Malloc cannot touch live block i, so its index stays valid.
 	na := h.Malloc(newSize)
+	if na == mem.NilAddr {
+		return mem.NilAddr, 0
+	}
 	h.release(i)
 	return na, old
 }
@@ -427,10 +524,11 @@ func (h *Heap) CheckInvariants() error {
 		if spare[i] {
 			return fmt.Errorf("simalloc: spare index %d listed twice", i)
 		}
-		// No map key is NilAddr, so a spare record with that address is
-		// unreachable from the address map whatever stale entries it has.
-		if a := h.slab[i].addr; a != mem.NilAddr {
-			return fmt.Errorf("simalloc: spare record %d reachable from the address map at %v", i, a)
+		// No payload address is NilAddr, and find resolves only live
+		// records, so a free record at NilAddr is unreachable from the
+		// index whatever stale slots name it.
+		if a := h.slab[i].addr; a != mem.NilAddr || !h.slab[i].free {
+			return fmt.Errorf("simalloc: spare record %d reachable from the index at %v", i, a)
 		}
 		spare[i] = true
 	}
@@ -455,6 +553,9 @@ func (h *Heap) CheckInvariants() error {
 		if !mem.IsAligned(uint64(b.addr), Alignment) {
 			return fmt.Errorf("simalloc: block %v misaligned", b.addr)
 		}
+		if b.size < MinPayload {
+			return fmt.Errorf("simalloc: block %v of size %d below the %d-byte minimum payload", b.addr, b.size, MinPayload)
+		}
 		if b.prev != prev {
 			return fmt.Errorf("simalloc: block %v links prev %d, address order has %d", b.addr, b.prev, prev)
 		}
@@ -467,8 +568,8 @@ func (h *Heap) CheckInvariants() error {
 		if !b.free {
 			live += b.size
 			liveBlocks++
-			if j, ok := h.index[b.addr]; !ok || j != i {
-				return fmt.Errorf("simalloc: live block %v not reachable from the address map", b.addr)
+			if h.find(b.addr) != i {
+				return fmt.Errorf("simalloc: live block %v not reachable from the index", b.addr)
 			}
 		}
 		cursor = b.addr + mem.Addr(b.size)

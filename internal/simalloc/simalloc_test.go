@@ -77,6 +77,151 @@ func TestFreeUnknownAddress(t *testing.T) {
 	}
 }
 
+// TestFreeRejectsNonPayloadAddresses frees addresses whose index slot
+// is out of reach, untouched, shared with a live payload, or stale, and
+// requires each free to fail, count in FailedFrees, and leave the heap
+// intact.
+func TestFreeRejectsNonPayloadAddresses(t *testing.T) {
+	h := New(0x10000)
+	x := h.Malloc(64)
+	y := h.Malloc(64)
+	big := h.Malloc(256)
+	h.Free(y)
+	h.Free(x)      // merges y's block into x's; y's slot goes stale
+	h.Malloc(4096) // extends the break with y's old, now spare, record
+	if !h.Owns(big) {
+		t.Fatal("guard block not live")
+	}
+	bad := []struct {
+		name string
+		addr mem.Addr
+	}{
+		{"the nil address", mem.NilAddr},
+		{"below the heap base", h.Base() - slotBytes},
+		{"misaligned, in a live payload's slot", big + 1},
+		{"inside a live block", big + 2*slotBytes},
+		{"past the table", h.Brk() + chunkSlots*slotBytes},
+		{"past every window", h.Base() + dirChunks*chunkSlots*slotBytes},
+		{"stale after coalescing", y},
+	}
+	for k, c := range bad {
+		if h.Free(c.addr) {
+			t.Errorf("%s: Free(%v) succeeded", c.name, c.addr)
+		}
+		if got := h.Stats().FailedFrees; got != uint64(k+1) {
+			t.Errorf("%s: FailedFrees = %d, want %d", c.name, got, k+1)
+		}
+	}
+	if !h.Owns(big) || h.SizeOf(big) != 256 {
+		t.Error("a failed free disturbed the live block")
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// allocatedChunks counts the index chunks h has allocated, by window.
+func allocatedChunks(h *Heap) []int {
+	var n []int
+	for _, w := range h.index {
+		n = append(n, 0)
+		for _, ch := range w.dir {
+			if ch != &untouched {
+				n[len(n)-1]++
+			}
+		}
+	}
+	return n
+}
+
+// TestIndexChunksStaySparse: a huge block spans thousands of index
+// chunks, but only the chunks holding payload addresses are allocated.
+func TestIndexChunksStaySparse(t *testing.T) {
+	h := New(0x10000)
+	h.Malloc(1 << 30)
+	for i := 0; i < 100; i++ {
+		h.Malloc(64)
+	}
+	if got := allocatedChunks(h); !slices.Equal(got, []int{2}) {
+		t.Errorf("allocated chunks by window = %v, want [2]", got)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIndexWindows: payloads more than 8 GiB above the base open a
+// second window, and malloc, free and reuse work there as below it.
+func TestIndexWindows(t *testing.T) {
+	h := New(0x10000)
+	low := h.Malloc(9 << 30)
+	a := h.Malloc(64)
+	b := h.Malloc(64)
+	h.Malloc(64) // guard
+	if got := allocatedChunks(h); !slices.Equal(got, []int{1, 1}) {
+		t.Fatalf("allocated chunks by window = %v, want [1 1]", got)
+	}
+	if !h.Free(a) || !h.Free(b) || h.Free(b) || h.Owns(a) || !h.Owns(low) {
+		t.Error("free, double free or ownership wrong past the first window")
+	}
+	if c := h.Malloc(100); c != a || h.SizeOf(c) != 112 {
+		t.Errorf("reuse past the first window: got %v (%d bytes), want %v", c, h.SizeOf(c), a)
+	}
+	if err := h.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRefusesOverflowingRequests: a request whose aligned size or block
+// end passes 2^64 returns NilAddr and changes no block; a refused
+// Realloc keeps the old block live.
+func TestRefusesOverflowingRequests(t *testing.T) {
+	unchanged := func(t *testing.T, h *Heap, brk mem.Addr, live uint64) {
+		t.Helper()
+		if h.Brk() != brk || h.Stats().LiveBlocks != live {
+			t.Errorf("heap changed: brk %v (want %v), live blocks %d (want %d)",
+				h.Brk(), brk, h.Stats().LiveBlocks, live)
+		}
+		if err := h.CheckInvariants(); err != nil {
+			t.Error(err)
+		}
+	}
+	t.Run("aligned size wraps", func(t *testing.T) {
+		h := New(0x10000)
+		if a := h.Malloc(^uint64(0)); a != mem.NilAddr {
+			t.Errorf("Malloc(2^64-1) = %v (%d bytes)", a, h.SizeOf(a))
+		}
+		unchanged(t, h, h.Base(), 0)
+	})
+	t.Run("break wraps", func(t *testing.T) {
+		h := New(0x10000)
+		first := h.Malloc(1 << 63)
+		brk := h.Brk()
+		if a := h.Malloc(1 << 63); a != mem.NilAddr {
+			t.Errorf("second Malloc(2^63) = %v", a)
+		}
+		unchanged(t, h, brk, 1)
+		if a := h.Malloc(64); a != brk+HeaderSize {
+			t.Errorf("Malloc(64) = %v, want %v past the first block at %v", a, brk+HeaderSize, first)
+		}
+	})
+	t.Run("realloc", func(t *testing.T) {
+		h := New(0x10000)
+		p := h.Malloc(64)
+		h.Malloc(1 << 63) // leaves too little room for another 2^63
+		brk := h.Brk()
+		for _, size := range []uint64{^uint64(0), 1 << 63} {
+			if a, n := h.Realloc(p, size); a != mem.NilAddr || n != 0 {
+				t.Errorf("Realloc(p, %#x) = %v, %d", size, a, n)
+			}
+			if h.SizeOf(p) != 64 {
+				t.Errorf("Realloc(p, %#x) left p with %d bytes", size, h.SizeOf(p))
+			}
+			unchanged(t, h, brk, 2)
+		}
+	})
+}
+
 func TestCoalescingMergesNeighbours(t *testing.T) {
 	h := New(0x10000)
 	a := h.Malloc(64)
@@ -280,9 +425,15 @@ func cloneHeap(h *Heap) *Heap {
 	c := *h
 	c.slab = append([]block(nil), h.slab...)
 	c.spare = append([]int32(nil), h.spare...)
-	c.index = make(map[mem.Addr]int32, len(h.index))
-	for a, i := range h.index {
-		c.index[a] = i
+	c.index = append([]window(nil), h.index...)
+	for k, w := range c.index {
+		c.index[k].dir = append([]*[chunkSlots]int32(nil), w.dir...)
+		for d, ch := range w.dir {
+			if ch != &untouched {
+				cp := *ch
+				c.index[k].dir[d] = &cp
+			}
+		}
 	}
 	for b := range h.bins {
 		c.bins[b] = append([]int32(nil), h.bins[b]...)
@@ -380,21 +531,42 @@ var corruptions = []struct {
 		}
 		return false
 	}},
-	{"spare record reachable", "reachable from the address map", func(h *Heap) bool {
+	{"spare record reachable", "reachable from the index", func(h *Heap) bool {
 		if len(h.spare) == 0 {
 			return false
 		}
 		h.slab[h.spare[0]].addr = h.slab[0].addr
 		return true
 	}},
-	{"live block missing from the address map", "not reachable from the address map", func(h *Heap) bool {
+	{"live block missing from the index", "not reachable from the index", func(h *Heap) bool {
+		// Point a live block's slot at another live record, as a lost
+		// index write would leave it.
+		var live []int32
 		for _, i := range blocksInOrder(h) {
 			if !h.slab[i].free {
-				delete(h.index, h.slab[i].addr)
-				return true
+				live = append(live, i)
 			}
 		}
-		return false
+		if len(live) < 2 {
+			return false
+		}
+		key := uint64(h.slab[live[0]].addr-h.heapStart) / slotBytes
+		h.chunk(key >> chunkShift)[key%chunkSlots] = live[1]
+		return true
+	}},
+	{"block below the minimum payload", "minimum payload", func(h *Heap) bool {
+		order := blocksInOrder(h)
+		if len(order) < 2 {
+			return false
+		}
+		// Move 16 bytes from the lowest block's payload to its
+		// neighbour's, keeping the tiling: the neighbour now starts where
+		// a block one minimum payload short of legal would end.
+		a, b := &h.slab[order[0]], &h.slab[order[1]]
+		b.addr -= mem.Addr(a.size)
+		b.size += a.size
+		a.size = 0
+		return true
 	}},
 }
 
