@@ -191,7 +191,8 @@ report-smoke:
 FUZZ_TARGETS = ./internal/trace:FuzzRead ./internal/trace:FuzzAnalyzerRecorder \
 	./internal/simalloc:FuzzHeapMatchesReference ./internal/hds:FuzzLCSKernel \
 	./internal/prefix:FuzzReadPlan ./internal/mem:FuzzLiveIndex \
-	./internal/benchstore:FuzzReadBaseline ./internal/prefix:FuzzReadLedger
+	./internal/benchstore:FuzzReadBaseline ./internal/prefix:FuzzReadLedger \
+	./internal/prefix:FuzzAllocatorMatchesReference
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

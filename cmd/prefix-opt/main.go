@@ -42,7 +42,6 @@ func run() (err error) {
 		scale    = flag.String("scale", "long", "evaluation scale: bench or long")
 		jobs     = flag.Int("jobs", pipeline.DefaultJobs(), "run up to N benchmark evaluations concurrently (1 = serial)")
 		paperHW  = flag.Bool("paper-cache", false, "use the paper's 40MB-LLC cache geometry instead of the scaled one")
-		stream   = flag.Bool("stream", false, "collect profiles through the bounded-memory spill-to-disk streaming path (results are identical)")
 		attrib   = flag.Bool("attrib", false, "attribute misses to allocation sites and append the per-site attribution table (strategy rows are identical)")
 		obsf     = obsflags.Register(flag.CommandLine)
 	)
@@ -84,7 +83,6 @@ func run() (err error) {
 	opt.Metrics = sess.Metrics
 	opt.Tracer = sess.Tracer
 	opt.Perf = sess.Perf
-	opt.Stream = *stream
 	opt.Attribution = *attrib
 	if *attrib && *planPath != "" {
 		return fmt.Errorf("-attrib applies to the strategy comparison, not -plan runs")

@@ -23,10 +23,6 @@ import (
 	"prefix/internal/simalloc"
 )
 
-// HeapBase is where the general-purpose heap lives in the simulated
-// address space. Strategy-private regions are placed far above it.
-const HeapBase mem.Addr = 0x0001_0000
-
 // Baseline is the unmodified allocator: everything goes to the heap.
 type Baseline struct {
 	Heap *simalloc.Heap
@@ -35,7 +31,7 @@ type Baseline struct {
 
 // NewBaseline returns the baseline strategy.
 func NewBaseline(cost cachesim.CostModel) *Baseline {
-	return &Baseline{Heap: simalloc.New(HeapBase), cost: cost}
+	return &Baseline{Heap: simalloc.New(simalloc.HeapBase), cost: cost}
 }
 
 // Name implements machine.Allocator.

@@ -62,7 +62,7 @@ type haloPool struct {
 func NewHALO(cfg HALOConfig, hot HotSet, cost cachesim.CostModel) *HALO {
 	h := &HALO{
 		cfg:       cfg,
-		fallback:  simalloc.New(HeapBase),
+		fallback:  simalloc.New(simalloc.HeapBase),
 		cost:      cost,
 		hot:       hot,
 		counters:  make(map[mem.SiteID]mem.Instance),

@@ -17,7 +17,9 @@ const HDSRegionBase mem.Addr = 0x2000_0000_0000
 // Check: no checks and no overhead"), so chosen sites that also allocate
 // non-HDS objects pollute the region — the paper's first limitation.
 type HDSAlloc struct {
-	sites map[mem.SiteID]bool
+	// sites holds the chosen sites only, each with the number of
+	// allocations it has made so far.
+	sites map[mem.SiteID]mem.Instance
 	// region is managed like a normal heap, per the paper: "malloc/free
 	// overhead similar to other heap objects".
 	region   *simalloc.Heap
@@ -25,24 +27,22 @@ type HDSAlloc struct {
 	cost     cachesim.CostModel
 
 	hot       HotSet
-	counters  map[mem.SiteID]mem.Instance
 	pollution Pollution
 }
 
 // NewHDS builds the HDS baseline. sites is the profile-chosen site set;
 // hot is the ground-truth hot set used only for pollution accounting.
 func NewHDS(sites []mem.SiteID, hot HotSet, cost cachesim.CostModel) *HDSAlloc {
-	s := make(map[mem.SiteID]bool, len(sites))
+	s := make(map[mem.SiteID]mem.Instance, len(sites))
 	for _, id := range sites {
-		s[id] = true
+		s[id] = 0
 	}
 	return &HDSAlloc{
 		sites:    s,
 		region:   simalloc.New(HDSRegionBase),
-		fallback: simalloc.New(HeapBase),
+		fallback: simalloc.New(simalloc.HeapBase),
 		cost:     cost,
 		hot:      hot,
-		counters: make(map[mem.SiteID]mem.Instance),
 	}
 }
 
@@ -51,10 +51,11 @@ func (h *HDSAlloc) Name() string { return "hds" }
 
 // Malloc implements machine.Allocator.
 func (h *HDSAlloc) Malloc(site mem.SiteID, _ mem.StackSig, size uint64) (mem.Addr, uint64) {
-	h.counters[site]++
-	if h.sites[site] {
+	if n, chosen := h.sites[site]; chosen {
+		n++
+		h.sites[site] = n
 		h.pollution.All++
-		if h.hot.Has(site, h.counters[site]) {
+		if h.hot.Has(site, n) {
 			h.pollution.Hot++
 		}
 		return h.region.Malloc(size), h.cost.MallocInstr

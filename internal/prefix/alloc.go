@@ -59,54 +59,39 @@ type Allocator struct {
 	plan *Plan
 	cost cachesim.CostModel
 
-	counters []mem.Instance    // current counter values
-	patterns []context.Pattern // runtime matchers, index-aligned with plan.Counters
+	counters []counter // index-aligned with plan.Counters
 
-	// Static slot state.
-	slotLive map[uint64]bool      // region offset -> occupied
-	byAddr   map[mem.Addr]Slot    // live region address -> slot
-	ringOf   map[mem.Addr]ringRef // live ring address -> which ring slot
-
-	// Recycling rings, index-aligned with plan.Counters (nil when the
-	// counter has no ring).
-	rings []*ring
+	// live maps the address of every occupied static or ring slot to the
+	// slot's size; a slot is free exactly when its address is absent.
+	// This is exact because Validate rejects overlapping slots, so no
+	// two slots share an address, and NewAllocator takes only validated
+	// plans.
+	live map[mem.Addr]uint64
 
 	fallback *simalloc.Heap
 	cap      Capture
 }
 
-type ring struct {
-	plan RecyclePlan
-	free []bool
+// counter is one plan counter at runtime: the instance id of its latest
+// allocation, its id matcher and the plan entry it executes.
+type counter struct {
+	id      mem.Instance
+	pattern context.Pattern
+	plan    *PlanCounter
 }
 
-type ringRef struct {
-	counter int
-	slot    int
-}
-
-// NewAllocator builds the runtime for a validated plan.
+// NewAllocator builds the runtime for a plan, which must pass Validate.
 func NewAllocator(plan *Plan, cost cachesim.CostModel) *Allocator {
 	a := &Allocator{
 		plan:     plan,
 		cost:     cost,
-		counters: make([]mem.Instance, len(plan.Counters)),
-		patterns: make([]context.Pattern, len(plan.Counters)),
-		slotLive: make(map[uint64]bool),
-		byAddr:   make(map[mem.Addr]Slot),
-		ringOf:   make(map[mem.Addr]ringRef),
-		rings:    make([]*ring, len(plan.Counters)),
-		fallback: simalloc.New(0x0001_0000),
+		counters: make([]counter, len(plan.Counters)),
+		live:     make(map[mem.Addr]uint64),
+		fallback: simalloc.New(simalloc.HeapBase),
 	}
 	for i := range plan.Counters {
-		a.patterns[i] = plan.Counters[i].Pattern()
-		if r := plan.Counters[i].Recycle; r != nil {
-			rg := &ring{plan: *r, free: make([]bool, r.N)}
-			for j := range rg.free {
-				rg.free[j] = true
-			}
-			a.rings[i] = rg
-		}
+		pc := &plan.Counters[i]
+		a.counters[i] = counter{pattern: pc.Pattern(), plan: pc}
 	}
 	return a
 }
@@ -135,18 +120,16 @@ func (a *Allocator) Malloc(site mem.SiteID, stack mem.StackSig, size uint64) (me
 		a.cap.FallbackMallocs++
 		return a.fallback.Malloc(size), a.cost.MallocInstr
 	}
-	a.counters[ci]++
-	id := a.counters[ci]
-	check := a.patterns[ci].CheckInstr()
+	c := &a.counters[ci]
+	c.id++
+	check := c.pattern.CheckInstr()
 	a.cap.CheckInstr += check
 
-	// Figure 7: object recycling.
-	if rg := a.rings[ci]; rg != nil {
-		slot := int(uint64(id-1) % uint64(rg.plan.N))
-		if rg.free[slot] && size <= rg.plan.SlotSize {
-			rg.free[slot] = false
-			addr := RegionBase + mem.Addr(rg.plan.Base+uint64(slot)*rg.plan.SlotSize)
-			a.ringOf[addr] = ringRef{counter: ci, slot: slot}
+	// Figure 7: object recycling into slot (id-1) mod N.
+	if r := c.plan.Recycle; r != nil {
+		addr := RegionBase + mem.Addr(r.Base+uint64(c.id-1)%uint64(r.N)*r.SlotSize)
+		if _, taken := a.live[addr]; !taken && size <= r.SlotSize {
+			a.live[addr] = r.SlotSize
 			a.cap.MallocsAvoided++
 			a.cap.RecycledCaptured++
 			return addr, check + 4
@@ -157,19 +140,20 @@ func (a *Allocator) Malloc(site mem.SiteID, stack mem.StackSig, size uint64) (me
 
 	// Figure 4: static preallocated placement. Under the hybrid context
 	// (§2.2.2) the profiled call-stack signature must match as well.
-	if a.patterns[ci].Matches(id) {
-		if sigs := a.plan.Counters[ci].Sigs; sigs != nil {
+	if c.pattern.Matches(c.id) {
+		if sigs := c.plan.Sigs; sigs != nil {
 			a.cap.CheckInstr += hybridSigInstr
-			if want, ok := sigs[id]; ok && want != stack {
+			if want, ok := sigs[c.id]; ok && want != stack {
 				a.cap.HybridRejects++
 				a.cap.FallbackMallocs++
 				return a.fallback.Malloc(size), a.cost.MallocInstr + check + hybridSigInstr
 			}
 		}
-		if slot, ok := a.plan.Counters[ci].SlotOf[id]; ok && size <= slot.Size && !a.slotLive[slot.Offset] {
-			a.slotLive[slot.Offset] = true
+		// A static slot serves one id of one counter and ids only grow,
+		// so unlike a ring slot it is never taken when its id comes up.
+		if slot, ok := c.plan.SlotOf[c.id]; ok && size <= slot.Size {
 			addr := RegionBase + mem.Addr(slot.Offset)
-			a.byAddr[addr] = slot
+			a.live[addr] = slot.Size
 			a.cap.MallocsAvoided++
 			a.cap.StaticCaptured++
 			return addr, check + 4
@@ -183,23 +167,12 @@ func (a *Allocator) Malloc(site mem.SiteID, stack mem.StackSig, size uint64) (me
 // added to every free/realloc site (Figures 5 and 6).
 const regionCheckInstr = 2
 
-// Free implements machine.Allocator (paper Figure 5).
+// Free implements machine.Allocator (paper Figure 5). Freeing a region
+// address that is not live — never handed out, or already freed — is the
+// same no-op mark, keeping the transformation semantics-preserving.
 func (a *Allocator) Free(addr mem.Addr) uint64 {
 	if a.plan.Region().Contains(addr) {
-		if ref, ok := a.ringOf[addr]; ok {
-			a.rings[ref.counter].free[ref.slot] = true
-			delete(a.ringOf, addr)
-			a.cap.FreesAvoided++
-			return regionCheckInstr + 2
-		}
-		if slot, ok := a.byAddr[addr]; ok {
-			a.slotLive[slot.Offset] = false
-			delete(a.byAddr, addr)
-			a.cap.FreesAvoided++
-			return regionCheckInstr + 2
-		}
-		// Address inside the region that we did not hand out: treat as a
-		// no-op mark, keeping the transformation semantics-preserving.
+		delete(a.live, addr)
 		a.cap.FreesAvoided++
 		return regionCheckInstr + 2
 	}
@@ -210,21 +183,7 @@ func (a *Allocator) Free(addr mem.Addr) uint64 {
 // Realloc implements machine.Allocator (paper Figure 6).
 func (a *Allocator) Realloc(addr mem.Addr, size uint64) (mem.Addr, uint64) {
 	if a.plan.Region().Contains(addr) {
-		var cur uint64
-		var release func()
-		if ref, ok := a.ringOf[addr]; ok {
-			cur = a.rings[ref.counter].plan.SlotSize
-			release = func() {
-				a.rings[ref.counter].free[ref.slot] = true
-				delete(a.ringOf, addr)
-			}
-		} else if slot, ok := a.byAddr[addr]; ok {
-			cur = slot.Size
-			release = func() {
-				a.slotLive[slot.Offset] = false
-				delete(a.byAddr, addr)
-			}
-		}
+		cur := a.live[addr] // 0 when addr is not a live slot
 		if size <= cur {
 			// Common case per the paper: the new size fits the
 			// preallocated slot.
@@ -233,9 +192,7 @@ func (a *Allocator) Realloc(addr mem.Addr, size uint64) (mem.Addr, uint64) {
 		}
 		// Move the object out of the region: malloc, copy, mark free.
 		na := a.fallback.Malloc(size)
-		if release != nil {
-			release()
-		}
+		delete(a.live, addr)
 		a.cap.ReallocsMoved++
 		copyInstr := cur / 8 // one instruction per copied word
 		return na, a.cost.MallocInstr + regionCheckInstr + copyInstr
@@ -259,25 +216,14 @@ func (a *Allocator) Publish(reg *obs.Registry, kv ...string) {
 	}
 	a.cap.Publish(reg, kv...)
 
-	var staticLive uint64
-	for _, slot := range a.byAddr {
-		staticLive += slot.Size
-	}
-	var ringLive uint64
-	for _, rg := range a.rings {
-		if rg == nil {
-			continue
-		}
-		for _, free := range rg.free {
-			if !free {
-				ringLive += rg.plan.SlotSize
-			}
-		}
+	var live uint64
+	for _, size := range a.live {
+		live += size
 	}
 	reg.Gauge("prefix_region_bytes", kv...).Set(float64(a.plan.RegionSize))
-	reg.Gauge("prefix_region_live_bytes", kv...).Set(float64(staticLive + ringLive))
+	reg.Gauge("prefix_region_live_bytes", kv...).Set(float64(live))
 	if a.plan.RegionSize > 0 {
-		reg.Gauge("prefix_region_occupancy", kv...).Set(float64(staticLive+ringLive) / float64(a.plan.RegionSize))
+		reg.Gauge("prefix_region_occupancy", kv...).Set(float64(live) / float64(a.plan.RegionSize))
 	}
 	reg.Gauge("prefix_peak_bytes", kv...).Set(float64(a.PeakBytes()))
 	a.fallback.Stats().Publish(reg, kv...)

@@ -6,6 +6,7 @@ import (
 	"prefix/internal/cachesim"
 	"prefix/internal/context"
 	"prefix/internal/mem"
+	"prefix/internal/obs"
 )
 
 // staticPlan builds a hand-written plan: site 1 uses a Fixed {1,3}
@@ -131,6 +132,9 @@ func TestReallocMovesOut(t *testing.T) {
 	// slot is marked free.
 	a := NewAllocator(staticPlan(), cost())
 	addr, _ := a.Malloc(1, 0, 48)
+	if got := liveBytes(a); got != 64 {
+		t.Fatalf("region live bytes = %v with the 64-byte slot taken", got)
+	}
 	na, _ := a.Realloc(addr, 500)
 	if a.Region().Contains(na) {
 		t.Error("grown object must leave the region")
@@ -138,11 +142,18 @@ func TestReallocMovesOut(t *testing.T) {
 	if a.Capture().ReallocsMoved != 1 {
 		t.Error("move not counted")
 	}
-	// The slot must be reusable... by nothing in a Fixed plan, but it
-	// must be marked free (no double occupancy tracking leaks).
-	if a.slotLive[0] {
-		t.Error("slot still marked live after realloc-out")
+	// A Fixed plan never hands the slot out again, so only the published
+	// occupancy shows whether the move released it.
+	if got := liveBytes(a); got != 0 {
+		t.Errorf("region live bytes = %v after realloc-out, want 0 (slot still marked live)", got)
 	}
+}
+
+// liveBytes returns the region live bytes a publishes.
+func liveBytes(a *Allocator) float64 {
+	reg := obs.NewRegistry()
+	a.Publish(reg)
+	return reg.Gauge("prefix_region_live_bytes").Value()
 }
 
 func TestHeapRealloc(t *testing.T) {

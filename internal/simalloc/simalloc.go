@@ -164,11 +164,16 @@ func (s Stats) Publish(reg *obs.Registry, kv ...string) {
 	reg.Gauge("prefix_heap_fragmentation", kv...).Set(s.Fragmentation())
 }
 
-// New creates an empty heap whose break starts at base. Strategies place
-// their private regions far from base so the address spaces never overlap.
+// HeapBase is where the general-purpose heap lives in the simulated
+// address space. Strategy-private regions are placed far above it.
+const HeapBase mem.Addr = 0x0001_0000
+
+// New creates an empty heap whose break starts at base, or at HeapBase
+// when base is NilAddr. Strategies place their private regions far from
+// base so the address spaces never overlap.
 func New(base mem.Addr) *Heap {
 	if base == mem.NilAddr {
-		base = 0x10000
+		base = HeapBase
 	}
 	return &Heap{
 		heapStart: base,
