@@ -192,7 +192,8 @@ FUZZ_TARGETS = ./internal/trace:FuzzRead ./internal/trace:FuzzAnalyzerRecorder \
 	./internal/simalloc:FuzzHeapMatchesReference ./internal/hds:FuzzLCSKernel \
 	./internal/prefix:FuzzReadPlan ./internal/mem:FuzzLiveIndex \
 	./internal/benchstore:FuzzReadBaseline ./internal/prefix:FuzzReadLedger \
-	./internal/prefix:FuzzAllocatorMatchesReference
+	./internal/prefix:FuzzAllocatorMatchesReference \
+	./internal/trace:FuzzAnalyzerMatchesReference
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

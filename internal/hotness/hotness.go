@@ -11,7 +11,8 @@
 package hotness
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"prefix/internal/mem"
 	"prefix/internal/trace"
@@ -64,7 +65,7 @@ func (s *Set) Sites() []mem.SiteID {
 	for site := range s.PerSite {
 		out = append(out, site)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -73,40 +74,51 @@ func Select(a *trace.Analysis, cfg Config) *Set {
 	if cfg.Coverage <= 0 || cfg.Coverage > 1 {
 		cfg.Coverage = 0.9
 	}
-	objs := make([]*trace.Object, 0, len(a.Objects))
+	// Sort compact copies of the keys, so comparisons do not chase
+	// object pointers across the analysis.
+	type ranked struct {
+		accesses uint64
+		id       mem.ObjectID
+		o        *trace.Object
+	}
+	objs := make([]ranked, 0, len(a.Objects))
 	for _, o := range a.Objects {
 		if o.Accesses >= cfg.MinAccesses && o.Accesses > 0 {
-			objs = append(objs, o)
+			objs = append(objs, ranked{o.Accesses, o.ID, o})
 		}
 	}
-	sort.Slice(objs, func(i, j int) bool {
-		if objs[i].Accesses != objs[j].Accesses {
-			return objs[i].Accesses > objs[j].Accesses
+	slices.SortFunc(objs, func(x, y ranked) int {
+		if c := cmp.Compare(y.accesses, x.accesses); c != 0 {
+			return c
 		}
-		return objs[i].ID < objs[j].ID // deterministic tie-break
+		return cmp.Compare(x.id, y.id) // deterministic tie-break
 	})
 
+	// The hot set is the shortest prefix of objs that reaches the
+	// coverage target (at least one object), cut at the cap.
 	target := uint64(cfg.Coverage * float64(a.HeapAccesses))
-	s := &Set{
-		IDs:          make(map[mem.ObjectID]bool),
-		PerSite:      make(map[mem.SiteID][]mem.Instance),
-		HeapAccesses: a.HeapAccesses,
+	var covered uint64
+	var hot []*trace.Object
+	for _, r := range objs {
+		if (cfg.MaxObjects > 0 && len(hot) >= cfg.MaxObjects) || (covered >= target && len(hot) > 0) {
+			break
+		}
+		covered += r.accesses
+		hot = append(hot, r.o)
 	}
-	for _, o := range objs {
-		if cfg.MaxObjects > 0 && len(s.Objects) >= cfg.MaxObjects {
-			break
-		}
-		if s.CoveredAccesses >= target && len(s.Objects) > 0 {
-			break
-		}
-		s.Objects = append(s.Objects, o)
+	s := &Set{
+		Objects:         hot,
+		IDs:             make(map[mem.ObjectID]bool, len(hot)),
+		PerSite:         make(map[mem.SiteID][]mem.Instance),
+		CoveredAccesses: covered,
+		HeapAccesses:    a.HeapAccesses,
+	}
+	for _, o := range s.Objects {
 		s.IDs[o.ID] = true
 		s.PerSite[o.Site] = append(s.PerSite[o.Site], o.Instance)
-		s.CoveredAccesses += o.Accesses
 	}
-	for site := range s.PerSite {
-		insts := s.PerSite[site]
-		sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
+	for _, insts := range s.PerSite {
+		slices.Sort(insts)
 	}
 	return s
 }
@@ -141,8 +153,7 @@ func (s *Set) PromoteSites(a *trace.Analysis, threshold float64, minAllocs uint6
 			s.PerSite[site] = append(s.PerSite[site], o.Instance)
 			s.CoveredAccesses += o.Accesses
 		}
-		insts = s.PerSite[site]
-		sort.Slice(insts, func(i, j int) bool { return insts[i] < insts[j] })
+		slices.Sort(s.PerSite[site])
 	}
 }
 

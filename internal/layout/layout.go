@@ -11,8 +11,9 @@
 package layout
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"prefix/internal/hds"
 	"prefix/internal/mem"
@@ -276,7 +277,7 @@ func (p *Placement) Validate() error {
 	for o, off := range p.Offsets {
 		slots = append(slots, slot{o, off, p.Sizes[o]})
 	}
-	sort.Slice(slots, func(i, j int) bool { return slots[i].off < slots[j].off })
+	slices.SortFunc(slots, func(x, y slot) int { return cmp.Compare(x.off, y.off) })
 	for i, s := range slots {
 		if s.off+s.size > p.Total {
 			return fmt.Errorf("layout: slot for %v [%d,%d) exceeds region %d", s.obj, s.off, s.off+s.size, p.Total)

@@ -101,3 +101,60 @@ func TestReusedEvalMatchesFresh(t *testing.T) {
 	}
 	t.Logf("%d reused evals across %d workloads", reused, len(names))
 }
+
+// TestCaptureSeriesApart: the long-run capture re-runs the best variant
+// under phase=capture, so it never adds to that variant's own series.
+// The best variant's run-labelled series equal those of every variant
+// that reuses its eval, and the re-run publishes the same numbers again
+// under its own label. (leela's three variants share one eval.)
+func TestCaptureSeriesApart(t *testing.T) {
+	opt := fastOpt()
+	opt.Demand = Demanding(StrategyPreFix)
+	opt.CaptureLongRun = true
+	opt.Metrics = obs.NewRegistry()
+	opt.Tracer = obs.NewTracer()
+	cmp, err := RunBenchmark("leela", opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// series returns run's sample lines in or out of phase=capture, with
+	// the run and phase labels cut out so variants compare directly.
+	series := func(run string, capture bool) []string {
+		var out []string
+		for _, line := range runSeries(t, opt.Metrics, run) {
+			if strings.Contains(line, `phase="capture"`) != capture {
+				continue
+			}
+			line = strings.Replace(line, `phase="capture",`, "", 1)
+			out = append(out, strings.Replace(line, `run="`+run+`"`, `run=""`, 1))
+		}
+		return out
+	}
+	best := cmp.Best.String()
+	want := series(best, false)
+	if len(want) == 0 {
+		t.Fatalf("best variant %s published no series", best)
+	}
+	mallocs := opt.Metrics.Counter("prefix_run_mallocs_total", "benchmark", "leela", "run", best).Value()
+	if mallocs != cmp.BestResult().Metrics.Mallocs {
+		t.Errorf("%s mallocs series = %d, its run made %d", best, mallocs, cmp.BestResult().Metrics.Mallocs)
+	}
+	reused := 0
+	for _, s := range opt.Tracer.Roots()[0].Children() {
+		from, ok := spanArg(s, "reused_from")
+		if !ok || from != best {
+			continue
+		}
+		reused++
+		v := strings.TrimPrefix(s.Name, "eval ")
+		if got := series(v, false); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s reuses %s's eval but its series differ:\n  %s %q\n  %s %q", v, best, v, got, best, want)
+		}
+	}
+	if reused == 0 {
+		t.Fatalf("no variant reused %s's eval; the check compared nothing", best)
+	}
+	if got := series(best, true); !reflect.DeepEqual(got, want) {
+		t.Errorf("phase=capture series differ from the best eval's:\n  capture %q\n  eval    %q", got, want)
+	}
+}

@@ -7,13 +7,13 @@
 package prefix
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"io"
 	"maps"
 	"math/bits"
 	"slices"
-	"sort"
 
 	"prefix/internal/context"
 	"prefix/internal/hds"
@@ -192,17 +192,28 @@ func (p *Plan) Validate() error {
 	if p.RegionSize > ^uint64(0)-uint64(RegionBase) {
 		return fmt.Errorf("prefix: region size %d overflows the address space", p.RegionSize)
 	}
+	// A span records its owner (a counter's static slot for one id, or
+	// its recycle ring); the owner's name is formatted only for an error.
 	type span struct {
 		off, end uint64
-		what     string
+		counter  int
+		id       mem.Instance
+		ring     bool
+	}
+	what := func(s span) string {
+		if s.ring {
+			return fmt.Sprintf("counter %d recycle ring", s.counter)
+		}
+		return fmt.Sprintf("counter %d id %d", s.counter, s.id)
 	}
 	var spans []span
-	add := func(off, size uint64, what string) error {
-		end, carry := bits.Add64(off, size, 0)
+	add := func(s span, size uint64) error {
+		end, carry := bits.Add64(s.off, size, 0)
 		if carry != 0 || end > p.RegionSize {
-			return fmt.Errorf("prefix: %s at offset %d size %d exceeds region size %d", what, off, size, p.RegionSize)
+			return fmt.Errorf("prefix: %s at offset %d size %d exceeds region size %d", what(s), s.off, size, p.RegionSize)
 		}
-		spans = append(spans, span{off, end, what})
+		s.end = end
+		spans = append(spans, s)
 		return nil
 	}
 	for i := range p.Counters {
@@ -211,7 +222,7 @@ func (p *Plan) Validate() error {
 			if s.Size == 0 {
 				return fmt.Errorf("prefix: counter %d id %d has zero-size slot", i, id)
 			}
-			if err := add(s.Offset, s.Size, fmt.Sprintf("counter %d id %d", i, id)); err != nil {
+			if err := add(span{off: s.Offset, counter: i, id: id}, s.Size); err != nil {
 				return err
 			}
 		}
@@ -223,15 +234,15 @@ func (p *Plan) Validate() error {
 			if hi != 0 {
 				return fmt.Errorf("prefix: counter %d recycle ring of %d x %d bytes overflows", i, r.N, r.SlotSize)
 			}
-			if err := add(r.Base, size, fmt.Sprintf("counter %d recycle ring", i)); err != nil {
+			if err := add(span{off: r.Base, counter: i, ring: true}, size); err != nil {
 				return err
 			}
 		}
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
+	slices.SortFunc(spans, func(x, y span) int { return cmp.Compare(x.off, y.off) })
 	for i := 1; i < len(spans); i++ {
 		if spans[i-1].end > spans[i].off {
-			return fmt.Errorf("prefix: %s overlaps %s", spans[i-1].what, spans[i].what)
+			return fmt.Errorf("prefix: %s overlaps %s", what(spans[i-1]), what(spans[i]))
 		}
 	}
 	for site, c := range p.SiteCounter {

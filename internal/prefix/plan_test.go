@@ -288,3 +288,32 @@ func FuzzReadPlan(f *testing.F) {
 		}
 	})
 }
+
+// TestPlanValidateErrorTexts pins the error text of each slot check:
+// Validate names a slot's owner only when it fails, and must name it as
+// it always has.
+func TestPlanValidateErrorTexts(t *testing.T) {
+	static := func(id mem.Instance, s Slot) PlanCounter {
+		return PlanCounter{Sites: []mem.SiteID{1}, Kind: context.KindFixed, Set: []mem.Instance{id},
+			SlotOf: map[mem.Instance]Slot{id: s}}
+	}
+	ring := func(base, slotSize uint64) PlanCounter {
+		return PlanCounter{Sites: []mem.SiteID{2}, Kind: context.KindAll,
+			Recycle: &RecyclePlan{N: 1, SlotSize: slotSize, Base: base}}
+	}
+	for _, c := range []struct {
+		counters []PlanCounter
+		want     string
+	}{
+		{[]PlanCounter{static(3, Slot{Offset: 0, Size: 0})}, "prefix: counter 0 id 3 has zero-size slot"},
+		{[]PlanCounter{static(1, Slot{Offset: 16, Size: 64})}, "prefix: counter 0 id 1 at offset 16 size 64 exceeds region size 64"},
+		{[]PlanCounter{static(1, Slot{Offset: 0, Size: 16}), ring(56, 16)}, "prefix: counter 1 recycle ring at offset 56 size 16 exceeds region size 64"},
+		{[]PlanCounter{static(2, Slot{Offset: 0, Size: 48}), ring(32, 16)}, "prefix: counter 0 id 2 overlaps counter 1 recycle ring"},
+		{[]PlanCounter{ring(0, 32), static(7, Slot{Offset: 16, Size: 16})}, "prefix: counter 0 recycle ring overlaps counter 1 id 7"},
+	} {
+		p := &Plan{RegionSize: 64, Counters: c.counters}
+		if err := p.Validate(); err == nil || err.Error() != c.want {
+			t.Errorf("Validate = %v, want %q", err, c.want)
+		}
+	}
+}

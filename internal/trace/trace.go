@@ -137,15 +137,26 @@ type Analysis struct {
 // machine, it analyzes the run while it executes, so the trace is never
 // materialized. Every delivered event goes through Feed, the same path
 // Analyze takes.
+//
+// State layout: per-site totals live in one slice, sites, reached from
+// a site id through one map lookup (siteIdx) per allocation or free;
+// the Analysis's site maps are filled from it once, in Finish. Objects
+// are carved from slabs of objectSlab, so an allocation event costs no
+// heap allocation of its own.
 type Analyzer struct {
 	a *Analysis
 	// idx maps each live object's address interval to its position in
 	// Analysis.Objects; accesses land anywhere inside [base, base+size),
 	// so it answers containment queries (mem.LiveIndex, page-keyed).
-	idx      mem.LiveIndex
-	live     uint64
-	siteLive map[mem.SiteID]uint64
-	i        int // event index == logical time
+	idx  mem.LiveIndex
+	live uint64
+	// siteIdx maps every site seen so far to its entry in sites, in
+	// order of first allocation.
+	siteIdx map[mem.SiteID]int32
+	sites   []siteState
+	// slab is the unused tail of the current object slab.
+	slab []Object
+	i    int // event index == logical time
 
 	// peak is the largest batch delivered through RecordBatch.
 	peak int
@@ -154,16 +165,20 @@ type Analyzer struct {
 	feedNanos int64
 }
 
+// siteState is one allocation site's running totals. The site's
+// allocation count is len(objects).
+type siteState struct {
+	site          mem.SiteID
+	live, maxLive uint64
+	objects       []mem.ObjectID
+}
+
+// objectSlab is how many Objects one slab allocation holds.
+const objectSlab = 1024
+
 // NewAnalyzer returns an empty incremental analyzer.
 func NewAnalyzer() *Analyzer {
-	return &Analyzer{
-		a: &Analysis{
-			SiteAllocs:  make(map[mem.SiteID]uint64),
-			SiteObjects: make(map[mem.SiteID][]mem.ObjectID),
-			SiteMaxLive: make(map[mem.SiteID]uint64),
-		},
-		siteLive: make(map[mem.SiteID]uint64),
-	}
+	return &Analyzer{a: &Analysis{}, siteIdx: make(map[mem.SiteID]int32)}
 }
 
 // Feed processes the next event in trace order.
@@ -173,35 +188,36 @@ func (an *Analyzer) Feed(ev Event) {
 	an.i++
 	switch ev.Kind {
 	case KindAlloc:
-		a.SiteAllocs[ev.Site]++
-		obj := &Object{
-			ID:        mem.ObjectID(len(a.Objects) + 1),
-			Site:      ev.Site,
-			Stack:     ev.Stack,
-			Instance:  mem.Instance(a.SiteAllocs[ev.Site]),
-			Size:      ev.Size,
-			FinalSize: ev.Size,
-			Addr:      ev.Addr,
-			AllocAt:   i,
-			FreeAt:    -1,
+		si, ok := an.siteIdx[ev.Site]
+		if !ok {
+			si = int32(len(an.sites))
+			an.siteIdx[ev.Site] = si
+			an.sites = append(an.sites, siteState{site: ev.Site})
 		}
+		st := &an.sites[si]
+		if len(an.slab) == 0 {
+			an.slab = make([]Object, objectSlab)
+		}
+		// Slab objects start zeroed: set only the fields that are not.
+		obj := &an.slab[0]
+		an.slab = an.slab[1:]
+		id := mem.ObjectID(len(a.Objects) + 1)
+		st.objects = append(st.objects, id)
+		obj.ID, obj.Site, obj.Stack, obj.Instance = id, ev.Site, ev.Stack, mem.Instance(len(st.objects))
+		obj.Size, obj.FinalSize, obj.Addr = ev.Size, ev.Size, ev.Addr
+		obj.AllocAt, obj.FreeAt = i, -1
 		a.Objects = append(a.Objects, obj)
-		a.SiteObjects[ev.Site] = append(a.SiteObjects[ev.Site], obj.ID)
 		an.idx.Insert(ev.Addr, ev.Size, len(a.Objects)-1)
 		an.live++
-		an.siteLive[ev.Site]++
-		if an.live > a.MaxLive {
-			a.MaxLive = an.live
-		}
-		if an.siteLive[ev.Site] > a.SiteMaxLive[ev.Site] {
-			a.SiteMaxLive[ev.Site] = an.siteLive[ev.Site]
-		}
+		st.live++
+		a.MaxLive = max(a.MaxLive, an.live)
+		st.maxLive = max(st.maxLive, st.live)
 	case KindFree:
 		if v, ok := an.idx.Remove(ev.Addr); ok {
 			obj := a.Objects[v]
 			obj.FreeAt = i
 			an.live--
-			an.siteLive[obj.Site]--
+			an.sites[an.siteIdx[obj.Site]].live--
 		}
 	case KindRealloc:
 		if v, ok := an.idx.Remove(ev.Addr); ok {
@@ -289,6 +305,14 @@ func (an *Analyzer) FeedNanos() int64 { return an.feedNanos }
 func (an *Analyzer) Finish() *Analysis {
 	a := an.a
 	a.Events = an.i
+	a.SiteAllocs = make(map[mem.SiteID]uint64, len(an.sites))
+	a.SiteObjects = make(map[mem.SiteID][]mem.ObjectID, len(an.sites))
+	a.SiteMaxLive = make(map[mem.SiteID]uint64, len(an.sites))
+	for _, st := range an.sites {
+		a.SiteAllocs[st.site] = uint64(len(st.objects))
+		a.SiteObjects[st.site] = st.objects
+		a.SiteMaxLive[st.site] = st.maxLive
+	}
 	if len(a.Refs) == 0 {
 		// An unused Reserve leaves empty non-nil slices; an unreserved
 		// analysis without heap references has nil ones.
