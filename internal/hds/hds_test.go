@@ -36,6 +36,30 @@ func TestCollapseRefsNilFilter(t *testing.T) {
 	}
 }
 
+// TestCollapseRefsSparseIDs: ids far past the reference string's length,
+// up to the largest ObjectID, filter as the map says without building a
+// slice that long; ids mapped to false are not hot.
+func TestCollapseRefsSparseIDs(t *testing.T) {
+	big := ^mem.ObjectID(0)
+	hot := map[mem.ObjectID]bool{big: true, 1 << 63: true, 2: true, 3: false}
+	got := CollapseRefs(ids(uint64(big), 3, 2, 2, 1<<63, 7), hot)
+	want := ids(uint64(big), 2, 1<<63)
+	if len(got) != len(want) {
+		t.Fatalf("got %v want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("got %v want %v", got, want)
+		}
+	}
+	if _, dense := denseSet(hot, 8*6); dense {
+		t.Error("denseSet built a slice for ids past its limit")
+	}
+	if s, dense := denseSet(map[mem.ObjectID]bool{4: true, 9: false}, 8); !dense || len(s) != 5 || !s[4] || s[3] {
+		t.Errorf("denseSet(4) = %v, %v; want 5 entries with only 4 set", s, dense)
+	}
+}
+
 func TestCollapseRefsKeepsSeparatedDuplicates(t *testing.T) {
 	got := CollapseRefs(ids(1, 2, 1), map[mem.ObjectID]bool{1: true, 2: true})
 	if len(got) != 3 {
