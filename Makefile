@@ -112,7 +112,7 @@ bench-gate:
 # fields, so an events/sec collapse past the slack-adjusted threshold
 # fails the gate alongside the simulated metrics.
 perf-smoke:
-	$(GO) test ./internal/pipeline -run 'TestPerfSmoke|TestPerfScaleMonotone' -count=1
+	$(GO) test ./internal/pipeline -run 'TestPerfSmoke|TestPerfScaleMonotone|TestStageSurface|TestStreamProfileErrorClosesStages' -count=1
 	$(GO) test ./cmd/prefix-bench -run TestPerfParityAndOverhead -count=1
 	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) \
 		-baseline testdata/bench-smoke-baseline.json -regress-pct 50

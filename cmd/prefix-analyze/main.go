@@ -96,8 +96,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	}()
 
 	root := sess.Tracer.Start("analyze " + *bench)
-	defer root.End()
-	perfScope := sess.Perf.Begin("analyze").AttachSpan(root)
+	perfScope := sess.Perf.Begin("analyze", root)
 	defer perfScope.End()
 
 	f, err := os.Open(*in)

@@ -13,8 +13,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"text/tabwriter"
 
@@ -28,27 +30,40 @@ import (
 	"prefix/internal/workloads"
 )
 
+// errUsage marks bad invocations; main exits 2 for them, matching flag
+// parsing errors.
+var errUsage = errors.New("usage")
+
 func main() {
-	if err := run(); err != nil {
-		fmt.Fprintln(os.Stderr, "prefix-opt:", err)
-		os.Exit(1)
+	err := run(os.Args[1:], os.Stdout, os.Stderr)
+	if err == nil {
+		return
 	}
+	if errors.Is(err, errUsage) {
+		os.Exit(2)
+	}
+	fmt.Fprintln(os.Stderr, "prefix-opt:", err)
+	os.Exit(1)
 }
 
-func run() (err error) {
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("prefix-opt", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench    = flag.String("bench", "", "benchmark name, or a comma-separated list (required)")
-		planPath = flag.String("plan", "", "PreFix plan JSON (from prefix-analyze); when set, only that plan is run against the baseline (single -bench only)")
-		scale    = flag.String("scale", "long", "evaluation scale: bench or long")
-		jobs     = flag.Int("jobs", pipeline.DefaultJobs(), "run up to N benchmark evaluations concurrently (1 = serial)")
-		paperHW  = flag.Bool("paper-cache", false, "use the paper's 40MB-LLC cache geometry instead of the scaled one")
-		attrib   = flag.Bool("attrib", false, "attribute misses to allocation sites and append the per-site attribution table (strategy rows are identical)")
-		obsf     = obsflags.Register(flag.CommandLine)
+		bench    = fs.String("bench", "", "benchmark name, or a comma-separated list (required)")
+		planPath = fs.String("plan", "", "PreFix plan JSON (from prefix-analyze); when set, only that plan is run against the baseline (single -bench only)")
+		scale    = fs.String("scale", "long", "evaluation scale: bench or long")
+		jobs     = fs.Int("jobs", pipeline.DefaultJobs(), "run up to N benchmark evaluations concurrently (1 = serial)")
+		paperHW  = fs.Bool("paper-cache", false, "use the paper's 40MB-LLC cache geometry instead of the scaled one")
+		attrib   = fs.Bool("attrib", false, "attribute misses to allocation sites and append the per-site attribution table (strategy rows are identical)")
+		obsf     = obsflags.Register(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return errUsage
+	}
 	if *bench == "" {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return errUsage
 	}
 	if *scale != "long" && *scale != "bench" {
 		return fmt.Errorf("unknown -scale %q (valid: long, bench)", *scale)
@@ -62,6 +77,9 @@ func run() (err error) {
 	}
 	if *planPath != "" && len(names) != 1 {
 		return fmt.Errorf("-plan runs a single benchmark; got %d in -bench %q", len(names), *bench)
+	}
+	if *attrib && *planPath != "" {
+		return fmt.Errorf("-attrib applies to the strategy comparison, not -plan runs")
 	}
 
 	sess, err := obsf.Start()
@@ -84,11 +102,8 @@ func run() (err error) {
 	opt.Tracer = sess.Tracer
 	opt.Perf = sess.Perf
 	opt.Attribution = *attrib
-	if *attrib && *planPath != "" {
-		return fmt.Errorf("-attrib applies to the strategy comparison, not -plan runs")
-	}
 
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
+	tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "strategy\tcycles\tvs baseline\tL1 miss\tLLC miss\tstalls\tpeak")
 
 	var cmps []*pipeline.Comparison
@@ -104,8 +119,8 @@ func run() (err error) {
 		return err
 	}
 	if *attrib {
-		fmt.Println()
-		return report.AttributionTable(os.Stdout, cmps, pipeline.ExplainTopSites)
+		fmt.Fprintln(stdout)
+		return report.AttributionTable(stdout, cmps, pipeline.ExplainTopSites)
 	}
 	return nil
 }

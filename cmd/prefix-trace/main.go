@@ -115,8 +115,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	}()
 
 	root := sess.Tracer.Start("trace " + *bench)
-	defer root.End()
-	perfScope := sess.Perf.Begin("trace").AttachSpan(root)
+	perfScope := sess.Perf.Begin("trace", root)
 	defer perfScope.End()
 
 	// Binary output records straight into the file through the spill

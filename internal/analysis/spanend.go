@@ -16,9 +16,9 @@ import (
 //
 // Ownership hand-offs are recognized: a span passed to another function,
 // returned, stored in a struct/field, or captured by a non-deferred
-// closure is assumed to be ended by its new owner. A Begin chained
-// through AttachSpan (perf.Begin("x").AttachSpan(root)) binds the same
-// scope, so the chained call is classified as the acquisition.
+// closure is assumed to be ended by its new owner — which is how a span
+// handed to Collector.Begin is covered: the scope Begin returns owns the
+// span's End, and is checked in its place.
 var Spanend = &Analyzer{
 	Name: "spanend",
 	Doc:  "ensure every obs span and perfstat scope acquisition reaches End() on all paths",
@@ -87,24 +87,6 @@ func runSpanend(pass *Pass) error {
 // checkSpanAcquisition classifies how the producer call's result is
 // bound and, for a plain local variable, verifies its End discipline.
 func checkSpanAcquisition(pass *Pass, call *ast.CallExpr, stack []ast.Node) {
-	if len(stack) == 0 {
-		return
-	}
-	// A perfstat Begin chained through AttachSpan yields the same
-	// scope: climb to the outermost chained call and classify how that
-	// result is bound instead.
-	for len(stack) >= 2 {
-		sel, ok := stack[len(stack)-1].(*ast.SelectorExpr)
-		if !ok || sel.X != ast.Expr(call) || sel.Sel.Name != "AttachSpan" {
-			break
-		}
-		outer, ok := stack[len(stack)-2].(*ast.CallExpr)
-		if !ok || outer.Fun != ast.Expr(sel) {
-			break
-		}
-		call = outer
-		stack = stack[:len(stack)-2]
-	}
 	if len(stack) == 0 {
 		return
 	}

@@ -9,18 +9,22 @@
 //
 // The unit of measurement is a Scope: Begin samples the runtime, the
 // bracketed work runs, End samples again and folds the deltas into the
-// per-phase aggregate. Scopes may nest (a "profile" scope inside a
-// "suite" scope) and overlap across goroutines; wall time is accumulated
-// per scope, so a phase's wall under a parallel harness is job-time, not
-// elapsed time, and allocation deltas are process-global over the
-// scope's lifetime — exact for serial phases, an upper bound when jobs
-// overlap. The sampler also accounts for its own cost (the time spent
-// inside Begin/End), so its overhead is a measured number, not a claim.
+// per-phase aggregate. A scope is also the stage's one bracket: Begin
+// takes the span that times the same stage, and End annotates and ends
+// it, so a span and its host cost always open and close together.
+// Scopes may nest (a "profile" scope inside a "suite" scope) and overlap
+// across goroutines; wall time is accumulated per scope, so a phase's
+// wall under a parallel harness is job-time, not elapsed time, and
+// allocation deltas are process-global over the scope's lifetime —
+// exact for serial phases, an upper bound when jobs overlap. The sampler
+// also accounts for its own cost (the time spent inside Begin/End), so
+// its overhead is a measured number, not a claim.
 //
 // Everything is nil-safe in the obs tradition: a nil *Collector hands
-// out nil scopes and every method on either no-ops, so instrumented code
-// never branches on "perfstat enabled". Samples never feed report
-// output; attaching a collector cannot change a reported result.
+// out scopes that only end their span (nil scopes when there is none),
+// and every method on either no-ops, so instrumented code never branches
+// on "perfstat enabled". Samples never feed report output; attaching a
+// collector cannot change a reported result.
 package perfstat
 
 import (
@@ -147,10 +151,9 @@ func (c *Collector) SetProbe(probe func() Probe) {
 	c.probe = probe
 }
 
-// Scope is one bracketed region of work. Created by Begin, finished by
+// Scope is one bracketed stage of work. Created by Begin, finished by
 // End; AddEvents credits it with simulated events for the events/sec
-// figure, AttachSpan routes the measured deltas into the span tree as
-// host_* annotations.
+// figure.
 type Scope struct {
 	c      *Collector
 	phase  string
@@ -161,13 +164,18 @@ type Scope struct {
 	done   bool
 }
 
-// Begin opens a scope for the named phase, sampling the runtime. The
+// Begin opens a stage: a scope for the named phase, sampling the
+// runtime, that owns span (nil: the stage has none). End records the
+// measured deltas on span as host_* annotations and ends it. The
 // scope's wall clock starts after the sample, so sampler cost is not
-// attributed to the phase. Nil-safe: a nil collector returns a nil
-// scope.
-func (c *Collector) Begin(phase string) *Scope {
+// attributed to the phase. Nil-safe: a nil collector returns a scope
+// that only ends span, or nil when span is nil too.
+func (c *Collector) Begin(phase string, span *obs.Span) *Scope {
 	if c == nil {
-		return nil
+		if span == nil {
+			return nil
+		}
+		return &Scope{phase: phase, span: span}
 	}
 	c.mu.Lock()
 	t0 := c.now()
@@ -179,16 +187,7 @@ func (c *Collector) Begin(phase string) *Scope {
 	}
 	c.open++
 	c.mu.Unlock()
-	return &Scope{c: c, phase: phase, start: t1, begin: p}
-}
-
-// AttachSpan routes the scope's measured deltas into sp as host_*
-// annotations at End. Returns the scope for chaining. Nil-safe.
-func (s *Scope) AttachSpan(sp *obs.Span) *Scope {
-	if s != nil {
-		s.span = sp
-	}
-	return s
+	return &Scope{c: c, phase: phase, span: span, start: t1, begin: p}
 }
 
 // AddEvents credits the scope with n simulated events (recorder events
@@ -221,15 +220,20 @@ func (s Sample) EventsPerSec() float64 {
 }
 
 // End closes the scope: samples the runtime again, folds the deltas into
-// the phase aggregate, publishes the prefix_perf_* series, annotates the
-// attached span, and returns the sample. Ending twice returns the zero
-// sample. Nil-safe.
+// the phase aggregate, publishes the prefix_perf_* series, annotates and
+// ends the scope's span, and returns the sample. Ending twice returns
+// the zero sample. Nil-safe; a scope without a collector ends its span
+// and returns the zero sample.
 func (s *Scope) End() Sample {
 	if s == nil || s.done {
 		return Sample{}
 	}
 	s.done = true
 	c := s.c
+	if c == nil {
+		s.span.End()
+		return Sample{}
+	}
 	c.mu.Lock()
 	t0 := c.now()
 	p := c.probe()
@@ -262,6 +266,7 @@ func (s *Scope) End() Sample {
 			sp.Set("host_events", sample.Events)
 			sp.Set("host_events_per_sec", sample.EventsPerSec())
 		}
+		sp.End()
 	}
 	return sample
 }

@@ -37,6 +37,14 @@ func (p *probeSeq) next() Probe {
 	return out
 }
 
+// steppingTracer returns a tracer whose clock steps 1ns per reading, so
+// a span has a nonzero duration exactly when it has ended.
+func steppingTracer() *obs.Tracer {
+	tr := obs.NewTracer()
+	tr.SetClock((&testClock{t: time.Unix(0, 0), step: time.Nanosecond}).now)
+	return tr
+}
+
 func newTestCollector(reg *obs.Registry, step time.Duration, probes ...Probe) *Collector {
 	c := New(reg)
 	clk := &testClock{t: time.Unix(0, 0), step: step}
@@ -58,7 +66,7 @@ func TestScopeDeltas(t *testing.T) {
 		Probe{Mallocs: 100, AllocBytes: 1000, GCPauseNanos: 10, GCCycles: 1, Goroutines: 2},
 		Probe{Mallocs: 150, AllocBytes: 1600, GCPauseNanos: 30, GCCycles: 3, Goroutines: 5},
 	)
-	sc := c.Begin("suite")
+	sc := c.Begin("suite", nil)
 	sc.AddEvents(2_000_000)
 	sample := sc.End()
 
@@ -89,11 +97,11 @@ func TestScopeDeltas(t *testing.T) {
 func TestPhaseAggregationAndSnapshot(t *testing.T) {
 	c := newTestCollector(nil, time.Millisecond, Probe{})
 	for i := 0; i < 3; i++ {
-		sc := c.Begin("suite")
+		sc := c.Begin("suite", nil)
 		sc.AddEvents(1000)
 		sc.End()
 	}
-	sc := c.Begin("variance")
+	sc := c.Begin("variance", nil)
 	sc.AddEvents(500)
 	sc.End()
 
@@ -132,14 +140,27 @@ func TestNilSafety(t *testing.T) {
 	var c *Collector
 	c.SetClock(nil)
 	c.SetProbe(nil)
-	sc := c.Begin("x")
+	sc := c.Begin("x", nil)
 	if sc != nil {
 		t.Fatalf("nil collector Begin = %v, want nil scope", sc)
 	}
 	sc.AddEvents(10)
-	sc.AttachSpan(nil)
 	if s := sc.End(); s != (Sample{}) {
 		t.Errorf("nil scope End = %+v, want zero", s)
+	}
+	// Without a collector the scope still owns its span's End, and
+	// annotates nothing.
+	span := steppingTracer().Start("stage")
+	sc = c.Begin("x", span)
+	sc.AddEvents(10)
+	if s := sc.End(); s != (Sample{}) {
+		t.Errorf("span-only scope End = %+v, want zero", s)
+	}
+	if span.Duration() == 0 {
+		t.Error("span-only scope End left its span open")
+	}
+	if keys, _ := span.Args(); len(keys) != 0 {
+		t.Errorf("span-only scope annotated %v", keys)
 	}
 	if snap := c.Snapshot(); len(snap.Phases) != 0 || snap.Events != 0 {
 		t.Errorf("nil collector Snapshot = %+v, want zero", snap)
@@ -155,7 +176,7 @@ func TestNilSafety(t *testing.T) {
 
 func TestDoubleEnd(t *testing.T) {
 	c := newTestCollector(nil, time.Millisecond, Probe{})
-	sc := c.Begin("x")
+	sc := c.Begin("x", nil)
 	sc.End()
 	if s := sc.End(); s != (Sample{}) {
 		t.Errorf("second End = %+v, want zero", s)
@@ -171,7 +192,7 @@ func TestRegistryPublishing(t *testing.T) {
 		Probe{},
 		Probe{Mallocs: 7, AllocBytes: 70, GCPauseNanos: 5, GCCycles: 1, Goroutines: 3},
 	)
-	sc := c.Begin("suite")
+	sc := c.Begin("suite", nil)
 	sc.AddEvents(4000)
 	sc.End()
 
@@ -226,16 +247,18 @@ func TestRecordFoldsExternalSample(t *testing.T) {
 }
 
 func TestSpanAnnotation(t *testing.T) {
-	tr := obs.NewTracer()
+	tr := steppingTracer()
 	c := newTestCollector(nil, time.Millisecond,
 		Probe{},
 		Probe{Mallocs: 3, AllocBytes: 30, GCPauseNanos: 2},
 	)
 	span := tr.Start("benchmark mcf")
-	sc := c.Begin("suite").AttachSpan(span)
+	sc := c.Begin("suite", span)
 	sc.AddEvents(100)
 	sc.End()
-	span.End()
+	if span.Duration() == 0 {
+		t.Error("scope End left its span open")
+	}
 
 	keys, values := span.Args()
 	got := make(map[string]any, len(keys))
@@ -261,7 +284,7 @@ func TestSpanAnnotation(t *testing.T) {
 
 func TestWriteTable(t *testing.T) {
 	c := newTestCollector(nil, time.Millisecond, Probe{})
-	sc := c.Begin("suite")
+	sc := c.Begin("suite", nil)
 	sc.AddEvents(5000)
 	sc.End()
 
@@ -280,7 +303,7 @@ func TestWriteTable(t *testing.T) {
 func TestLiveProbe(t *testing.T) {
 	// No injected probe: exercise the real runtime reader end to end.
 	c := New(nil)
-	sc := c.Begin("live")
+	sc := c.Begin("live", nil)
 	// Allocate something observable.
 	buf := make([][]byte, 0, 1024)
 	for i := 0; i < 1024; i++ {
@@ -347,7 +370,7 @@ func TestConcurrentScopes(t *testing.T) {
 		go func() {
 			defer func() { done <- struct{}{} }()
 			for j := 0; j < 50; j++ {
-				sc := c.Begin("par")
+				sc := c.Begin("par", nil)
 				sc.AddEvents(10)
 				sc.End()
 			}

@@ -67,9 +67,7 @@ func (m *Memo) bench(name string) (*benchMemo, error) {
 func (m *Memo) prepare(b *benchMemo, parent *obs.Span) (profiled bool, err error) {
 	b.prepOnce.Do(func() {
 		profiled = true
-		span := parent.Child("profile")
-		b.prof, b.prepErr = collectProfile(b.spec, m.opt, span)
-		span.End()
+		b.prof, b.prepErr = collectProfile(b.spec, m.opt, parent.Child("profile"))
 		if b.prepErr == nil && m.opt.Demand.Has(StrategyPreFix) {
 			b.plans, b.prepErr = placeVariants(b.spec.Program.Name(), m.opt, b.prof, parent)
 		}

@@ -48,15 +48,14 @@ func RunMultithreadedJobs(name string, threadCounts []int, opt Options, jobs int
 	root := opt.Tracer.Start("multithreaded " + name)
 	defer root.End()
 	profSpan := root.Child("profile")
-	profScope := opt.Perf.Begin("profile").AttachSpan(profSpan)
+	profScope := opt.Perf.Begin("profile", profSpan)
 	an := trace.NewAnalyzer()
 	profileGroup(spec, mt, opt, an)
 	events := an.Stats().Events
 	profScope.AddEvents(events)
+	profSpan.Set("events", events)
 	analysis := an.Finish()
 	profScope.End()
-	profSpan.Set("events", events)
-	profSpan.End()
 	if analysis.HeapAccesses == 0 {
 		return nil, fmt.Errorf("pipeline: %s multithreaded profile has no heap accesses", name)
 	}
@@ -76,50 +75,48 @@ func RunMultithreadedJobs(name string, threadCounts []int, opt Options, jobs int
 
 	base := evalConfig(spec, opt)
 	out := make([]MTResult, len(threadCounts))
-	errs := runJobs(len(threadCounts), jobs, func(i int) error {
+	errs := opt.runJobs(len(threadCounts), jobs, func(i int) obs.JobEvent {
+		return obs.JobEvent{Phase: "multithreaded", Benchmark: name, Job: i, Jobs: len(threadCounts), Seed: -1, Threads: threadCounts[i]}
+	}, func(i int) error {
 		k := threadCounts[i]
-		ev := obs.JobEvent{Phase: "multithreaded", Benchmark: name, Job: i, Jobs: len(threadCounts), Seed: -1, Threads: k}
-		return opt.instrumentJob(ev, func() error {
-			wcfg := base
-			wcfg.Threads = k
-			span := root.Child(fmt.Sprintf("eval threads=%d", k))
-			sc := opt.Perf.Begin("multithreaded").AttachSpan(span)
-			defer sc.End()
+		wcfg := base
+		wcfg.Threads = k
+		span := root.Child(fmt.Sprintf("eval threads=%d", k))
+		span.Set("threads", k)
+		sc := opt.Perf.Begin("multithreaded", span)
+		defer sc.End()
 
-			baseGroup := machine.NewGroup(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, k, nil)
-			runGroup(mt, baseGroup, wcfg, k)
-			_, baseCycles, baseTotal := baseGroup.Finish()
+		baseGroup := machine.NewGroup(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, k, nil)
+		runGroup(mt, baseGroup, wcfg, k)
+		_, baseCycles, baseTotal := baseGroup.Finish()
 
-			alloc := prefix.NewAllocator(plan, opt.Cache.Cost)
-			optGroup := machine.NewGroup(alloc, opt.Cache, k, nil)
-			runGroup(mt, optGroup, wcfg, k)
-			_, optCycles, optTotal := optGroup.Finish()
-			sc.AddEvents(baseTotal.Events() + optTotal.Events())
+		alloc := prefix.NewAllocator(plan, opt.Cache.Cost)
+		optGroup := machine.NewGroup(alloc, opt.Cache, k, nil)
+		runGroup(mt, optGroup, wcfg, k)
+		_, optCycles, optTotal := optGroup.Finish()
+		sc.AddEvents(baseTotal.Events() + optTotal.Events())
 
-			if reg := opt.Metrics; reg != nil {
-				threads := fmt.Sprint(k)
-				kv := func(run string) []string {
-					return append([]string{"benchmark", name, "run", run, "threads", threads}, opt.Labels...)
-				}
-				baseTotal.Publish(reg, kv("baseline")...)
-				optTotal.Publish(reg, kv("prefix")...)
-				alloc.Publish(reg, kv("prefix")...)
+		if reg := opt.Metrics; reg != nil {
+			threads := fmt.Sprint(k)
+			kv := func(run string) []string {
+				return append([]string{"benchmark", name, "run", run, "threads", threads}, opt.Labels...)
 			}
-			span.Set("threads", k)
-			span.End()
+			baseTotal.Publish(reg, kv("baseline")...)
+			optTotal.Publish(reg, kv("prefix")...)
+			alloc.Publish(reg, kv("prefix")...)
+		}
 
-			r := MTResult{
-				Threads:        k,
-				BaselineCycles: baseCycles,
-				PreFixCycles:   optCycles,
-				CallsAvoided:   alloc.Capture().CallsAvoided(),
-			}
-			if baseCycles > 0 {
-				r.ImprovementPct = 100 * (baseCycles - optCycles) / baseCycles
-			}
-			out[i] = r
-			return nil
-		})
+		r := MTResult{
+			Threads:        k,
+			BaselineCycles: baseCycles,
+			PreFixCycles:   optCycles,
+			CallsAvoided:   alloc.Capture().CallsAvoided(),
+		}
+		if baseCycles > 0 {
+			r.ImprovementPct = 100 * (baseCycles - optCycles) / baseCycles
+		}
+		out[i] = r
+		return nil
 	})
 	if err := joinErrors(errs, func(i int) string {
 		return fmt.Sprintf("%s threads=%d", name, threadCounts[i])

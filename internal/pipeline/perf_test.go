@@ -1,6 +1,9 @@
 package pipeline
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -117,7 +120,7 @@ func TestPerfScaleMonotone(t *testing.T) {
 	runScaled := func(pc *perfstat.Collector, phase string, scale float64) perfstat.Sample {
 		cfg := spec.Profile
 		cfg.Scale = scale
-		sc := pc.Begin(phase)
+		sc := pc.Begin(phase, nil)
 		m := machine.New(baselines.NewBaseline(opt.Cache.Cost), opt.Cache)
 		spec.Program.Run(m, cfg)
 		sc.AddEvents(m.Finish().Events())
@@ -196,5 +199,49 @@ func TestProfileAnalysisHostSample(t *testing.T) {
 		if prof.AnalysisHost != nil {
 			t.Errorf("stream=%v: AnalysisHost recorded without a collector", stream)
 		}
+	}
+}
+
+// TestStreamProfileErrorClosesStages: when the spill file cannot be
+// created (StreamDir names a regular file), CollectProfile returns the
+// error, and the failed stage still closes every span it opened and its
+// host scope, once.
+func TestStreamProfileErrorClosesStages(t *testing.T) {
+	spec, err := workloads.Get("mcf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	opt := fastOpt()
+	opt.Stream = true
+	opt.StreamDir = notDir
+	opt.Tracer = obs.NewTracer()
+	opt.Tracer.SetClock(steppingClock())
+	opt.Perf = perfstat.New(nil)
+	if _, err := CollectProfile(spec, opt); err == nil || !strings.Contains(err.Error(), "streaming profile") {
+		t.Fatalf("CollectProfile err = %v, want the spill file's creation error", err)
+	}
+	var spans []string
+	var walk func(*obs.Span)
+	walk = func(s *obs.Span) {
+		spans = append(spans, s.Name)
+		if s.Duration() == 0 {
+			t.Errorf("span %q left open on the error path", s.Name)
+		}
+		for _, c := range s.Children() {
+			walk(c)
+		}
+	}
+	for _, root := range opt.Tracer.Roots() {
+		walk(root)
+	}
+	if want := []string{"profile mcf", "profile-run"}; !reflect.DeepEqual(spans, want) {
+		t.Errorf("spans = %v, want %v", spans, want)
+	}
+	if ph := opt.Perf.Snapshot().Phases; len(ph) != 1 || ph[0].Phase != "profile" || ph[0].Scopes != 1 {
+		t.Errorf("perf phases = %+v, want one ended profile scope", ph)
 	}
 }

@@ -10,6 +10,7 @@ package pipeline
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"prefix/internal/baselines"
@@ -96,32 +97,6 @@ type Options struct {
 	StreamDir string
 }
 
-// progress invokes the Progress callback when one is set.
-func (o Options) progress(ev obs.JobEvent) {
-	if o.Progress != nil {
-		o.Progress(ev)
-	}
-}
-
-// instrumentJob brackets one job body with running/done/failed progress
-// events. Panics inside body are converted to errors (so the failed event
-// always fires) and propagated as errors, exactly as runJobs would have
-// reported them.
-func (o Options) instrumentJob(ev obs.JobEvent, body func() error) error {
-	ev.State = obs.JobRunning
-	ev.Err = ""
-	o.progress(ev)
-	err := runProtected(body)
-	if err != nil {
-		ev.State = obs.JobFailed
-		ev.Err = err.Error()
-	} else {
-		ev.State = obs.JobDone
-	}
-	o.progress(ev)
-	return err
-}
-
 // DefaultOptions returns the standard evaluation setup.
 func DefaultOptions() Options {
 	return Options{
@@ -164,22 +139,21 @@ type Profile struct {
 // CollectProfile runs the benchmark's profiling input with the baseline
 // allocator and analyzes the run.
 func CollectProfile(spec workloads.Spec, opt Options) (*Profile, error) {
-	span := opt.Tracer.Start("profile " + spec.Program.Name())
-	defer span.End()
-	return collectProfile(spec, opt, span)
+	return collectProfile(spec, opt, opt.Tracer.Start("profile "+spec.Program.Name()))
 }
 
-// collectProfile is CollectProfile under a caller-provided parent span:
-// it emits one child span per profiling stage (profile-run, analyze,
-// hotness, hds-mining, then the planner's reconstitution,
-// context-inference and recycling) and publishes the stage counters when
-// a registry is attached. Options.Stream selects the spill-file
-// recording and analysis path; the resulting Profile is identical either
-// way. Sequitur runs only when Options.Demand or the planner reads its
-// streams.
-func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profile, error) {
+// collectProfile is CollectProfile as the "profile" stage on the span
+// its caller opened for it: one host scope brackets the stage, and its
+// End ends span. It emits one child span per profiling stage
+// (profile-run, analyze, hotness, hds-mining, then the planner's
+// reconstitution, context-inference and recycling) and publishes the
+// stage counters when a registry is attached. Options.Stream selects
+// the spill-file recording and analysis path; the resulting Profile is
+// identical either way. Sequitur runs only when Options.Demand or the
+// planner reads its streams.
+func collectProfile(spec workloads.Spec, opt Options, span *obs.Span) (*Profile, error) {
 	name := spec.Program.Name()
-	sc := opt.Perf.Begin("profile").AttachSpan(parent)
+	sc := opt.Perf.Begin("profile", span)
 	defer sc.End()
 
 	var (
@@ -190,9 +164,9 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 		err     error
 	)
 	if opt.Stream {
-		a, metrics, stats, anHost, err = streamProfileRun(spec, opt, parent)
+		a, metrics, stats, anHost, err = streamProfileRun(spec, opt, span)
 	} else {
-		a, metrics, stats, anHost = memoryProfileRun(spec, opt, parent)
+		a, metrics, stats, anHost = memoryProfileRun(spec, opt, span)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s streaming profile: %w", name, err)
@@ -202,7 +176,7 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 		return nil, fmt.Errorf("pipeline: %s profiling run produced no heap accesses", name)
 	}
 
-	hotSpan := parent.Child("hotness")
+	hotSpan := span.Child("hotness")
 	cfg := opt.Plan
 	cfg.Benchmark = name
 	hot := prefix.SelectHot(a, cfg)
@@ -210,7 +184,7 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 	hotSpan.Set("coverage_pct", hot.CoveragePct())
 	hotSpan.End()
 
-	mineSpan := parent.Child("hds-mining")
+	mineSpan := span.Child("hds-mining")
 	refs := hds.CollapseRefs(a.Refs, hot.IDs)
 	lcs := prefix.WeighStreams(hds.MineLCS(refs, cfg.HDS), hot)
 	mineSpan.Set("refs", len(refs))
@@ -229,7 +203,7 @@ func collectProfile(spec workloads.Spec, opt Options, parent *obs.Span) (*Profil
 	if cfg.Miner == prefix.MinerSequitur {
 		ohds = seq
 	}
-	cfg.Trace = parent
+	cfg.Trace = span
 	prep, err := prefix.Prepare(a, hot, ohds, len(refs), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s: %w", name, err)
@@ -297,58 +271,55 @@ func memoryProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trac
 // records through a spill-to-disk recorder into a temporary chunked
 // trace file, which is then analyzed as a stream. Trace-buffer memory
 // never exceeds one chunk (StreamChunkEvents events).
-func streamProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (_ *trace.Analysis, metrics machine.Metrics, stats trace.RecorderStats, host *perfstat.Sample, err error) {
+func streamProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (a *trace.Analysis, metrics machine.Metrics, stats trace.RecorderStats, host *perfstat.Sample, err error) {
 	runSpan := parent.Child("profile-run")
 	f, err := os.CreateTemp(opt.StreamDir, "prefix-spill-*.pfxt")
-	if err != nil {
-		runSpan.End()
-		return nil, metrics, stats, nil, err
+	if err == nil {
+		defer func() {
+			f.Close()
+			os.Remove(f.Name())
+		}()
+		metrics, stats, err = spillProfileRun(spec, opt, f, runSpan)
 	}
-	defer func() {
-		f.Close()
-		os.Remove(f.Name())
-	}()
-	rec, err := trace.NewSpillRecorder(f, opt.StreamChunkEvents)
-	if err != nil {
-		runSpan.End()
-		return nil, metrics, stats, nil, err
-	}
-	alloc := baselines.NewBaseline(opt.Cache.Cost)
-	m := machine.New(alloc, opt.Cache, machine.WithRecorder(rec))
-	spec.Program.Run(m, spec.Profile)
-	metrics = m.Finish()
-	if err := rec.Close(); err != nil {
-		runSpan.End()
-		return nil, metrics, stats, nil, err
-	}
-	stats = rec.Stats()
-	runSpan.Set("events", stats.Events)
-	runSpan.Set("chunks", stats.Chunks)
-	runSpan.Set("peak_buffered_events", stats.PeakBufferedEvents)
 	runSpan.End()
+	if err != nil {
+		return nil, metrics, stats, nil, err
+	}
 
 	anSpan := parent.Child("analyze")
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		anSpan.End()
-		return nil, metrics, stats, nil, err
-	}
-	asc := opt.Perf.Begin("analyze").AttachSpan(anSpan)
-	var a *trace.Analysis
-	sr, err := trace.NewStreamReader(f)
+	sc := opt.Perf.Begin("analyze", anSpan)
+	sr, err := trace.NewStreamReader(io.NewSectionReader(f, 0, math.MaxInt64))
 	if err == nil {
 		a, err = trace.AnalyzeSource(sr)
 	}
-	asc.AddEvents(stats.Events)
-	sample := asc.End()
-	if err != nil {
-		anSpan.End()
-		return nil, metrics, stats, nil, err
+	if err == nil {
+		anSpan.Set("objects", len(a.Objects))
+		anSpan.Set("heap_accesses", a.HeapAccesses)
 	}
-	if opt.Perf != nil {
+	sc.AddEvents(stats.Events)
+	sample := sc.End()
+	if err == nil && opt.Perf != nil {
 		host = &sample
 	}
-	anSpan.Set("objects", len(a.Objects))
-	anSpan.Set("heap_accesses", a.HeapAccesses)
-	anSpan.End()
-	return a, metrics, stats, host, nil
+	return a, metrics, stats, host, err
+}
+
+// spillProfileRun runs the profiling input recording into f through a
+// spill recorder and sets the recording's figures on span.
+func spillProfileRun(spec workloads.Spec, opt Options, f *os.File, span *obs.Span) (machine.Metrics, trace.RecorderStats, error) {
+	rec, err := trace.NewSpillRecorder(f, opt.StreamChunkEvents)
+	if err != nil {
+		return machine.Metrics{}, trace.RecorderStats{}, err
+	}
+	m := machine.New(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, machine.WithRecorder(rec))
+	spec.Program.Run(m, spec.Profile)
+	metrics := m.Finish()
+	if err := rec.Close(); err != nil {
+		return metrics, trace.RecorderStats{}, err
+	}
+	stats := rec.Stats()
+	span.Set("events", stats.Events)
+	span.Set("chunks", stats.Chunks)
+	span.Set("peak_buffered_events", stats.PeakBufferedEvents)
+	return metrics, stats, nil
 }

@@ -386,8 +386,7 @@ func AnalyzeBaselineAndBest(cmp *Comparison, opt Options, jobs int, use func(bes
 		return err
 	}
 	root := opt.Tracer.Start("figure9 " + cmp.Benchmark)
-	defer root.End()
-	sc := opt.Perf.Begin("figure9").AttachSpan(root)
+	sc := opt.Perf.Begin("figure9", root)
 	defer sc.End()
 	opt.Labels = append(append([]string(nil), opt.Labels...), "phase", "figure9")
 	runs := [2]struct {
@@ -398,7 +397,7 @@ func AnalyzeBaselineAndBest(cmp *Comparison, opt Options, jobs int, use func(bes
 		{alloc: baselines.NewBaseline(opt.Cache.Cost), accesses: cmp.Baseline.Metrics.MemInstr},
 		{alloc: prefix.NewAllocator(cmp.Plans[cmp.Best], opt.Cache.Cost), accesses: cmp.PreFix[cmp.Best].Metrics.MemInstr},
 	}
-	errs := runJobs(len(runs), jobs, func(i int) error {
+	errs := opt.runJobs(len(runs), jobs, nil, func(i int) error {
 		an := trace.NewAnalyzer()
 		an.Reserve(runs[i].accesses)
 		res := runOne(spec, opt, runs[i].alloc, root, machine.WithRecorder(an))
@@ -427,12 +426,9 @@ func figure9Runs(name string, opt Options, baseRec, bestRec trace.EventRecorder)
 		opt.Variants = DefaultOptions().Variants
 	}
 	root := opt.Tracer.Start("figure9 " + name)
-	defer root.End()
-	sc := opt.Perf.Begin("figure9").AttachSpan(root)
+	sc := opt.Perf.Begin("figure9", root)
 	defer sc.End()
-	profSpan := root.Child("profile")
-	prof, err := collectProfile(spec, opt, profSpan)
-	profSpan.End()
+	prof, err := collectProfile(spec, opt, root.Child("profile"))
 	if err != nil {
 		return 0, err
 	}

@@ -25,7 +25,10 @@ func DefaultJobs() int { return runtime.GOMAXPROCS(0) }
 // by completion order — which is what keeps a parallel suite's
 // aggregate output byte-identical to the serial path. A panicking job
 // is recovered into its error slot rather than tearing down the run.
-func runJobs(n, jobs int, run func(i int) error) []error {
+// With a non-nil event, job i's event(i) goes to o.Progress as running
+// when the job starts and as done or failed, with the error text, when
+// it finishes — a recovered panic included.
+func (o Options) runJobs(n, jobs int, event func(i int) obs.JobEvent, run func(i int) error) []error {
 	errs := make([]error, n)
 	if n == 0 {
 		return errs
@@ -35,6 +38,10 @@ func runJobs(n, jobs int, run func(i int) error) []error {
 	}
 	if jobs > n {
 		jobs = n
+	}
+	progress := o.Progress
+	if event == nil {
+		progress = nil
 	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -47,7 +54,20 @@ func runJobs(n, jobs int, run func(i int) error) []error {
 				if i >= n {
 					return
 				}
+				var ev obs.JobEvent
+				if progress != nil {
+					ev = event(i)
+					ev.State = obs.JobRunning
+					progress(ev)
+				}
 				errs[i] = runProtected(func() error { return run(i) })
+				if progress != nil {
+					ev.State = obs.JobDone
+					if errs[i] != nil {
+						ev.State, ev.Err = obs.JobFailed, errs[i].Error()
+					}
+					progress(ev)
+				}
 			}
 		}()
 	}
@@ -95,25 +115,23 @@ func RunSuite(names []string, opt Options, jobs int) ([]*Comparison, error) {
 func (m *Memo) Suite(names []string, jobs int) ([]*Comparison, error) {
 	opt := m.opt
 	cmps := make([]*Comparison, len(names))
-	errs := runJobs(len(names), jobs, func(i int) error {
-		ev := obs.JobEvent{Phase: "suite", Benchmark: names[i], Job: i, Jobs: len(names), Seed: -1}
-		return opt.instrumentJob(ev, func() error {
-			sc := opt.Perf.Begin("suite")
-			cmp, reused, err := m.benchmark(names[i], opt)
-			if err != nil {
-				sc.End()
-				return err
-			}
-			if !reused {
-				sc.AddEvents(cmp.Events)
-			}
-			sample := sc.End()
-			if opt.Perf != nil && !reused {
-				cmp.Host = &sample
-			}
-			cmps[i] = cmp
-			return nil
-		})
+	errs := opt.runJobs(len(names), jobs, func(i int) obs.JobEvent {
+		return obs.JobEvent{Phase: "suite", Benchmark: names[i], Job: i, Jobs: len(names), Seed: -1}
+	}, func(i int) error {
+		sc := opt.Perf.Begin("suite", nil)
+		cmp, reused, err := m.benchmark(names[i], opt)
+		if err == nil && !reused {
+			sc.AddEvents(cmp.Events)
+		}
+		sample := sc.End()
+		if err != nil {
+			return err
+		}
+		if opt.Perf != nil && !reused {
+			cmp.Host = &sample
+		}
+		cmps[i] = cmp
+		return nil
 	})
 	if err := joinErrors(errs, func(i int) string { return names[i] }); err != nil {
 		return nil, err

@@ -14,7 +14,7 @@ import (
 
 func TestRunJobsSerialOrder(t *testing.T) {
 	var order []int
-	errs := runJobs(5, 1, func(i int) error {
+	errs := Options{}.runJobs(5, 1, nil, func(i int) error {
 		order = append(order, i)
 		return nil
 	})
@@ -30,7 +30,7 @@ func TestRunJobsSerialOrder(t *testing.T) {
 
 func TestRunJobsRunsEverything(t *testing.T) {
 	var ran atomic.Int64
-	runJobs(100, 7, func(i int) error {
+	Options{}.runJobs(100, 7, nil, func(i int) error {
 		ran.Add(1)
 		return nil
 	})
@@ -40,7 +40,7 @@ func TestRunJobsRunsEverything(t *testing.T) {
 }
 
 func TestRunJobsPanicRecovered(t *testing.T) {
-	errs := runJobs(3, 2, func(i int) error {
+	errs := Options{}.runJobs(3, 2, nil, func(i int) error {
 		if i == 1 {
 			panic("boom")
 		}
@@ -51,6 +51,47 @@ func TestRunJobsPanicRecovered(t *testing.T) {
 	}
 	if errs[1] == nil || !strings.Contains(errs[1].Error(), "boom") {
 		t.Errorf("panic not recovered into error: %v", errs[1])
+	}
+}
+
+// TestRunJobsPanicEmitsFailed: a panicking job's panic is recovered once
+// into its error slot, and its failed event still fires with that text;
+// without an event func no progress is emitted.
+func TestRunJobsPanicEmitsFailed(t *testing.T) {
+	var mu sync.Mutex
+	var events []obs.JobEvent
+	opt := Options{Progress: func(ev obs.JobEvent) {
+		mu.Lock()
+		events = append(events, ev)
+		mu.Unlock()
+	}}
+	event := func(i int) obs.JobEvent { return obs.JobEvent{Phase: "test", Job: i, Jobs: 2, Seed: -1} }
+	errs := opt.runJobs(2, 1, event, func(i int) error {
+		if i == 1 {
+			panic("boom")
+		}
+		return nil
+	})
+	if errs[0] != nil || errs[1] == nil || !strings.HasPrefix(errs[1].Error(), "panic: boom") {
+		t.Fatalf("errs = %v, want the panic in slot 1 only", errs)
+	}
+	want := []obs.JobState{obs.JobRunning, obs.JobDone, obs.JobRunning, obs.JobFailed}
+	if len(events) != len(want) {
+		t.Fatalf("events = %+v, want %v", events, want)
+	}
+	for i, ev := range events {
+		if ev.State != want[i] || ev.Job != i/2 {
+			t.Errorf("event %d = %+v, want job %d %s", i, ev, i/2, want[i])
+		}
+	}
+	if last := events[3]; last.Err != errs[1].Error() {
+		t.Errorf("failed event Err = %q, want the job's error %q", last.Err, errs[1])
+	}
+
+	events = nil
+	opt.runJobs(2, 1, nil, func(int) error { return nil })
+	if len(events) != 0 {
+		t.Errorf("runJobs without an event func emitted %+v", events)
 	}
 }
 

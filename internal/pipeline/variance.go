@@ -112,7 +112,7 @@ func (m *Memo) Variance(names []string, runs, jobs int) ([]*Variance, error) {
 		seedOpt := opt
 		seedOpt.Labels = append(append([]string(nil), opt.Labels...), "seed", strconv.Itoa(si))
 		span := st.root.Child("seed " + strconv.Itoa(si))
-		sc := opt.Perf.Begin("variance").AttachSpan(span)
+		sc := opt.Perf.Begin("variance", span)
 		var (
 			cmp    *Comparison
 			reused bool
@@ -142,7 +142,6 @@ func (m *Memo) Variance(names []string, runs, jobs int) ([]*Variance, error) {
 			sc.AddEvents(cmp.Events)
 		}
 		sc.End()
-		span.End()
 		if err == nil {
 			err = cmp.Need(varianceNeeds)
 		}
@@ -152,12 +151,10 @@ func (m *Memo) Variance(names []string, runs, jobs int) ([]*Variance, error) {
 		st.deltas[si] = cmp.BestResult().TimeDeltaPct(cmp.Baseline)
 		return nil
 	}
-	errs := runJobs(nb*runs, jobs, func(j int) error {
-		bi, si := j%nb, j/nb
-		ev := obs.JobEvent{Phase: "variance", Benchmark: names[bi], Job: j, Jobs: nb * runs, Seed: si, Seeds: runs}
-		return opt.instrumentJob(ev, func() error {
-			return seedJob(states[bi], names[bi], si)
-		})
+	errs := opt.runJobs(nb*runs, jobs, func(j int) obs.JobEvent {
+		return obs.JobEvent{Phase: "variance", Benchmark: names[j%nb], Job: j, Jobs: nb * runs, Seed: j / nb, Seeds: runs}
+	}, func(j int) error {
+		return seedJob(states[j%nb], names[j%nb], j/nb)
 	})
 	if err := joinErrors(errs, func(j int) string { return names[j%nb] }); err != nil {
 		return nil, err
