@@ -108,11 +108,14 @@ bench-gate:
 # Host-cost smoke gate: the perfstat end-to-end tests (every suite job
 # carries a host sample; events/sec > 0; cost attribution tracks scale;
 # attaching the collector leaves the report byte-identical and costs
-# < 2% wall), then the baseline diff — schema-v2 baselines carry host
-# fields, so an events/sec collapse past the slack-adjusted threshold
-# fails the gate alongside the simulated metrics.
+# < 2% wall; the -v totals stay exact under nested and overlapping
+# scopes, and a recorded sample carries its goroutine count), then the
+# baseline diff — schema-v2 baselines carry host fields, so an
+# events/sec collapse past the slack-adjusted threshold fails the gate
+# alongside the simulated metrics.
 perf-smoke:
 	$(GO) test ./internal/pipeline -run 'TestPerfSmoke|TestPerfScaleMonotone|TestStageSurface|TestStreamProfileErrorClosesStages' -count=1
+	$(GO) test ./internal/obs/perfstat -run 'TestSnapshotTotalsExactUnderNesting|TestRecordGoroutines' -count=1
 	$(GO) test ./cmd/prefix-bench -run TestPerfParityAndOverhead -count=1
 	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) \
 		-baseline testdata/bench-smoke-baseline.json -regress-pct 50

@@ -151,11 +151,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		reg.Counter("prefix_analyze_trace_events_total", kv...).Add(uint64(a.Events))
 		reg.Counter("prefix_analyze_heap_accesses_total", kv...).Add(a.HeapAccesses)
 		reg.Gauge("prefix_analyze_objects", kv...).Set(float64(len(a.Objects)))
-		reg.Gauge("prefix_plan_sites", kv...).Set(float64(plan.NumSites()))
-		reg.Gauge("prefix_plan_counters", kv...).Set(float64(plan.NumCounters()))
-		reg.Gauge("prefix_plan_region_bytes", kv...).Set(float64(plan.RegionSize))
-		reg.Gauge("prefix_plan_placed_objects", kv...).Set(float64(plan.PlacedObjects))
-		reg.Gauge("prefix_plan_hds_objects", kv...).Set(float64(plan.HDSObjects))
+		plan.Publish(reg, kv...)
 	}
 
 	if *summary {

@@ -16,9 +16,12 @@
 // across goroutines; wall time is accumulated per scope, so a phase's
 // wall under a parallel harness is job-time, not elapsed time, and
 // allocation deltas are process-global over the scope's lifetime —
-// exact for serial phases, an upper bound when jobs overlap. The sampler
-// also accounts for its own cost (the time spent inside Begin/End), so
-// its overhead is a measured number, not a claim.
+// exact for serial phases, an upper bound when jobs overlap. The
+// collector's totals are not sums over phases: they are the process's
+// totals between the first Begin and the latest End, exact under nesting
+// and overlap. The sampler also accounts for its own cost (the time
+// spent inside Begin/End), so its overhead is a measured number, not a
+// claim.
 //
 // Everything is nil-safe in the obs tradition: a nil *Collector hands
 // out scopes that only end their span (nil scopes when there is none),
@@ -117,6 +120,11 @@ type Collector struct {
 	order      []string
 	firstBegin time.Time
 	lastEnd    time.Time
+	// firstProbe is the runtime reading at the first Begin, lastProbe
+	// the one at the latest End: the process totals between them are the
+	// Snapshot's runtime columns.
+	firstProbe Probe
+	lastProbe  Probe
 	open       int
 	selfNanos  int64
 }
@@ -184,6 +192,7 @@ func (c *Collector) Begin(phase string, span *obs.Span) *Scope {
 	c.selfNanos += t1.Sub(t0).Nanoseconds()
 	if c.firstBegin.IsZero() {
 		c.firstBegin = t1
+		c.firstProbe = p
 	}
 	c.open++
 	c.mu.Unlock()
@@ -243,6 +252,7 @@ func (s *Scope) End() Sample {
 	if t0.After(c.lastEnd) {
 		c.lastEnd = t0
 	}
+	c.lastProbe = p
 	sample := Sample{
 		Phase:        s.phase,
 		WallNanos:    t0.Sub(s.start).Nanoseconds(),
@@ -274,15 +284,21 @@ func (s *Scope) End() Sample {
 // Record folds a sample measured without a scope into its phase and
 // publishes it like a finished scope. It is for work that runs
 // interleaved with another phase, so no Begin/End pair can isolate it,
-// and that times itself on Clock. Nil-safe.
-func (c *Collector) Record(sample Sample) {
+// and that times itself on Clock. The sample's goroutine count is read
+// from the collector's probe as Record runs; the completed sample is
+// returned. Nil-safe: a nil collector returns the zero sample.
+func (c *Collector) Record(sample Sample) Sample {
 	if c == nil {
-		return
+		return Sample{}
 	}
 	c.mu.Lock()
+	t0 := c.now()
+	sample.Goroutines = c.probe().Goroutines
+	c.selfNanos += c.now().Sub(t0).Nanoseconds()
 	phTotal := c.foldLocked(sample)
 	c.mu.Unlock()
 	c.publish(sample, phTotal)
+	return sample
 }
 
 // Clock returns the collector's time source, the one Record's samples
@@ -364,19 +380,22 @@ func (p PhaseStats) EventsPerSec() float64 {
 	return float64(p.Events) / (float64(p.WallNanos) / 1e9)
 }
 
-// Snapshot is the collector's full view: overall throughput,
-// cumulative GC cost, per-phase attribution, and the sampler's own
+// Snapshot is the collector's full view: elapsed time and the process's
+// runtime totals over it, per-phase attribution, and the sampler's own
 // measured overhead — the -v table's source.
 type Snapshot struct {
 	// ElapsedNanos spans the first Begin to the last End (or to now while
-	// scopes are open); ThroughputEventsPerSec is total events over it.
-	ElapsedNanos           int64
-	Events                 uint64
-	ThroughputEventsPerSec float64
-	Allocs                 uint64
-	AllocBytes             uint64
-	GCPauseNanos           uint64
-	GCCycles               uint64
+	// scopes are open).
+	ElapsedNanos int64
+	// Allocs, AllocBytes, GCPauseNanos and GCCycles are the differences
+	// between the probes at the first Begin and at the latest End: exact
+	// however the phases nest or overlap, where a sum over phases would
+	// count nested and concurrent work more than once. There is no events
+	// total: events are credited per scope, so only the phases carry them.
+	Allocs       uint64
+	AllocBytes   uint64
+	GCPauseNanos uint64
+	GCCycles     uint64
 	// OverheadNanos is the time spent inside the sampler itself (probe
 	// reads in Begin/End) — the measured cost of measuring.
 	OverheadNanos int64
@@ -398,21 +417,15 @@ func (c *Collector) Snapshot() Snapshot {
 		}
 		snap.ElapsedNanos = end.Sub(c.firstBegin).Nanoseconds()
 	}
-	for _, name := range c.order {
-		p := *c.phases[name]
-		snap.Phases = append(snap.Phases, p)
-		snap.Events += p.Events
-		snap.Allocs += p.Allocs
-		snap.AllocBytes += p.AllocBytes
-		snap.GCPauseNanos += p.GCPauseNanos
-		if p.GCCycles > snap.GCCycles {
-			// Phases overlap and nest; cumulative GC cycles are not
-			// additive across them, so report the largest phase delta.
-			snap.GCCycles = p.GCCycles
-		}
+	if !c.lastEnd.IsZero() {
+		first, last := c.firstProbe, c.lastProbe
+		snap.Allocs = last.Mallocs - first.Mallocs
+		snap.AllocBytes = last.AllocBytes - first.AllocBytes
+		snap.GCPauseNanos = last.GCPauseNanos - first.GCPauseNanos
+		snap.GCCycles = last.GCCycles - first.GCCycles
 	}
-	if snap.ElapsedNanos > 0 {
-		snap.ThroughputEventsPerSec = float64(snap.Events) / (float64(snap.ElapsedNanos) / 1e9)
+	for _, name := range c.order {
+		snap.Phases = append(snap.Phases, *c.phases[name])
 	}
 	return snap
 }
@@ -429,8 +442,10 @@ func (c *Collector) Overhead() time.Duration {
 
 // WriteTable prints the per-phase host-cost table (the -v summary
 // extension): wall, events, events/sec, allocation and GC attribution.
-// Phases print in first-Begin order with a trailing totals row. A
-// collector with no finished scopes prints nothing. Nil-safe.
+// Phases print in first-Begin order with a trailing totals row: elapsed
+// wall and the Snapshot's exact runtime totals, with the events columns
+// left blank. A collector with no finished scopes prints nothing.
+// Nil-safe.
 func (c *Collector) WriteTable(w io.Writer) error {
 	snap := c.Snapshot()
 	if len(snap.Phases) == 0 {
@@ -448,9 +463,9 @@ func (c *Collector) WriteTable(w io.Writer) error {
 	for _, p := range snap.Phases {
 		row(p.Phase, p)
 	}
-	fmt.Fprintf(tw, "  total\t\t%s\t%d\t%s\t%d\t%d\t%s\t\n",
-		time.Duration(snap.ElapsedNanos).Round(time.Microsecond), snap.Events,
-		formatRate(snap.ThroughputEventsPerSec), snap.Allocs, snap.AllocBytes,
+	fmt.Fprintf(tw, "  total\t\t%s\t\t\t%d\t%d\t%s\t\n",
+		time.Duration(snap.ElapsedNanos).Round(time.Microsecond),
+		snap.Allocs, snap.AllocBytes,
 		time.Duration(snap.GCPauseNanos).Round(time.Microsecond))
 	if err := tw.Flush(); err != nil {
 		return err

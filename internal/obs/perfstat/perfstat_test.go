@@ -123,11 +123,11 @@ func TestPhaseAggregationAndSnapshot(t *testing.T) {
 	if got := suite.EventsPerSec(); math.Abs(got-1e6) > 1e-3 {
 		t.Errorf("suite events/sec = %g, want 1e6 (3000 events over 3ms)", got)
 	}
-	if snap.Events != 3500 {
-		t.Errorf("snapshot events = %d, want 3500", snap.Events)
+	if variance := snap.Phases[1]; variance.Scopes != 1 || variance.Events != 500 {
+		t.Errorf("variance scopes/events = %d/%d, want 1/500", variance.Scopes, variance.Events)
 	}
-	if snap.ElapsedNanos <= 0 || snap.ThroughputEventsPerSec <= 0 {
-		t.Errorf("elapsed/throughput = %d/%g, want positive", snap.ElapsedNanos, snap.ThroughputEventsPerSec)
+	if snap.ElapsedNanos <= 0 {
+		t.Errorf("elapsed = %d, want positive", snap.ElapsedNanos)
 	}
 	// Sampler self-time: each Begin/End pair spends 2 clock steps inside
 	// probe reads (t0→t1 in Begin, t1→t2 in End) = 2ms per scope.
@@ -162,7 +162,7 @@ func TestNilSafety(t *testing.T) {
 	if keys, _ := span.Args(); len(keys) != 0 {
 		t.Errorf("span-only scope annotated %v", keys)
 	}
-	if snap := c.Snapshot(); len(snap.Phases) != 0 || snap.Events != 0 {
+	if snap := c.Snapshot(); len(snap.Phases) != 0 || snap.ElapsedNanos != 0 || snap.Allocs != 0 {
 		t.Errorf("nil collector Snapshot = %+v, want zero", snap)
 	}
 	if c.Overhead() != 0 {
@@ -243,6 +243,85 @@ func TestRecordFoldsExternalSample(t *testing.T) {
 	nilc.Record(Sample{Phase: "x"})
 	if nilc.Clock() != nil {
 		t.Error("nil collector Clock is not nil")
+	}
+}
+
+// TestRecordGoroutines: a recorded sample carries the goroutine count
+// the collector's probe reads as Record runs, in the returned sample,
+// the phase aggregate and the published gauge.
+func TestRecordGoroutines(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := newTestCollector(reg, time.Millisecond, Probe{Goroutines: 4})
+	got := c.Record(Sample{Phase: "analyze", WallNanos: 1e6, Events: 10})
+	if want := (Sample{Phase: "analyze", WallNanos: 1e6, Events: 10, Goroutines: 4}); got != want {
+		t.Errorf("Record returned %+v, want %+v", got, want)
+	}
+	if ph := c.Snapshot().Phases; len(ph) != 1 || ph[0].MaxGoroutines != 4 {
+		t.Errorf("phases = %+v, want analyze with max goroutines 4", ph)
+	}
+	if g := reg.Gauge("prefix_perf_goroutines", "phase", "analyze").Value(); g != 4 {
+		t.Errorf("prefix_perf_goroutines{phase=analyze} = %v, want 4", g)
+	}
+	var nilc *Collector
+	if got := nilc.Record(Sample{Phase: "x", Events: 1}); got != (Sample{}) {
+		t.Errorf("nil collector Record = %+v, want zero", got)
+	}
+}
+
+// TestSnapshotTotalsExactUnderNesting: the totals are the probe at the
+// first Begin subtracted from the probe at the latest End, whatever the
+// phases do in between. Here a suite scope holds a profile scope, and an
+// analyze scope opens inside the suite and outlives it, so a sum over
+// phases would count 90 allocations where the process made 50.
+func TestSnapshotTotalsExactUnderNesting(t *testing.T) {
+	probe := func(n uint64, g int) Probe {
+		return Probe{Mallocs: 10 * n, AllocBytes: 100 * n, GCPauseNanos: 1000 * (n + n/2), GCCycles: n / 2, Goroutines: g}
+	}
+	c := newTestCollector(nil, time.Millisecond,
+		probe(1, 1), probe(2, 2), probe(3, 3), probe(4, 3), probe(5, 2), probe(6, 1))
+	suite := c.Begin("suite", nil)
+	profile := c.Begin("profile", nil)
+	analyze := c.Begin("analyze", nil)
+	profile.End()
+	suite.End()
+	analyze.End()
+
+	snap := c.Snapshot()
+	first, last := probe(1, 1), probe(6, 1)
+	want := Snapshot{
+		// Begin reads the clock at 1ms and 2ms (the first scope starts at
+		// 2ms); the latest End reads it at 11ms, before its probe.
+		ElapsedNanos: int64(9 * time.Millisecond),
+		Allocs:       last.Mallocs - first.Mallocs,
+		AllocBytes:   last.AllocBytes - first.AllocBytes,
+		GCPauseNanos: last.GCPauseNanos - first.GCPauseNanos,
+		GCCycles:     last.GCCycles - first.GCCycles,
+	}
+	if snap.ElapsedNanos != want.ElapsedNanos || snap.Allocs != want.Allocs || snap.AllocBytes != want.AllocBytes ||
+		snap.GCPauseNanos != want.GCPauseNanos || snap.GCCycles != want.GCCycles {
+		t.Errorf("totals = %+v, want %+v", snap, want)
+	}
+	var summed uint64
+	for _, p := range snap.Phases {
+		summed += p.Allocs
+	}
+	if summed != 90 || snap.Allocs != 50 {
+		t.Errorf("allocs: phases sum to %d and the total is %d, want 90 and 50", summed, snap.Allocs)
+	}
+
+	var sb strings.Builder
+	if err := c.WriteTable(&sb); err != nil {
+		t.Fatal(err)
+	}
+	var total []string
+	for _, line := range strings.Split(sb.String(), "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == "total" {
+			total = f
+		}
+	}
+	// No events or events/sec cell: wall, allocs, alloc bytes, gc pause.
+	if wantRow := []string{"total", "9ms", "50", "500", "8µs"}; strings.Join(total, " ") != strings.Join(wantRow, " ") {
+		t.Errorf("total row = %q, want %q\n%s", total, wantRow, sb.String())
 	}
 }
 

@@ -70,12 +70,17 @@ func TestOnlineAnalysisMatchesRecordedTrace(t *testing.T) {
 				t.Error("profile: online analysis differs from the analysis of the recorded trace")
 			}
 
-			base, best := newTee(), newTee()
-			if _, err := figure9Runs(name, opt, base, best); err != nil {
+			opt.Demand = Demanding(StrategyPreFix)
+			cmp, err := RunBenchmark(name, opt)
+			if err != nil {
 				t.Fatal(err)
 			}
-			base.check(t, "baseline evaluation")
-			best.check(t, "best-plan evaluation")
+			tees := [2]*tee{newTee(), newTee()}
+			if err := cmp.rerunBaselineAndBest(opt, 1, func(i int, r rerun) RunResult { return r.record(tees[i]) }); err != nil {
+				t.Fatal(err)
+			}
+			tees[0].check(t, "baseline evaluation")
+			tees[1].check(t, "best-plan evaluation")
 		})
 	}
 }

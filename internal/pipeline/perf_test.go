@@ -85,9 +85,8 @@ func TestPerfSmoke(t *testing.T) {
 	}
 
 	snap := pc.Snapshot()
-	if snap.Events == 0 || snap.ThroughputEventsPerSec <= 0 {
-		t.Errorf("snapshot events=%d throughput=%g, want both > 0",
-			snap.Events, snap.ThroughputEventsPerSec)
+	if snap.ElapsedNanos <= 0 || snap.AllocBytes == 0 {
+		t.Errorf("snapshot elapsed=%d alloc bytes=%d, want both > 0", snap.ElapsedNanos, snap.AllocBytes)
 	}
 	phases := map[string]perfstat.PhaseStats{}
 	for _, p := range snap.Phases {
@@ -101,8 +100,8 @@ func TestPerfSmoke(t *testing.T) {
 		if p.Scopes != len(names) {
 			t.Errorf("phase %q scopes = %d, want %d (one per benchmark)", phase, p.Scopes, len(names))
 		}
-		if p.WallNanos <= 0 || p.Events == 0 {
-			t.Errorf("phase %q wall=%d events=%d, want both > 0", phase, p.WallNanos, p.Events)
+		if p.WallNanos <= 0 || p.Events == 0 || p.EventsPerSec() <= 0 {
+			t.Errorf("phase %q wall=%d events=%d events/sec=%g, want all > 0", phase, p.WallNanos, p.Events, p.EventsPerSec())
 		}
 	}
 }

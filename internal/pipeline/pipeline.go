@@ -259,8 +259,8 @@ func memoryProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trac
 	anSpan.Set("heap_accesses", a.HeapAccesses)
 	var host *perfstat.Sample
 	if opt.Perf != nil {
-		host = &perfstat.Sample{Phase: "analyze", WallNanos: an.FeedNanos(), Events: stats.Events}
-		opt.Perf.Record(*host)
+		sample := opt.Perf.Record(perfstat.Sample{Phase: "analyze", WallNanos: an.FeedNanos(), Events: stats.Events})
+		host = &sample
 		anSpan.Set("feed_nanos", host.WallNanos)
 	}
 	anSpan.End()

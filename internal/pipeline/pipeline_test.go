@@ -1,11 +1,14 @@
 package pipeline
 
 import (
+	"bytes"
 	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
 
+	"prefix/internal/baselines"
+	"prefix/internal/machine"
 	"prefix/internal/obs"
 	"prefix/internal/prefix"
 	"prefix/internal/trace"
@@ -143,15 +146,43 @@ func TestRunMultithreadedRejectsSingleThreaded(t *testing.T) {
 	}
 }
 
+// figure9Oracle records cmp's evaluation input under the baseline and
+// under cmp.Plans[cmp.Best], each on a bare machine with a recorder
+// attached, as Figure 9 defines its two runs: no pipeline helper in
+// between. opt must be the bench-scale options cmp was evaluated with.
+func figure9Oracle(t *testing.T, cmp *Comparison, opt Options) (base, best *trace.Trace) {
+	t.Helper()
+	spec, err := workloads.Get(cmp.Benchmark)
+	if err != nil {
+		t.Fatal(err)
+	}
+	record := func(alloc machine.Allocator) *trace.Trace {
+		rec := trace.NewRecorder()
+		m := machine.New(alloc, opt.Cache, machine.WithRecorder(rec))
+		spec.Program.Run(m, spec.Bench)
+		m.Finish()
+		return rec.Trace()
+	}
+	return record(baselines.NewBaseline(opt.Cache.Cost)), record(prefix.NewAllocator(cmp.Plans[cmp.Best], opt.Cache.Cost))
+}
+
+// writeTrace returns tr's PFXT bytes.
+func writeTrace(t *testing.T, tr *trace.Trace) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := tr.Write(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestTraceBaselineAndBest: the traces are those of the baseline and of
+// the variant the full comparison crowns, recorded directly.
 func TestTraceBaselineAndBest(t *testing.T) {
 	base, best, variant, err := TraceBaselineAndBest("swissmap", fastOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(base.Events) == 0 || len(best.Events) == 0 {
-		t.Error("empty traces")
-	}
-	// The traced variant must be the one compareStrategies would crown.
 	cmp, err := RunBenchmark("swissmap", fastOpt())
 	if err != nil {
 		t.Fatal(err)
@@ -159,24 +190,27 @@ func TestTraceBaselineAndBest(t *testing.T) {
 	if variant != cmp.Best {
 		t.Errorf("traced variant = %v, but the comparison's best is %v", variant, cmp.Best)
 	}
+	wantBase, wantBest := figure9Oracle(t, cmp, fastOpt())
+	if len(wantBase.Events) == 0 || len(wantBest.Events) == 0 {
+		t.Fatal("empty oracle traces")
+	}
+	if !bytes.Equal(writeTrace(t, base), writeTrace(t, wantBase)) {
+		t.Error("baseline trace differs from the directly recorded baseline run")
+	}
+	if !bytes.Equal(writeTrace(t, best), writeTrace(t, wantBest)) {
+		t.Error("best-variant trace differs from the directly recorded best-plan run")
+	}
 }
 
 // TestAnalyzeBaselineAndBest: the Figure 9 analyses of a comparison's
 // baseline and best plan, taken while the runs execute on one or two
-// workers, are the analyses of the traces TraceBaselineAndBest records,
-// for the comparison's best variant.
+// workers, are the analyses of the directly recorded runs.
 func TestAnalyzeBaselineAndBest(t *testing.T) {
 	cmp, err := RunBenchmark("swissmap", fastOpt())
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseTr, bestTr, trVariant, err := TraceBaselineAndBest("swissmap", fastOpt())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trVariant != cmp.Best {
-		t.Errorf("traced variant = %v, but the comparison's best is %v", trVariant, cmp.Best)
-	}
+	baseTr, bestTr := figure9Oracle(t, cmp, fastOpt())
 	wantBase, wantBest := trace.Analyze(baseTr), trace.Analyze(bestTr)
 	for _, jobs := range []int{1, 2} {
 		var mu sync.Mutex

@@ -328,13 +328,7 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, vp varia
 	cmp.Plans, cmp.Summaries = vp.plans, vp.summaries
 	if reg := opt.Metrics; reg != nil {
 		for _, v := range opt.Variants {
-			plan := vp.plans[v]
-			kv := append([]string{"benchmark", name, "variant", v.String()}, opt.Labels...)
-			reg.Gauge("prefix_plan_sites", kv...).Set(float64(plan.NumSites()))
-			reg.Gauge("prefix_plan_counters", kv...).Set(float64(plan.NumCounters()))
-			reg.Gauge("prefix_plan_region_bytes", kv...).Set(float64(plan.RegionSize))
-			reg.Gauge("prefix_plan_placed_objects", kv...).Set(float64(plan.PlacedObjects))
-			reg.Gauge("prefix_plan_hds_objects", kv...).Set(float64(plan.HDSObjects))
+			vp.plans[v].Publish(reg, append([]string{"benchmark", name, "variant", v.String()}, opt.Labels...)...)
 		}
 	}
 	prefixRuns, events := evalVariants(spec, opt, vp, root)
@@ -343,29 +337,33 @@ func compareStrategies(spec workloads.Spec, opt Options, prof *Profile, vp varia
 	cmp.Best = pickBest(opt.Variants, cmp.PreFix)
 
 	if opt.CaptureLongRun {
-		lr, events, err := captureLongRun(spec, opt, cmp.Plans[cmp.Best], cmp.PreFix[cmp.Best].Metrics.MemInstr, root)
-		if err != nil {
-			return nil, err
-		}
+		lr, events := captureLongRun(spec, opt, cmp.Plans[cmp.Best], cmp.BestResult().Metrics.MemInstr, root)
 		cmp.LongRun = lr
 		cmp.Events += events
 	}
 	return cmp, nil
 }
 
-// TraceBaselineAndBest profiles the benchmark, selects its best PreFix
-// variant, and runs the evaluation input under the baseline and under
-// that variant, recording both traces.
+// TraceBaselineAndBest evaluates the benchmark's PreFix variants
+// (RunBenchmark at demand PreFix, without the long-run capture) and runs
+// the evaluation input again under the baseline and under the best
+// variant's plan, recording both traces.
 //
 // Deprecated: use AnalyzeBaselineAndBest on the benchmark's Comparison.
 // It stays only for the benchmark replica, and goes with it (ROADMAP
 // item 8).
 func TraceBaselineAndBest(name string, opt Options) (base, best *trace.Trace, bestVariant prefix.Variant, err error) {
-	var baseRec, bestRec trace.Recorder
-	if bestVariant, err = figure9Runs(name, opt, &baseRec, &bestRec); err != nil {
+	opt.Demand = Demanding(StrategyPreFix)
+	opt.CaptureLongRun = false
+	cmp, err := RunBenchmark(name, opt)
+	if err != nil {
 		return nil, nil, 0, err
 	}
-	return baseRec.Trace(), bestRec.Trace(), bestVariant, nil
+	var recs [2]trace.Recorder
+	if err := cmp.rerunBaselineAndBest(opt, 1, func(i int, r rerun) RunResult { return r.record(&recs[i]) }); err != nil {
+		return nil, nil, 0, err
+	}
+	return recs[0].Trace(), recs[1].Trace(), cmp.Best, nil
 }
 
 // AnalyzeBaselineAndBest runs cmp's evaluation input under the baseline
@@ -381,75 +379,70 @@ func AnalyzeBaselineAndBest(cmp *Comparison, opt Options, jobs int, use func(bes
 	if err := cmp.Need(StrategyBaseline | StrategyPreFix); err != nil {
 		return err
 	}
-	spec, err := workloads.Get(cmp.Benchmark)
+	return cmp.rerunBaselineAndBest(opt, jobs, func(i int, r rerun) RunResult {
+		res, a := r.analyze()
+		use(i == 1, a)
+		return res
+	})
+}
+
+// rerunBaselineAndBest runs the comparison's evaluation input again
+// under the baseline and under its best PreFix plan — Figure 9's pair —
+// as two jobs on at most `jobs` workers, under a "figure9 <bench>" root
+// span and the figure9 host scope, with the runs' series labeled
+// phase=figure9. run executes job i (0 the baseline, 1 the best plan)
+// through the rerun's record or analyze and returns its result. opt
+// must be the options the comparison was evaluated with, and the
+// comparison must have simulated PreFix.
+func (c *Comparison) rerunBaselineAndBest(opt Options, jobs int, run func(i int, r rerun) RunResult) error {
+	spec, err := workloads.Get(c.Benchmark)
 	if err != nil {
 		return err
 	}
-	root := opt.Tracer.Start("figure9 " + cmp.Benchmark)
+	root := opt.Tracer.Start("figure9 " + c.Benchmark)
 	sc := opt.Perf.Begin("figure9", root)
 	defer sc.End()
 	opt.Labels = append(append([]string(nil), opt.Labels...), "phase", "figure9")
-	runs := [2]struct {
-		alloc    machine.Allocator
-		accesses uint64
-		events   uint64
-	}{
-		{alloc: baselines.NewBaseline(opt.Cache.Cost), accesses: cmp.Baseline.Metrics.MemInstr},
-		{alloc: prefix.NewAllocator(cmp.Plans[cmp.Best], opt.Cache.Cost), accesses: cmp.PreFix[cmp.Best].Metrics.MemInstr},
+	reruns := [2]rerun{
+		{spec: spec, opt: opt, alloc: baselines.NewBaseline(opt.Cache.Cost), accesses: c.Baseline.Metrics.MemInstr, parent: root},
+		{spec: spec, opt: opt, alloc: prefix.NewAllocator(c.Plans[c.Best], opt.Cache.Cost), accesses: c.BestResult().Metrics.MemInstr, parent: root},
 	}
-	errs := opt.runJobs(len(runs), jobs, nil, func(i int) error {
-		an := trace.NewAnalyzer()
-		an.Reserve(runs[i].accesses)
-		res := runOne(spec, opt, runs[i].alloc, root, machine.WithRecorder(an))
-		runs[i].events = res.Metrics.Events()
-		use(i == 1, an.Finish())
+	var events [2]uint64
+	errs := opt.runJobs(len(reruns), jobs, nil, func(i int) error {
+		events[i] = run(i, reruns[i]).Metrics.Events()
 		return nil
 	})
-	sc.AddEvents(runs[0].events + runs[1].events)
-	return joinErrors(errs, func(i int) string { return runs[i].alloc.Name() })
+	sc.AddEvents(events[0] + events[1])
+	return joinErrors(errs, func(i int) string { return reruns[i].alloc.Name() })
 }
 
-// figure9Runs profiles the benchmark, selects the best variant and runs
-// the evaluation input into two recorders: baseRec under the baseline
-// allocator, bestRec under the best variant's plan. "Best" means what it
-// means in compareStrategies: every configured variant is planned and
-// evaluated (once per distinct plan behaviour), and the one with the
-// lowest cycle count is re-run. Published
-// metrics carry a "phase" label so the selection and recorded runs never
-// collide with a suite run's series for the same benchmark.
-func figure9Runs(name string, opt Options, baseRec, bestRec trace.EventRecorder) (bestVariant prefix.Variant, err error) {
-	spec, err := workloads.Get(name)
-	if err != nil {
-		return 0, err
-	}
-	if len(opt.Variants) == 0 {
-		opt.Variants = DefaultOptions().Variants
-	}
-	root := opt.Tracer.Start("figure9 " + name)
-	sc := opt.Perf.Begin("figure9", root)
-	defer sc.End()
-	prof, err := collectProfile(spec, opt, root.Child("profile"))
-	if err != nil {
-		return 0, err
-	}
+// rerun is one run of a finished comparison to repeat with a recorder
+// attached: the strategy's allocator, the options and parent span it
+// runs under, and the access count the comparison measured for it.
+type rerun struct {
+	spec     workloads.Spec
+	opt      Options
+	alloc    machine.Allocator
+	accesses uint64
+	parent   *obs.Span
+}
 
-	vp, err := placeVariants(name, opt, prof, root)
-	if err != nil {
-		return 0, err
-	}
-	selOpt := opt
-	selOpt.Labels = append(append([]string(nil), opt.Labels...), "phase", "figure9-select")
-	runs, events := evalVariants(spec, selOpt, vp, root)
-	sc.AddEvents(events)
-	bestVariant = pickBest(opt.Variants, runs)
-	bestPlan := vp.plans[bestVariant]
+// record runs the evaluation input again with rec attached, so the run
+// is recorded as it executes. It is the one place a recorder is attached
+// to an evaluation run.
+func (r rerun) record(rec trace.EventRecorder) RunResult {
+	return runOne(r.spec, r.opt, r.alloc, r.parent, machine.WithRecorder(rec))
+}
 
-	recOpt := opt
-	recOpt.Labels = append(append([]string(nil), opt.Labels...), "phase", "figure9")
-	baseRun := runOne(spec, recOpt, baselines.NewBaseline(opt.Cache.Cost), root, machine.WithRecorder(baseRec))
-	optRun := runOne(spec, recOpt, prefix.NewAllocator(bestPlan, opt.Cache.Cost), root, machine.WithRecorder(bestRec))
-	sc.AddEvents(baseRun.Metrics.Events() + optRun.Metrics.Events())
-	return bestVariant, nil
+// analyze records the run into an analyzer and returns the run's
+// analysis with its result. The analyzer reserves its reference string
+// from the measured access count: heap references are at most the
+// access events, so Refs and RefAt are allocated once.
+func (r rerun) analyze() (RunResult, *trace.Analysis) {
+	an := trace.NewAnalyzer()
+	an.Reserve(r.accesses)
+	res := r.record(an)
+	return res, an.Finish()
 }
 
 // captureLongRun re-runs the best variant, analyzing the run as it
@@ -459,14 +452,11 @@ func figure9Runs(name string, opt Options, baseRec, bestRec trace.EventRecorder)
 // capture run's simulated event count for host-cost accounting. The
 // re-run's series carry phase=capture, so they never add to the
 // variant's own eval series.
-func captureLongRun(spec workloads.Spec, opt Options, plan *prefix.Plan, accesses uint64, root *obs.Span) (*LongRunCapture, uint64, error) {
+func captureLongRun(spec workloads.Spec, opt Options, plan *prefix.Plan, accesses uint64, root *obs.Span) (*LongRunCapture, uint64) {
 	span := root.Child("long-run-capture")
 	defer span.End()
 	opt.Labels = append(append([]string(nil), opt.Labels...), "phase", "capture")
-	an := trace.NewAnalyzer()
-	an.Reserve(accesses)
-	res := runOne(spec, opt, prefix.NewAllocator(plan, opt.Cache.Cost), span, machine.WithRecorder(an))
-	a := an.Finish()
+	res, a := rerun{spec: spec, opt: opt, alloc: prefix.NewAllocator(plan, opt.Cache.Cost), accesses: accesses, parent: span}.analyze()
 	region := plan.Region()
 
 	cfg := opt.Plan
@@ -494,5 +484,5 @@ func captureLongRun(spec workloads.Spec, opt Options, plan *prefix.Plan, accesse
 	if a.HeapAccesses > 0 {
 		lr.HeapAccessPct = 100 * float64(regionAccesses) / float64(a.HeapAccesses)
 	}
-	return lr, res.Metrics.Events(), nil
+	return lr, res.Metrics.Events()
 }

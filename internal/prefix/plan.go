@@ -19,6 +19,7 @@ import (
 	"prefix/internal/hds"
 	"prefix/internal/layout"
 	"prefix/internal/mem"
+	"prefix/internal/obs"
 )
 
 // RegionBase is where the preallocated hot-object region lives in the
@@ -130,6 +131,20 @@ func (p *Plan) NumSites() int { return len(p.SiteCounter) }
 
 // NumCounters returns the counter count (Table 2 "#counters").
 func (p *Plan) NumCounters() int { return len(p.Counters) }
+
+// Publish reports the plan's shape — sites, counters, region bytes,
+// placed and HDS objects — into reg as the prefix_plan_* gauges under
+// the given label pairs. Nil-safe on a nil plan or registry.
+func (p *Plan) Publish(reg *obs.Registry, kv ...string) {
+	if p == nil || reg == nil {
+		return
+	}
+	reg.Gauge("prefix_plan_sites", kv...).Set(float64(p.NumSites()))
+	reg.Gauge("prefix_plan_counters", kv...).Set(float64(p.NumCounters()))
+	reg.Gauge("prefix_plan_region_bytes", kv...).Set(float64(p.RegionSize))
+	reg.Gauge("prefix_plan_placed_objects", kv...).Set(float64(p.PlacedObjects))
+	reg.Gauge("prefix_plan_hds_objects", kv...).Set(float64(p.HDSObjects))
+}
 
 // KindsString renders the pattern kinds like Table 2's "type" column.
 func (p *Plan) KindsString() string {

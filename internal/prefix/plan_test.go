@@ -11,6 +11,7 @@ import (
 	"prefix/internal/cachesim"
 	"prefix/internal/context"
 	"prefix/internal/mem"
+	"prefix/internal/obs"
 )
 
 // behaviourPlan builds a fresh plan with every PlanCounter field set, so
@@ -316,4 +317,34 @@ func TestPlanValidateErrorTexts(t *testing.T) {
 			t.Errorf("Validate = %v, want %q", err, c.want)
 		}
 	}
+}
+
+// TestPlanPublish: the prefix_plan_* gauges carry the plan's shape under
+// the caller's labels, and a nil plan or registry publishes nothing.
+func TestPlanPublish(t *testing.T) {
+	p := &Plan{
+		RegionSize:    4096,
+		Counters:      make([]PlanCounter, 2),
+		SiteCounter:   map[mem.SiteID]int{1: 0, 2: 1, 3: 1},
+		PlacedObjects: 7,
+		HDSObjects:    5,
+	}
+	reg := obs.NewRegistry()
+	p.Publish(reg, "benchmark", "mcf", "variant", "prefix:hot")
+	for name, want := range map[string]float64{
+		"prefix_plan_sites":          3,
+		"prefix_plan_counters":       2,
+		"prefix_plan_region_bytes":   4096,
+		"prefix_plan_placed_objects": 7,
+		"prefix_plan_hds_objects":    5,
+	} {
+		if got := reg.Gauge(name, "benchmark", "mcf", "variant", "prefix:hot").Value(); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
+		}
+	}
+	(*Plan)(nil).Publish(reg, "benchmark", "none")
+	if got := reg.Gauge("prefix_plan_sites", "benchmark", "none").Value(); got != 0 {
+		t.Errorf("nil plan published prefix_plan_sites = %v", got)
+	}
+	p.Publish(nil)
 }
