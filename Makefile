@@ -145,19 +145,28 @@ explain-smoke:
 	@grep -q "best variant" explain-out/explain.txt || \
 		{ echo "explain-smoke: prefix-explain produced no explanation"; exit 1; }
 
-# Streaming parity gate: the smoke suite must produce byte-identical
+# Streaming parity gate: the smoke suite and Figure 10 (whose machine-
+# group profile takes the same spill path) must produce byte-identical
 # reports whether profiling traces are materialized in memory or
 # streamed through the bounded-memory spill recorder.
+STREAM_SMOKE_FIG10_ARGS = -scale bench -jobs 2 -only figure10
+
 stream-smoke:
 	@tmpdir="$$(mktemp -d)"; trap 'rm -rf "$$tmpdir"' EXIT; \
-	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) > "$$tmpdir/mem.txt" && \
-	$(GO) run ./cmd/prefix-bench $(SMOKE_ARGS) -stream -stream-chunk 4096 > "$$tmpdir/stream.txt" || exit 1; \
-	if cmp -s "$$tmpdir/mem.txt" "$$tmpdir/stream.txt"; then \
-		echo "stream-smoke: streaming report is byte-identical to the in-memory report"; \
-	else \
-		echo "stream-smoke: streaming report differs from the in-memory report:"; \
-		diff "$$tmpdir/mem.txt" "$$tmpdir/stream.txt" | head -40; exit 1; \
-	fi
+	$(GO) build -o "$$tmpdir/prefix-bench" ./cmd/prefix-bench && \
+	"$$tmpdir/prefix-bench" $(SMOKE_ARGS) > "$$tmpdir/mem.txt" && \
+	"$$tmpdir/prefix-bench" $(SMOKE_ARGS) -stream -stream-chunk 4096 > "$$tmpdir/stream.txt" && \
+	"$$tmpdir/prefix-bench" $(STREAM_SMOKE_FIG10_ARGS) > "$$tmpdir/figure10-mem.txt" && \
+	"$$tmpdir/prefix-bench" $(STREAM_SMOKE_FIG10_ARGS) -stream -stream-chunk 4096 > "$$tmpdir/figure10-stream.txt" || exit 1; \
+	for pair in mem:stream figure10-mem:figure10-stream; do \
+		a="$$tmpdir/$${pair%%:*}.txt"; b="$$tmpdir/$${pair##*:}.txt"; \
+		if cmp -s "$$a" "$$b"; then \
+			echo "stream-smoke: $${pair##*:} report is byte-identical to the in-memory report"; \
+		else \
+			echo "stream-smoke: $${pair##*:} report differs from the in-memory report:"; \
+			diff "$$a" "$$b" | head -40; exit 1; \
+		fi; \
+	done
 
 # Report gate: the report paths no other smoke gate reaches through the
 # CLI — Table 5 with -capture (long-run analysis), Figure 9 (heatmaps)

@@ -29,12 +29,12 @@ func BenchmarkAblationCounterSharing(b *testing.B) {
 	var shared, unshared int
 	for i := 0; i < b.N; i++ {
 		cfg := core.DefaultPlanConfig("mcf", core.VariantHot)
-		p1, _, err := core.BuildPlanFromHot(prof.Analysis, prof.Hot, cfg)
+		p1, _, err := core.BuildPlan(prof.Analysis, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		cfg.Share.Disabled = true
-		p2, _, err := core.BuildPlanFromHot(prof.Analysis, prof.Hot, cfg)
+		p2, _, err := core.BuildPlan(prof.Analysis, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func BenchmarkAblationRecycling(b *testing.B) {
 	run := func(ratio float64) (float64, uint64) {
 		cfg := core.DefaultPlanConfig("leela", core.VariantHot)
 		cfg.RecycleRatio = ratio
-		plan, _, err := core.BuildPlanFromHot(prof.Analysis, prof.Hot, cfg)
+		plan, _, err := core.BuildPlan(prof.Analysis, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -127,7 +127,7 @@ func BenchmarkAblationHybridContext(b *testing.B) {
 	run := func(hybrid bool) (float64, core.Capture) {
 		cfg := core.DefaultPlanConfig("xalanc", core.VariantHot)
 		cfg.HybridContext = hybrid
-		plan, _, err := core.BuildPlanFromHot(prof.Analysis, prof.Hot, cfg)
+		plan, _, err := core.BuildPlan(prof.Analysis, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}

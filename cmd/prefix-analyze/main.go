@@ -6,7 +6,7 @@
 // Usage:
 //
 //	prefix-analyze -trace mcf.trace -o mcf.plan.json
-//	prefix-analyze -trace mcf.trace -variant hds -miner sequitur -v
+//	prefix-analyze -trace mcf.trace -variant hds -summary
 //	prefix-analyze -trace mcf.trace -ledger mcf.ledger.json  # record every decision
 //	prefix-analyze -trace mcf.trace -trace-out phases.json -metrics-out plan.prom
 //
@@ -51,7 +51,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		out     = fs.String("o", "", "output plan JSON (default: stdout)")
 		bench   = fs.String("bench", "unknown", "benchmark name recorded in the plan")
 		variant = fs.String("variant", "hds+hot", "placement variant: hot, hds, hds+hot")
-		miner   = fs.String("miner", "lcs", "hot-data-stream miner: lcs or sequitur")
 		summary = fs.Bool("summary", false, "print the analysis summary (OHDS/RHDS) to stderr")
 		ledger  = fs.String("ledger", "", "record every planning decision (classification, sharing, recycling, placement) and write the ledger JSON to this file")
 		obsf    = obsflags.Register(fs)
@@ -76,14 +75,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		return fmt.Errorf("unknown variant %q", *variant)
 	}
 	cfg := core.DefaultPlanConfig(*bench, v)
-	switch *miner {
-	case "lcs":
-		cfg.Miner = core.MinerLCS
-	case "sequitur":
-		cfg.Miner = core.MinerSequitur
-	default:
-		return fmt.Errorf("unknown miner %q", *miner)
-	}
 
 	sess, err := obsf.Start()
 	if err != nil {

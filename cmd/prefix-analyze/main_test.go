@@ -73,6 +73,19 @@ func TestRunMissingTraceIsUsageError(t *testing.T) {
 	}
 }
 
+// TestRunRejectsMinerFlag: the planner mines with LCS only, so -miner
+// is an unknown flag (exit 2).
+func TestRunRejectsMinerFlag(t *testing.T) {
+	_, data := recordTrace(t)
+	var stdout, stderr bytes.Buffer
+	if err := run([]string{"-trace", writeFile(t, data), "-miner", "lcs"}, &stdout, &stderr); !errors.Is(err, errUsage) {
+		t.Fatalf("err = %v, want a usage error", err)
+	}
+	if stdout.Len() != 0 {
+		t.Errorf("plan written despite the unknown flag: %d bytes", stdout.Len())
+	}
+}
+
 // TestRunRejectsBadTraces: malformed input fails with an ordinary error
 // (exit 1), never a usage error or a panic.
 func TestRunRejectsBadTraces(t *testing.T) {

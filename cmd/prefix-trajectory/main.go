@@ -2,9 +2,13 @@
 // (BENCH_*.json) and prints each benchmark's trajectory across them:
 // host events/sec, the analyze stage's own throughput (schema 4; "n/a"
 // on older snapshots), and simulated L1/LLC miss rates per run, oldest
-// first, with the first-to-last drift summarized. It answers "is the
-// harness getting faster or slower over the project's history" from
-// artifacts already in the repository — no benchmarks are run.
+// first. Each row shows the run configuration it was recorded with
+// (scale, jobs, benchmark count), a row whose configuration differs
+// from the row above is marked "*", and the drift is summarized only
+// over the trailing rows that share the newest row's configuration:
+// host cost measured on different work is not a trend. It answers "is
+// the harness getting faster or slower over the project's history"
+// from artifacts already in the repository — no benchmarks are run.
 //
 // Usage:
 //
@@ -70,20 +74,34 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintf(stdout, "\n%s:\n", name)
 		tw := tabwriter.NewWriter(stdout, 2, 4, 2, ' ', 0)
-		fmt.Fprintln(tw, "  timestamp\tgit\tevents/sec\tanalysis ev/s\tL1 miss\tLLC miss\tdelta t")
-		for _, p := range points {
-			fmt.Fprintf(tw, "  %s\t%s\t%s\t%s\t%.2f%%\t%.3f%%\t%+.1f%%\n",
-				p.run.Timestamp, orShort(p.run.GitSHA),
+		fmt.Fprintln(tw, "  timestamp\tgit\tscale\tjobs\tbenchmarks\tevents/sec\tanalysis ev/s\tL1 miss\tLLC miss\tdelta t")
+		var prev config
+		changed := false
+		for i, p := range points {
+			c, mark := configOf(p.run), " "
+			if i > 0 && c != prev {
+				mark, changed = "*", true
+			}
+			prev = c
+			fmt.Fprintf(tw, "%s %s\t%s\t%s\t%d\t%d\t%s\t%s\t%.2f%%\t%.3f%%\t%+.1f%%\n",
+				mark, p.run.Timestamp, orShort(p.run.GitSHA), c.scale, c.jobs, c.benchmarks,
 				eventsPerSec(p.b), analysisEPS(p.b), p.b.L1MissPct, p.b.LLCMissPct, p.b.TimeDeltaPct)
 		}
 		if err := tw.Flush(); err != nil {
 			return err
 		}
-		if len(points) > 1 {
-			first, last := points[0].b, points[len(points)-1].b
-			fmt.Fprintf(stdout, "  trend over %d runs: events/sec %s, L1 miss %+.2fpp, LLC miss %+.3fpp\n",
-				len(points), trendPct(hostEPS(first), hostEPS(last)),
-				last.L1MissPct-first.L1MissPct, last.LLCMissPct-first.LLCMissPct)
+		if changed {
+			fmt.Fprintln(stdout, "  * run configuration differs from the row above")
+		}
+		trail := trailing(points)
+		cfg := configOf(trail[0].run)
+		if len(trail) > 1 {
+			first, last := trail[0].b, trail[len(trail)-1].b
+			fmt.Fprintf(stdout, "  trend over %d runs: events/sec %s, L1 miss %+.2fpp, LLC miss %+.3fpp (%s)\n",
+				len(trail), trendPct(hostEPS(first), hostEPS(last)),
+				last.L1MissPct-first.L1MissPct, last.LLCMissPct-first.LLCMissPct, cfg)
+		} else if len(points) > 1 {
+			fmt.Fprintf(stdout, "  no trend: the newest run is the only one at %s\n", cfg)
 		}
 	}
 	return nil
@@ -93,6 +111,34 @@ func run(args []string, stdout io.Writer) error {
 type point struct {
 	run *benchstore.Run
 	b   benchstore.Benchmark
+}
+
+// config is the run configuration a snapshot was recorded with. Host
+// cost depends on it, so rows of different configurations measure
+// different work.
+type config struct {
+	scale      string
+	jobs       int
+	benchmarks int
+}
+
+func configOf(r *benchstore.Run) config {
+	return config{scale: r.Scale, jobs: r.Jobs, benchmarks: len(r.Benchmarks)}
+}
+
+func (c config) String() string {
+	return fmt.Sprintf("scale %s, jobs %d, %d benchmarks", c.scale, c.jobs, c.benchmarks)
+}
+
+// trailing returns the newest points that share the newest point's run
+// configuration, the only ones a trend may span.
+func trailing(points []point) []point {
+	cfg := configOf(points[len(points)-1].run)
+	i := len(points) - 1
+	for i > 0 && configOf(points[i-1].run) == cfg {
+		i--
+	}
+	return points[i:]
 }
 
 // loadRuns reads every BENCH_*.json under dir, oldest timestamp first.

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -12,8 +13,16 @@ import (
 )
 
 // snapshot writes one BENCH_*.json into dir with the given timestamp,
-// events/sec, and LLC miss rate for a single "mcf" benchmark.
+// events/sec, and LLC miss rate for a single "mcf" benchmark, recorded
+// at scale bench with 4 jobs.
 func snapshot(t *testing.T, dir string, ts time.Time, eps, llcPct float64, host bool) {
+	t.Helper()
+	snapshotAt(t, dir, ts, eps, llcPct, host, "bench", 4, 1)
+}
+
+// snapshotAt is snapshot recorded at the given scale and job count,
+// with benchmarks-1 other benchmarks beside "mcf".
+func snapshotAt(t *testing.T, dir string, ts time.Time, eps, llcPct float64, host bool, scale string, jobs, benchmarks int) {
 	t.Helper()
 	b := benchstore.Benchmark{
 		Name:           "mcf",
@@ -34,9 +43,14 @@ func snapshot(t *testing.T, dir string, ts time.Time, eps, llcPct float64, host 
 		GitSHA:     "abcdef0123456789",
 		GOOS:       "linux",
 		GOARCH:     "amd64",
-		Jobs:       4,
-		Scale:      "bench",
+		Jobs:       jobs,
+		Scale:      scale,
 		Benchmarks: []benchstore.Benchmark{b},
+	}
+	for i := 1; i < benchmarks; i++ {
+		other := b
+		other.Name = fmt.Sprintf("other%d", i)
+		run.Benchmarks = append(run.Benchmarks, other)
 	}
 	path := filepath.Join(dir, benchstore.Filename(ts))
 	if err := run.WriteFile(path); err != nil {
@@ -74,6 +88,80 @@ func TestTrajectory(t *testing.T) {
 	// Oldest row must print before newest regardless of glob order.
 	if strings.Index(text, "500000") > strings.Index(text, "750000") {
 		t.Errorf("rows not in timestamp order:\n%s", text)
+	}
+}
+
+// TestTrajectoryConfigurationChange: every row shows its run
+// configuration, a row recorded with a different scale, job count or
+// benchmark count than the row above is marked, and the trend spans
+// only the trailing rows at the newest row's configuration.
+func TestTrajectoryConfigurationChange(t *testing.T) {
+	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	at := func(h int) time.Time { return base.Add(time.Duration(h) * time.Hour) }
+	// rowOf returns the table row of the snapshot taken at ts: its
+	// timestamp follows the two-character mark column.
+	rowOf := func(text, ts string) string {
+		for _, line := range strings.Split(text, "\n") {
+			if strings.Index(line, ts) == 2 {
+				return line
+			}
+		}
+		return ""
+	}
+
+	dir := t.TempDir()
+	snapshotAt(t, dir, at(0), 100000, 4.0, true, "bench", 4, 2)
+	snapshotAt(t, dir, at(1), 900000, 4.0, true, "bench", 4, 2)
+	snapshotAt(t, dir, at(2), 200000, 3.0, true, "bench", 4, 13)
+	snapshotAt(t, dir, at(3), 300000, 2.0, true, "bench", 4, 13)
+	snapshotAt(t, dir, at(4), 400000, 1.5, true, "bench", 4, 13)
+	var out bytes.Buffer
+	if err := run([]string{"-dir", dir, "-bench", "mcf"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	text := out.String()
+	for _, want := range []string{
+		"scale  jobs  benchmarks",
+		"* run configuration differs from the row above",
+		// 200000 -> 400000 over the three 13-benchmark rows, not
+		// 100000 -> 400000 over all five.
+		"trend over 3 runs: events/sec +100.0%, L1 miss +0.00pp, LLC miss -1.500pp (scale bench, jobs 4, 13 benchmarks)",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output missing %q:\n%s", want, text)
+		}
+	}
+	for h, want := range map[int]string{0: "  ", 1: "  ", 2: "* ", 3: "  ", 4: "  "} {
+		row := rowOf(text, at(h).Format(time.RFC3339))
+		if !strings.HasPrefix(row, want) {
+			t.Errorf("row %d = %q, want it to start with %q", h, row, want)
+		}
+	}
+	if row := rowOf(text, at(2).Format(time.RFC3339)); !strings.Contains(row, "bench  4     13") {
+		t.Errorf("row 2 does not show its configuration: %q", row)
+	}
+
+	// Scale and jobs count as configuration too; a newest row alone in
+	// its configuration has no trend.
+	for name, cfg := range map[string]struct {
+		scale string
+		jobs  int
+	}{"scale": {"long", 4}, "jobs": {"bench", 1}} {
+		dir := t.TempDir()
+		snapshotAt(t, dir, at(0), 100000, 4.0, true, "bench", 4, 1)
+		snapshotAt(t, dir, at(1), 200000, 4.0, true, "bench", 4, 1)
+		snapshotAt(t, dir, at(2), 300000, 4.0, true, cfg.scale, cfg.jobs, 1)
+		out.Reset()
+		if err := run([]string{"-dir", dir}, &out); err != nil {
+			t.Fatal(err)
+		}
+		text := out.String()
+		if strings.Contains(text, "trend over") || !strings.Contains(text, "no trend: the newest run is the only one at scale "+cfg.scale) {
+			t.Errorf("%s change: want no trend across configurations:\n%s", name, text)
+		}
+		if row := rowOf(text, at(2).Format(time.RFC3339)); !strings.HasPrefix(row, "* ") {
+			t.Errorf("%s change: newest row not marked: %q", name, row)
+		}
 	}
 }
 

@@ -28,10 +28,7 @@ func TestCrossPlanFailureInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := opt.Plan
-	cfg.Benchmark = "ft"
-	cfg.Variant = prefix.VariantHot
-	foreign, _, err := prefix.BuildPlanFromHot(prof.Analysis, prof.Hot, cfg)
+	foreign, _, err := prof.Prepared.Place(prefix.VariantHot, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"prefix/internal/obs"
-	"prefix/internal/prefix"
 )
 
 func TestDemandZeroIsEverything(t *testing.T) {
@@ -126,28 +125,6 @@ func TestDemandSimulatesOnlyDemanded(t *testing.T) {
 		if wantSeq := s&StrategyHDS != 0; wantSeq && !reflect.DeepEqual(cmp.Profile.StreamsSequitur, full.Profile.StreamsSequitur) {
 			t.Errorf("%s: Sequitur streams differ from the full demand's", s)
 		}
-	}
-}
-
-// TestSequiturMinedForSequiturPlanner: a planner that mines with
-// Sequitur gets its streams whatever the demand.
-func TestSequiturMinedForSequiturPlanner(t *testing.T) {
-	opt := fastOpt()
-	opt.Plan.Miner = prefix.MinerSequitur
-	full, err := RunBenchmark("mcf", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opt.Demand = Demanding(StrategyPreFix)
-	cmp, err := RunBenchmark("mcf", opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cmp.Profile.StreamsSequitur) == 0 || !reflect.DeepEqual(cmp.Profile.StreamsSequitur, full.Profile.StreamsSequitur) {
-		t.Errorf("Sequitur streams %d, want the full demand's %d", len(cmp.Profile.StreamsSequitur), len(full.Profile.StreamsSequitur))
-	}
-	if !reflect.DeepEqual(cmp.PreFix, full.PreFix) {
-		t.Error("PreFix results differ from the full demand's")
 	}
 }
 

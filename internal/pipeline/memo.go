@@ -67,9 +67,10 @@ func (m *Memo) bench(name string) (*benchMemo, error) {
 func (m *Memo) prepare(b *benchMemo, parent *obs.Span) (profiled bool, err error) {
 	b.prepOnce.Do(func() {
 		profiled = true
-		b.prof, b.prepErr = collectProfile(b.spec, m.opt, parent.Child("profile"))
+		name := b.spec.Program.Name()
+		b.prof, b.prepErr = collectProfile(name, machineProfile(b.spec, m.opt), m.opt, parent.Child("profile"))
 		if b.prepErr == nil && m.opt.Demand.Has(StrategyPreFix) {
-			b.plans, b.prepErr = placeVariants(b.spec.Program.Name(), m.opt, b.prof, parent)
+			b.plans, b.prepErr = placeVariants(name, m.opt, b.prof, parent)
 		}
 	})
 	return profiled, b.prepErr

@@ -23,10 +23,10 @@ type MTResult struct {
 }
 
 // RunMultithreaded reproduces the §3.3 multithreading experiment for one
-// benchmark: the trace is collected once (single-threaded profiling run,
-// default configuration), the plan is built once, and the optimized
-// program is then run with each thread count. Only benchmarks whose
-// program implements workloads.MultiThreaded are eligible.
+// benchmark: the trace is collected once (a profiling run at the default
+// thread count), the plan is built once, and the optimized program is
+// then run with each thread count. Only benchmarks whose program
+// implements workloads.MultiThreaded are eligible.
 func RunMultithreaded(name string, threadCounts []int, opt Options) ([]MTResult, error) {
 	return RunMultithreadedJobs(name, threadCounts, opt, 1)
 }
@@ -45,29 +45,27 @@ func RunMultithreadedJobs(name string, threadCounts []int, opt Options, jobs int
 	if !ok {
 		return nil, fmt.Errorf("pipeline: %s is not multithreaded", name)
 	}
+	for _, k := range threadCounts {
+		if k < 1 {
+			return nil, fmt.Errorf("pipeline: %s: thread count %d is below 1", name, k)
+		}
+	}
 	root := opt.Tracer.Start("multithreaded " + name)
 	defer root.End()
-	profSpan := root.Child("profile")
-	profScope := opt.Perf.Begin("profile", profSpan)
-	an := trace.NewAnalyzer()
-	profileGroup(spec, mt, opt, an)
-	events := an.Stats().Events
-	profScope.AddEvents(events)
-	profSpan.Set("events", events)
-	analysis := an.Finish()
-	profScope.End()
-	if analysis.HeapAccesses == 0 {
-		return nil, fmt.Errorf("pipeline: %s multithreaded profile has no heap accesses", name)
-	}
 
-	// One variant from a profile nothing else shares: BuildPlan's single
-	// mine → Prepare → Place pass is all the planning there is.
-	cfg := opt.Plan
-	cfg.Benchmark = name
-	cfg.Variant = prefix.VariantHot // mysql/mcf best configurations use Hot
-	planSpan := root.Child("plan " + cfg.Variant.String())
-	cfg.Trace = planSpan
-	plan, _, err := prefix.BuildPlan(analysis, cfg)
+	// The group profile is the profile stage of any benchmark, at demand
+	// PreFix; phase=figure10 keeps its series apart from the benchmark's
+	// own profile.
+	profOpt := opt
+	profOpt.Demand = Demanding(StrategyPreFix)
+	profOpt.Labels = append(append([]string(nil), opt.Labels...), "phase", "figure10")
+	prof, err := collectProfile(name, profileGroup(spec, mt, opt), profOpt, root.Child("profile"))
+	if err != nil {
+		return nil, err
+	}
+	v := prefix.VariantHot // mysql/mcf best configurations use Hot
+	planSpan := root.Child("plan " + v.String())
+	plan, _, err := prof.Prepared.Place(v, planSpan, nil)
 	planSpan.End()
 	if err != nil {
 		return nil, err
@@ -126,18 +124,21 @@ func RunMultithreadedJobs(name string, threadCounts []int, opt Options, jobs int
 	return out, nil
 }
 
-// profileGroup runs the profiling input on a machine group recording
-// into rec. "The traces were collected only once from these benchmarks
-// with the number of threads set to the default value" (§3.3): profile
-// with the default thread count, then optimize once and evaluate at
-// every thread count.
-func profileGroup(spec workloads.Spec, mt workloads.MultiThreaded, opt Options, rec trace.EventRecorder) {
-	const defaultThreads = 4
-	g := machine.NewGroup(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, defaultThreads, rec)
-	cfg := spec.Profile
-	cfg.Threads = defaultThreads
-	runGroup(mt, g, cfg, defaultThreads)
-	g.Finish()
+// profileGroup runs the profiling input on a machine group of the
+// default thread count. "The traces were collected only once from these
+// benchmarks with the number of threads set to the default value"
+// (§3.3): profile once, then optimize once and evaluate at every thread
+// count.
+func profileGroup(spec workloads.Spec, mt workloads.MultiThreaded, opt Options) profileRun {
+	return func(rec trace.EventRecorder) machine.Metrics {
+		const defaultThreads = 4
+		g := machine.NewGroup(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, defaultThreads, rec)
+		cfg := spec.Profile
+		cfg.Threads = defaultThreads
+		runGroup(mt, g, cfg, defaultThreads)
+		_, _, total := g.Finish()
+		return total
+	}
 }
 
 func runGroup(mt workloads.MultiThreaded, g *machine.Group, cfg workloads.Config, k int) {

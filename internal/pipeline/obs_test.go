@@ -217,7 +217,8 @@ func TestObsFigure9SpanTree(t *testing.T) {
 
 // TestObsMultithreadedSpanTree asserts that Figure 10's profiling and
 // planning show under its root span, ahead of the per-thread-count
-// evaluations, with the planner's stages under the plan span.
+// evaluations: the profile stage has the suite's stage children, and
+// the plan span only the variant's slot assignment.
 func TestObsMultithreadedSpanTree(t *testing.T) {
 	opt := DefaultOptions()
 	opt.UseBenchScale = true
@@ -233,8 +234,11 @@ func TestObsMultithreadedSpanTree(t *testing.T) {
 	if got := spanNames(roots[0]); !reflect.DeepEqual(got, wantTop) {
 		t.Errorf("top-level spans = %v, want %v", got, wantTop)
 	}
-	wantPlan := []string{"hds-mining", "reconstitution", "context-inference", "recycling", "slot-assignment"}
-	if got := spanNames(roots[0].Children()[1]); !reflect.DeepEqual(got, wantPlan) {
-		t.Errorf("plan spans = %v, want %v", got, wantPlan)
+	wantProfile := []string{"profile-run", "analyze", "hotness", "hds-mining", "reconstitution", "context-inference", "recycling"}
+	if got := spanNames(roots[0].Children()[0]); !reflect.DeepEqual(got, wantProfile) {
+		t.Errorf("profile spans = %v, want %v", got, wantProfile)
+	}
+	if got, want := spanNames(roots[0].Children()[1]), []string{"slot-assignment"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("plan spans = %v, want %v", got, want)
 	}
 }

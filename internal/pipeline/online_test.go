@@ -99,7 +99,7 @@ func TestOnlineGroupAnalysisMatchesRecordedTrace(t *testing.T) {
 			t.Fatalf("%s is not multithreaded", name)
 		}
 		rec := newTee()
-		profileGroup(spec, mt, fastOpt(), rec)
+		profileGroup(spec, mt, fastOpt())(rec)
 		rec.check(t, name+" group profile")
 	}
 }

@@ -42,8 +42,8 @@ type Options struct {
 	// Demand is the set of strategies each evaluation simulates; its zero
 	// value is every strategy. Work only a left-out strategy reads is
 	// skipped too: Sequitur is mined only when the HDS baseline is
-	// demanded (or Plan.Miner is Sequitur), and the variants are placed
-	// only when PreFix is. CaptureLongRun needs PreFix.
+	// demanded, and the variants are placed only when PreFix is.
+	// CaptureLongRun needs PreFix.
 	Demand Demand
 	// Variants to evaluate; defaults to all three. Every variant gets its
 	// own plan, result, eval span and metric series, but a variant whose
@@ -113,8 +113,7 @@ type Profile struct {
 	// StreamsLCS is the paper's LCS-mined OHDS (drives PreFix planning
 	// and HALO affinity grouping); StreamsSequitur drives the HDS
 	// baseline's site choice, as in the original HDS work, and is mined
-	// only when the HDS baseline is demanded or the planner mines with
-	// Sequitur.
+	// only when the HDS baseline is demanded.
 	StreamsLCS      []hds.Stream
 	StreamsSequitur []hds.Stream
 	// Metrics of the profiling run itself.
@@ -130,29 +129,44 @@ type Profile struct {
 	// analysis. It never feeds report output.
 	AnalysisHost *perfstat.Sample
 	// Prepared is the variant-independent planning of this profile
-	// (reconstitution, contexts, recycling) over the streams of the
-	// planner's miner. Every variant's plan, for every evaluation input,
-	// is placed from it.
+	// (reconstitution, contexts, recycling) over StreamsLCS. Every
+	// variant's plan, for every evaluation input, is placed from it.
 	Prepared *prefix.Prepared
 }
 
 // CollectProfile runs the benchmark's profiling input with the baseline
 // allocator and analyzes the run.
 func CollectProfile(spec workloads.Spec, opt Options) (*Profile, error) {
-	return collectProfile(spec, opt, opt.Tracer.Start("profile "+spec.Program.Name()))
+	name := spec.Program.Name()
+	return collectProfile(name, machineProfile(spec, opt), opt, opt.Tracer.Start("profile "+name))
 }
 
-// collectProfile is CollectProfile as the "profile" stage on the span
+// profileRun executes a profiling input recording into rec and returns
+// the run's metrics: one machine for a benchmark's own profile
+// (machineProfile), a machine group for Figure 10's (profileGroup).
+type profileRun func(rec trace.EventRecorder) machine.Metrics
+
+// machineProfile runs spec's profiling input on one machine with the
+// baseline allocator.
+func machineProfile(spec workloads.Spec, opt Options) profileRun {
+	return func(rec trace.EventRecorder) machine.Metrics {
+		m := machine.New(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, machine.WithRecorder(rec))
+		spec.Program.Run(m, spec.Profile)
+		return m.Finish()
+	}
+}
+
+// collectProfile is the "profile" stage of benchmark name on the span
 // its caller opened for it: one host scope brackets the stage, and its
-// End ends span. It emits one child span per profiling stage
+// End ends span. It executes run, analyzes it, selects the hot set,
+// mines and prepares the plan, with one child span per stage
 // (profile-run, analyze, hotness, hds-mining, then the planner's
-// reconstitution, context-inference and recycling) and publishes the
+// reconstitution, context-inference and recycling), and publishes the
 // stage counters when a registry is attached. Options.Stream selects
 // the spill-file recording and analysis path; the resulting Profile is
-// identical either way. Sequitur runs only when Options.Demand or the
-// planner reads its streams.
-func collectProfile(spec workloads.Spec, opt Options, span *obs.Span) (*Profile, error) {
-	name := spec.Program.Name()
+// identical either way. Sequitur runs only when Options.Demand has the
+// HDS baseline.
+func collectProfile(name string, run profileRun, opt Options, span *obs.Span) (*Profile, error) {
 	sc := opt.Perf.Begin("profile", span)
 	defer sc.End()
 
@@ -164,9 +178,9 @@ func collectProfile(spec workloads.Spec, opt Options, span *obs.Span) (*Profile,
 		err     error
 	)
 	if opt.Stream {
-		a, metrics, stats, anHost, err = streamProfileRun(spec, opt, span)
+		a, metrics, stats, anHost, err = streamProfileRun(run, opt, span)
 	} else {
-		a, metrics, stats, anHost = memoryProfileRun(spec, opt, span)
+		a, metrics, stats, anHost = memoryProfileRun(run, opt, span)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s streaming profile: %w", name, err)
@@ -189,7 +203,7 @@ func collectProfile(spec workloads.Spec, opt Options, span *obs.Span) (*Profile,
 	lcs := prefix.WeighStreams(hds.MineLCS(refs, cfg.HDS), hot)
 	mineSpan.Set("refs", len(refs))
 	mineSpan.Set("streams_lcs", len(lcs))
-	mineSeq := opt.Demand.Has(StrategyHDS) || cfg.Miner == prefix.MinerSequitur
+	mineSeq := opt.Demand.Has(StrategyHDS)
 	var seq []hds.Stream
 	if mineSeq {
 		seq = prefix.WeighStreams(hds.MineSequitur(refs, cfg.HDS), hot)
@@ -197,14 +211,10 @@ func collectProfile(spec workloads.Spec, opt Options, span *obs.Span) (*Profile,
 	}
 	mineSpan.End()
 
-	// The planner reuses its miner's streams instead of mining again per
+	// The planner reuses the LCS streams instead of mining again per
 	// variant.
-	ohds := lcs
-	if cfg.Miner == prefix.MinerSequitur {
-		ohds = seq
-	}
 	cfg.Trace = span
-	prep, err := prefix.Prepare(a, hot, ohds, len(refs), cfg)
+	prep, err := prefix.Prepare(a, hot, lcs, len(refs), cfg)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s: %w", name, err)
 	}
@@ -241,14 +251,11 @@ func collectProfile(spec workloads.Spec, opt Options, span *obs.Span) (*Profile,
 // trace is never kept. The analyze span closes the analysis; with a
 // collector attached, the analyzer times its own feeding on the
 // collector's clock, which becomes the analyze stage's host sample.
-func memoryProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trace.Analysis, machine.Metrics, trace.RecorderStats, *perfstat.Sample) {
+func memoryProfileRun(run profileRun, opt Options, parent *obs.Span) (*trace.Analysis, machine.Metrics, trace.RecorderStats, *perfstat.Sample) {
 	runSpan := parent.Child("profile-run")
 	an := trace.NewAnalyzer()
 	an.SetClock(opt.Perf.Clock())
-	alloc := baselines.NewBaseline(opt.Cache.Cost)
-	m := machine.New(alloc, opt.Cache, machine.WithRecorder(an))
-	spec.Program.Run(m, spec.Profile)
-	metrics := m.Finish()
+	metrics := run(an)
 	stats := an.Stats()
 	runSpan.Set("events", stats.Events)
 	runSpan.End()
@@ -271,7 +278,7 @@ func memoryProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (*trac
 // records through a spill-to-disk recorder into a temporary chunked
 // trace file, which is then analyzed as a stream. Trace-buffer memory
 // never exceeds one chunk (StreamChunkEvents events).
-func streamProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (a *trace.Analysis, metrics machine.Metrics, stats trace.RecorderStats, host *perfstat.Sample, err error) {
+func streamProfileRun(run profileRun, opt Options, parent *obs.Span) (a *trace.Analysis, metrics machine.Metrics, stats trace.RecorderStats, host *perfstat.Sample, err error) {
 	runSpan := parent.Child("profile-run")
 	f, err := os.CreateTemp(opt.StreamDir, "prefix-spill-*.pfxt")
 	if err == nil {
@@ -279,7 +286,7 @@ func streamProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (a *tr
 			f.Close()
 			os.Remove(f.Name())
 		}()
-		metrics, stats, err = spillProfileRun(spec, opt, f, runSpan)
+		metrics, stats, err = spillProfileRun(run, opt, f, runSpan)
 	}
 	runSpan.End()
 	if err != nil {
@@ -304,16 +311,14 @@ func streamProfileRun(spec workloads.Spec, opt Options, parent *obs.Span) (a *tr
 	return a, metrics, stats, host, err
 }
 
-// spillProfileRun runs the profiling input recording into f through a
-// spill recorder and sets the recording's figures on span.
-func spillProfileRun(spec workloads.Spec, opt Options, f *os.File, span *obs.Span) (machine.Metrics, trace.RecorderStats, error) {
+// spillProfileRun executes run recording into f through a spill
+// recorder and sets the recording's figures on span.
+func spillProfileRun(run profileRun, opt Options, f *os.File, span *obs.Span) (machine.Metrics, trace.RecorderStats, error) {
 	rec, err := trace.NewSpillRecorder(f, opt.StreamChunkEvents)
 	if err != nil {
 		return machine.Metrics{}, trace.RecorderStats{}, err
 	}
-	m := machine.New(baselines.NewBaseline(opt.Cache.Cost), opt.Cache, machine.WithRecorder(rec))
-	spec.Program.Run(m, spec.Profile)
-	metrics := m.Finish()
+	metrics := run(rec)
 	if err := rec.Close(); err != nil {
 		return metrics, trace.RecorderStats{}, err
 	}

@@ -2,8 +2,10 @@ package pipeline
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -143,6 +145,23 @@ func TestRunMultithreaded(t *testing.T) {
 func TestRunMultithreadedRejectsSingleThreaded(t *testing.T) {
 	if _, err := RunMultithreaded("health", []int{1}, fastOpt()); err == nil {
 		t.Error("single-threaded benchmark accepted")
+	}
+}
+
+// TestRunMultithreadedRejectsThreadCountBelowOne: a thread count below
+// 1 is an error naming the count, returned before anything is profiled.
+func TestRunMultithreadedRejectsThreadCountBelowOne(t *testing.T) {
+	for _, counts := range [][]int{{0}, {1, -3}} {
+		opt := fastOpt()
+		opt.Tracer = obs.NewTracer()
+		bad := counts[len(counts)-1]
+		_, err := RunMultithreaded("mcf", counts, opt)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("thread count %d", bad)) {
+			t.Errorf("threads %v: err = %v, want one naming thread count %d", counts, err, bad)
+		}
+		if n := len(opt.Tracer.Roots()); n != 0 {
+			t.Errorf("threads %v: %d root spans, want none (nothing profiled)", counts, n)
+		}
 	}
 }
 
@@ -308,6 +327,37 @@ func TestRunBenchmarkStreamingParity(t *testing.T) {
 	}
 	if plain.Best != streamed.Best {
 		t.Errorf("best variant differs: plain %v, streamed %v", plain.Best, streamed.Best)
+	}
+}
+
+// TestRunMultithreadedStreamingParity: Figure 10's group profile takes
+// the spill path under Options.Stream, and its results do not depend on
+// it or on the job count.
+func TestRunMultithreadedStreamingParity(t *testing.T) {
+	counts := []int{1, 2}
+	want, err := RunMultithreadedJobs("mcf", counts, fastOpt(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stream := range []bool{false, true} {
+		for _, jobs := range []int{1, 2} {
+			opt := fastOpt()
+			opt.Stream = stream
+			opt.StreamChunkEvents = 1024
+			opt.StreamDir = t.TempDir()
+			opt.Metrics = obs.NewRegistry()
+			got, err := RunMultithreadedJobs("mcf", counts, opt, jobs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("stream=%v jobs=%d: results differ:\n got %+v\nwant %+v", stream, jobs, got, want)
+			}
+			chunks := opt.Metrics.Counter("prefix_trace_spilled_chunks_total", "benchmark", "mcf", "phase", "figure10").Value()
+			if spilled := chunks > 0; spilled != stream {
+				t.Errorf("stream=%v jobs=%d: %d spilled chunks", stream, jobs, chunks)
+			}
+		}
 	}
 }
 

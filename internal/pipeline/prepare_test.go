@@ -14,63 +14,60 @@ import (
 )
 
 // TestPreparedPlanMatchesBuildPlan is the differential check of planning
-// once per profile: for every workload, both miners and every variant,
-// the plan and ledger the pipeline places from its profile's preparation
-// must serialize exactly like those of a fresh prefix.BuildPlan, which
+// once per profile: for every workload and every variant, the plan and
+// ledger the pipeline places from its profile's preparation must
+// serialize exactly like those of a fresh prefix.BuildPlan, which
 // selects, mines and prepares again from the bare analysis.
 func TestPreparedPlanMatchesBuildPlan(t *testing.T) {
 	names := workloads.Names()
 	if testing.Short() {
 		names = []string{"mcf", "ft", "leela"}
 	}
-	for _, miner := range []prefix.Miner{prefix.MinerLCS, prefix.MinerSequitur} {
-		for _, name := range names {
-			spec, err := workloads.Get(name)
+	for _, name := range names {
+		spec, err := workloads.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt := fastOpt()
+		opt.Attribution = true
+		prof, err := CollectProfile(spec, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		vp, err := placeVariants(name, opt, prof, nil)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, v := range opt.Variants {
+			cfg := opt.Plan
+			cfg.Benchmark = name
+			cfg.Variant = v
+			cfg.Ledger = prefix.NewLedger()
+			plan, _, err := prefix.BuildPlan(prof.Analysis, cfg)
 			if err != nil {
+				t.Fatalf("%s %v: %v", name, v, err)
+			}
+			var got, want bytes.Buffer
+			if err := vp.plans[v].WriteJSON(&got); err != nil {
 				t.Fatal(err)
 			}
-			opt := fastOpt()
-			opt.Plan.Miner = miner
-			opt.Attribution = true
-			prof, err := CollectProfile(spec, opt)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+			if err := plan.WriteJSON(&want); err != nil {
+				t.Fatal(err)
 			}
-			vp, err := placeVariants(name, opt, prof, nil)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s %v: prepared plan differs from BuildPlan", name, v)
 			}
-			for _, v := range opt.Variants {
-				cfg := opt.Plan
-				cfg.Benchmark = name
-				cfg.Variant = v
-				cfg.Ledger = prefix.NewLedger()
-				plan, _, err := prefix.BuildPlan(prof.Analysis, cfg)
-				if err != nil {
-					t.Fatalf("%s %v: %v", name, v, err)
-				}
-				var got, want bytes.Buffer
-				if err := vp.plans[v].WriteJSON(&got); err != nil {
-					t.Fatal(err)
-				}
-				if err := plan.WriteJSON(&want); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Errorf("miner %d %s %v: prepared plan differs from BuildPlan", miner, name, v)
-				}
-				got.Reset()
-				want.Reset()
-				if err := vp.summaries[v].Ledger.WriteJSON(&got); err != nil {
-					t.Fatal(err)
-				}
-				if err := cfg.Ledger.WriteJSON(&want); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(got.Bytes(), want.Bytes()) {
-					t.Errorf("miner %d %s %v: prepared ledger differs from BuildPlan's (%d vs %d decisions)",
-						miner, name, v, vp.summaries[v].Ledger.Len(), cfg.Ledger.Len())
-				}
+			got.Reset()
+			want.Reset()
+			if err := vp.summaries[v].Ledger.WriteJSON(&got); err != nil {
+				t.Fatal(err)
+			}
+			if err := cfg.Ledger.WriteJSON(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Errorf("%s %v: prepared ledger differs from BuildPlan's (%d vs %d decisions)",
+					name, v, vp.summaries[v].Ledger.Len(), cfg.Ledger.Len())
 			}
 		}
 	}

@@ -59,8 +59,7 @@ func TestTable2Classification(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := prefix.DefaultPlanConfig(name, prefix.VariantHDSHot)
-			plan, _, err := prefix.BuildPlanFromHot(prof.Analysis, prof.Hot, cfg)
+			plan, _, err := prof.Prepared.Place(prefix.VariantHDSHot, nil, nil)
 			if err != nil {
 				t.Fatal(err)
 			}

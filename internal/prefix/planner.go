@@ -13,17 +13,6 @@ import (
 	"prefix/internal/trace"
 )
 
-// Miner selects the hot-data-stream detector.
-type Miner uint8
-
-const (
-	// MinerLCS is the paper's choice (§3.1).
-	MinerLCS Miner = iota
-	// MinerSequitur is the detector of the original HDS work, kept for
-	// the ablation comparison.
-	MinerSequitur
-)
-
 // PlanConfig controls planning.
 type PlanConfig struct {
 	Benchmark string
@@ -31,7 +20,6 @@ type PlanConfig struct {
 	Hot       hotness.Config
 	HDS       hds.Config
 	Share     context.ShareConfig
-	Miner     Miner
 	// RecycleRatio is the allocs/max-live factor beyond which an
 	// All-pattern counter is converted to a recycling ring (§2.4). 0
 	// disables recycling.
@@ -81,7 +69,6 @@ func DefaultPlanConfig(benchmark string, v Variant) PlanConfig {
 		Hot:              hotCfg,
 		HDS:              hds.DefaultConfig(),
 		Share:            context.DefaultShareConfig(),
-		Miner:            MinerLCS,
 		RecycleRatio:     4,
 		PromoteAll:       0.8,
 		PromoteMinAllocs: 8,
@@ -100,27 +87,16 @@ func SelectHot(a *trace.Analysis, cfg PlanConfig) *hotness.Set {
 }
 
 // BuildPlan runs the full profile analysis of Figure 8 on an analyzed
-// trace and produces a Plan plus the reporting Summary.
+// trace and produces cfg.Variant's Plan plus the reporting Summary:
+// SelectHot, LCS mining of the collapsed hot references (§3.1),
+// WeighStreams, Prepare and Place. It is the one-call form for callers
+// that hold only an analysis; callers that plan several variants from
+// one profile call Prepare once and Place per variant.
 func BuildPlan(a *trace.Analysis, cfg PlanConfig) (*Plan, *Summary, error) {
-	return BuildPlanFromHot(a, SelectHot(a, cfg), cfg)
-}
-
-// BuildPlanFromHot is BuildPlan with a caller-provided hot set (so one
-// selection can be shared between PreFix planning and the baseline
-// pollution accounting). It mines the hot data streams with cfg.Miner,
-// then runs Prepare and Place for cfg.Variant. Callers that plan several
-// variants from one profile call Prepare once and Place per variant.
-func BuildPlanFromHot(a *trace.Analysis, hot *hotness.Set, cfg PlanConfig) (*Plan, *Summary, error) {
+	hot := SelectHot(a, cfg)
 	mineSpan := cfg.Trace.Child("hds-mining")
 	refs := hds.CollapseRefs(a.Refs, hot.IDs)
-	var ohds []hds.Stream
-	switch cfg.Miner {
-	case MinerSequitur:
-		ohds = hds.MineSequitur(refs, cfg.HDS)
-	default:
-		ohds = hds.MineLCS(refs, cfg.HDS)
-	}
-	ohds = WeighStreams(ohds, hot)
+	ohds := WeighStreams(hds.MineLCS(refs, cfg.HDS), hot)
 	mineSpan.Set("refs", len(refs))
 	mineSpan.Set("streams", len(ohds))
 	mineSpan.End()
@@ -174,8 +150,8 @@ type ringSpec struct {
 
 // Prepare runs the planning stages that do not depend on the variant —
 // reconstitution, context inference and recycling — over the profile's
-// analysis, its hot set, and the OHDS already mined from refs collapsed
-// hot references with cfg.Miner and weighed by WeighStreams. cfg.Variant
+// analysis, its hot set, and the OHDS already mined by LCS from refs
+// collapsed hot references and weighed by WeighStreams. cfg.Variant
 // and cfg.Ledger are ignored (they are Place's); cfg.Trace receives one
 // child span per stage.
 func Prepare(a *trace.Analysis, hot *hotness.Set, ohds []hds.Stream, refs int, cfg PlanConfig) (*Prepared, error) {
@@ -183,14 +159,10 @@ func Prepare(a *trace.Analysis, hot *hotness.Set, ohds []hds.Stream, refs int, c
 		return nil, fmt.Errorf("prefix: no hot objects found in profile")
 	}
 	led := NewLedger()
-	minerName := "lcs"
-	if cfg.Miner == MinerSequitur {
-		minerName = "sequitur"
-	}
 	led.Record(Decision{
 		Stage: StageMining, Kind: "streams-mined", Counter: -1,
-		Reason: fmt.Sprintf("%s miner found %d observed hot data streams over %d collapsed hot references",
-			minerName, len(ohds), refs),
+		Reason: fmt.Sprintf("lcs miner found %d observed hot data streams over %d collapsed hot references",
+			len(ohds), refs),
 	})
 
 	// --- Layout determination (Algorithm 1) -------------------------

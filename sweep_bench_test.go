@@ -36,10 +36,7 @@ func BenchmarkSweepLLCSize(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cfg := opt.Plan
-				cfg.Benchmark = "ft"
-				cfg.Variant = core.VariantHot
-				plan, _, err := core.BuildPlanFromHot(prof.Analysis, prof.Hot, cfg)
+				plan, _, err := prof.Prepared.Place(core.VariantHot, nil, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
