@@ -205,7 +205,8 @@ FUZZ_TARGETS = ./internal/trace:FuzzRead ./internal/trace:FuzzAnalyzerRecorder \
 	./internal/prefix:FuzzReadPlan ./internal/mem:FuzzLiveIndex \
 	./internal/benchstore:FuzzReadBaseline ./internal/prefix:FuzzReadLedger \
 	./internal/prefix:FuzzAllocatorMatchesReference \
-	./internal/trace:FuzzAnalyzerMatchesReference
+	./internal/trace:FuzzAnalyzerMatchesReference \
+	./internal/report:FuzzHeatmapMatchesReference
 
 fuzz-smoke:
 	@for t in $(FUZZ_TARGETS); do \

@@ -93,8 +93,11 @@ func (s *Session) Progress() func(obs.JobEvent) {
 }
 
 // Close finalizes the session: stops the CPU profile, writes the heap
-// profile, the metrics and trace files, and prints the -v summary. Call
-// it on every exit path (it runs once); the first error wins.
+// profile, the metrics and trace files, and prints the -v summary, which
+// ends with the process's peak RSS where getrusage reports it (Linux).
+// That line is host-only, like the host-cost table: it goes to stderr
+// and never into a metrics or trace file. Call it on every exit path
+// (it runs once); the first error wins.
 func (s *Session) Close() error {
 	if s == nil {
 		return nil
@@ -133,6 +136,9 @@ func (s *Session) Close() error {
 	if s.flags.Verbose {
 		keep(s.Tracer.WriteSummary(s.stderr))
 		keep(s.Perf.WriteTable(s.stderr))
+		if rss, ok := peakRSS(); ok {
+			fmt.Fprintf(s.stderr, "peak RSS: %.1f MB\n", float64(rss)/(1<<20))
+		}
 		s.flags.Verbose = false
 	}
 	return first

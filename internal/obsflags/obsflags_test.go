@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -111,5 +112,31 @@ func TestProgressPrintsRunningAndFailed(t *testing.T) {
 	prog(obs.JobEvent{Phase: "suite", Benchmark: "health", Job: 1, Jobs: 2, Seed: -1, State: obs.JobFailed, Err: "boom"})
 	if got, want := buf.String(), "[suite 2/2] health failed: boom\n"; got != want {
 		t.Errorf("failed event printed %q, want %q", got, want)
+	}
+}
+
+// TestVerboseEndsWithPeakRSS: the -v summary's last line is the peak
+// RSS on Linux, and there is no such line elsewhere or without -v.
+func TestVerboseEndsWithPeakRSS(t *testing.T) {
+	for _, verbose := range []bool{false, true} {
+		sess, err := (&Flags{Verbose: verbose}).Start()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf strings.Builder
+		sess.stderr = &buf
+		sess.Tracer.Start("phase").End()
+		if err := sess.Close(); err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+		last := lines[len(lines)-1]
+		want := verbose && runtime.GOOS == "linux"
+		if got := strings.HasPrefix(last, "peak RSS: ") && strings.HasSuffix(last, " MB"); got != want {
+			t.Errorf("-v=%v on %s: last stderr line %q", verbose, runtime.GOOS, last)
+		}
+		if n := strings.Count(buf.String(), "peak RSS"); n > 1 || (n == 1) != want {
+			t.Errorf("-v=%v: %d peak RSS lines in\n%s", verbose, n, buf.String())
+		}
 	}
 }

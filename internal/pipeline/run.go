@@ -437,7 +437,7 @@ func (r rerun) record(rec trace.EventRecorder) RunResult {
 // analyze records the run into an analyzer and returns the run's
 // analysis with its result. The analyzer reserves its reference string
 // from the measured access count: heap references are at most the
-// access events, so Refs and RefAt are allocated once.
+// access events, so Refs is allocated once.
 func (r rerun) analyze() (RunResult, *trace.Analysis) {
 	an := trace.NewAnalyzer()
 	an.Reserve(r.accesses)

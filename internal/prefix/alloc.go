@@ -1,6 +1,9 @@
 package prefix
 
 import (
+	"cmp"
+	"slices"
+
 	"prefix/internal/cachesim"
 	"prefix/internal/context"
 	"prefix/internal/machine"
@@ -61,6 +64,15 @@ type Allocator struct {
 
 	counters []counter // index-aligned with plan.Counters
 
+	// sites is plan.SiteCounter compiled for lookup without hashing:
+	// sites[s] is 1 + the index of site s's counter, or 0 when s is not
+	// instrumented, for every s below len(sites). Instrumented sites at
+	// or above denseSites are in farSites, sorted by id; only plans
+	// written by hand or read from untrusted input have them, and they
+	// must not size the table.
+	sites    []int32
+	farSites []farSite
+
 	// live maps the address of every occupied static or ring slot to the
 	// slot's size; a slot is free exactly when its address is absent.
 	// This is exact because Validate rejects overlapping slots, so no
@@ -80,6 +92,17 @@ type counter struct {
 	plan    *PlanCounter
 }
 
+// farSite is an instrumented site outside the dense site table, with 1
+// + the index of its counter.
+type farSite struct {
+	site    mem.SiteID
+	counter int32
+}
+
+// denseSites bounds the dense site table: sites below it are looked up
+// by index. The workloads' site ids are all below 100.
+const denseSites = 1 << 12
+
 // NewAllocator builds the runtime for a plan, which must pass Validate.
 func NewAllocator(plan *Plan, cost cachesim.CostModel) *Allocator {
 	a := &Allocator{
@@ -93,7 +116,37 @@ func NewAllocator(plan *Plan, cost cachesim.CostModel) *Allocator {
 		pc := &plan.Counters[i]
 		a.counters[i] = counter{pattern: pc.Pattern(), plan: pc}
 	}
+	for site, ci := range plan.SiteCounter {
+		if site >= denseSites {
+			a.farSites = append(a.farSites, farSite{site, int32(ci + 1)})
+			continue
+		}
+		if int(site) >= len(a.sites) {
+			a.sites = append(a.sites, make([]int32, int(site)+1-len(a.sites))...)
+		}
+		a.sites[site] = int32(ci + 1)
+	}
+	slices.SortFunc(a.farSites, func(x, y farSite) int { return cmp.Compare(x.site, y.site) })
 	return a
+}
+
+// counterOf returns 1 + the index of site's counter, or 0 when the plan
+// does not instrument site.
+func (a *Allocator) counterOf(site mem.SiteID) int32 {
+	if int(site) < len(a.sites) {
+		return a.sites[site]
+	}
+	return a.farCounter(site)
+}
+
+// farCounter is counterOf for a site past the dense table, kept apart so
+// that counterOf inlines into Malloc.
+func (a *Allocator) farCounter(site mem.SiteID) int32 {
+	i, ok := slices.BinarySearchFunc(a.farSites, site, func(f farSite, s mem.SiteID) int { return cmp.Compare(f.site, s) })
+	if !ok {
+		return 0
+	}
+	return a.farSites[i].counter
 }
 
 // Name implements machine.Allocator.
@@ -115,12 +168,12 @@ const hybridSigInstr = 8
 // Malloc implements machine.Allocator (paper Figure 4, and Figure 7 for
 // recycling counters).
 func (a *Allocator) Malloc(site mem.SiteID, stack mem.StackSig, size uint64) (mem.Addr, uint64) {
-	ci, instrumented := a.plan.SiteCounter[site]
-	if !instrumented {
+	ci := a.counterOf(site)
+	if ci == 0 {
 		a.cap.FallbackMallocs++
 		return a.fallback.Malloc(size), a.cost.MallocInstr
 	}
-	c := &a.counters[ci]
+	c := &a.counters[ci-1]
 	c.id++
 	check := c.pattern.CheckInstr()
 	a.cap.CheckInstr += check

@@ -2,6 +2,7 @@ package prefix
 
 import (
 	"bytes"
+	"math"
 	"slices"
 	"testing"
 
@@ -239,4 +240,45 @@ func FuzzAllocatorMatchesReference(f *testing.F) {
 			t.Fatalf("PeakBytes %d, reference %d", g, w)
 		}
 	})
+}
+
+// TestAllocatorFarSites: a plan read from JSON may wire any site id, up
+// to the largest a SiteID holds. Such ids must not size the allocator's
+// dense site table, and mallocs at them, at their uninstrumented
+// neighbours and at small sites must behave as in refAllocator.
+func TestAllocatorFarSites(t *testing.T) {
+	in := &Plan{
+		Benchmark: "far",
+		Variant:   VariantHot,
+		Counters: []PlanCounter{
+			{Kind: context.KindAll, Recycle: &RecyclePlan{N: 2, SlotSize: 64}},
+			{Kind: context.KindFixed, Set: []mem.Instance{1, 3}, SlotOf: map[mem.Instance]Slot{1: {Offset: 128, Size: 32}, 3: {Offset: 160, Size: 32}}},
+		},
+		SiteCounter: map[mem.SiteID]int{math.MaxUint32: 0, math.MaxUint32 - 2: 1, denseSites: 1, 3: 0},
+		RegionSize:  192,
+	}
+	var buf bytes.Buffer
+	if err := in.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &allocPair{t: t, a: NewAllocator(plan, cost()), ref: newRefAllocator(plan, cost())}
+	if n := len(p.a.sites); n != 4 {
+		t.Fatalf("dense site table has %d entries, want 4 (sites 0..3)", n)
+	}
+	sites := []mem.SiteID{math.MaxUint32, math.MaxUint32 - 1, math.MaxUint32 - 2, denseSites + 1, denseSites, denseSites - 1, 4, 3, 0}
+	for round := 0; round < 4; round++ {
+		for _, site := range sites {
+			p.step++
+			got, gotN := p.a.Malloc(site, 0, 24)
+			want, wantN := p.ref.Malloc(site, 0, 24)
+			p.check("malloc", got, want, gotN, wantN)
+		}
+	}
+	if c := p.a.Capture(); c.StaticCaptured != 2 || c.RecycledCaptured != 2 {
+		t.Errorf("captured %d static and %d recycled, want 2 and 2", c.StaticCaptured, c.RecycledCaptured)
+	}
 }

@@ -111,21 +111,21 @@ func BuildHeatmapFrom(a *trace.Analysis, timeBuckets, addrBuckets int) *Heatmap 
 	}
 	span := h.Footprint
 	events := a.Events
-	for i, id := range a.Refs {
+	a.EachRef(func(id mem.ObjectID, event int) {
 		if !hot[id-1] {
-			continue
+			return
 		}
 		addr := a.Object(id).Addr
 		ab := int(uint64(addr-lo) * uint64(addrBuckets) / span)
 		if ab >= addrBuckets {
 			ab = addrBuckets - 1
 		}
-		tb := a.RefAt[i] * timeBuckets / events
+		tb := event * timeBuckets / events
 		if tb >= timeBuckets {
 			tb = timeBuckets - 1
 		}
 		h.Counts[ab][tb]++
-	}
+	})
 	return h
 }
 

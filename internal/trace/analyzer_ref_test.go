@@ -14,9 +14,13 @@ import (
 // moved into slices: four site maps updated on every allocation and one
 // heap allocation per object. It is kept verbatim (renamed, and without
 // the recorder plumbing, which did not change) as the reference the
-// dense Analyzer is checked against.
+// dense Analyzer is checked against. It also keeps the event time of
+// each heap reference as it did before they became Analysis.RefEvents:
+// one event index per reference, in refAt.
 type refAnalyzer struct {
 	a *Analysis
+	// refAt[i] is the event index of a.Refs[i].
+	refAt []int
 	// idx maps each live object's address interval to its position in
 	// Analysis.Objects; accesses land anywhere inside [base, base+size),
 	// so it answers containment queries (mem.LiveIndex, page-keyed).
@@ -94,12 +98,12 @@ func (an *refAnalyzer) Feed(ev Event) {
 				obj.Reads++
 			}
 			a.Refs = append(a.Refs, obj.ID)
-			a.RefAt = append(a.RefAt, i)
+			an.refAt = append(an.refAt, i)
 		}
 	}
 }
 
-// Reserve is a capacity hint: it grows Refs and RefAt so that accesses
+// Reserve is a capacity hint: it grows Refs and refAt so that accesses
 // heap references in all fit without reallocating. A run's heap
 // references are at most its access events, so an access count already
 // measured for the same run is a safe bound. The analysis is identical
@@ -112,7 +116,7 @@ func (an *refAnalyzer) Reserve(accesses uint64) {
 	}
 	n := int(accesses - have)
 	a.Refs = slices.Grow(a.Refs, n)
-	a.RefAt = slices.Grow(a.RefAt, n)
+	an.refAt = slices.Grow(an.refAt, n)
 }
 
 // SetInstr records the traced run's dynamic instruction count.
@@ -126,17 +130,51 @@ func (an *refAnalyzer) Finish() *Analysis {
 	if len(a.Refs) == 0 {
 		// An unused Reserve leaves empty non-nil slices; an unreserved
 		// analysis without heap references has nil ones.
-		a.Refs, a.RefAt = nil, nil
+		a.Refs, an.refAt = nil, nil
 	}
 	return a
 }
 
+// refEvents is the event bitmap of the reference times refAt in an
+// analysis of the given event count: ⌈events/64⌉ words with bit e set
+// for every e in refAt, or nil when there are no references.
+func refEvents(refAt []int, events int) []uint64 {
+	if len(refAt) == 0 {
+		return nil
+	}
+	bm := make([]uint64, (events+63)/64)
+	for _, e := range refAt {
+		bm[e/64] |= 1 << (e % 64)
+	}
+	return bm
+}
+
+// checkRefEvents fails t unless got's reference bitmap is the one of
+// the reference times refAt, and EachRef walks Refs beside them.
+func checkRefEvents(t *testing.T, got *Analysis, refAt []int) {
+	t.Helper()
+	if want := refEvents(refAt, got.Events); !reflect.DeepEqual(got.RefEvents, want) {
+		t.Errorf("RefEvents = %x, want the bits of %v (%x)", got.RefEvents, refAt, want)
+	}
+	i := 0
+	got.EachRef(func(id mem.ObjectID, event int) {
+		if i >= len(refAt) || id != got.Refs[i] || event != refAt[i] {
+			t.Fatalf("EachRef call %d = (%d, %d), want Refs %v at %v", i, id, event, got.Refs, refAt)
+		}
+		i++
+	})
+	if i != len(refAt) {
+		t.Errorf("EachRef made %d calls, want %d", i, len(refAt))
+	}
+}
+
 // FuzzAnalyzerMatchesReference: the dense Analyzer and refAnalyzer, fed
 // the same fuzzEvents stream (unknown frees, realloc chains, allocations
-// over live and freed addresses), produce DeepEqual analyses. spread
-// multiplies the stream's three site ids apart, so sites also take large
-// and zero ids. Streams past objectSlab allocations cross slab
-// boundaries.
+// over live and freed addresses), produce DeepEqual analyses apart from
+// the reference times, and the set bits of RefEvents, in order, are the
+// reference's event indices. spread multiplies the stream's three site
+// ids apart, so sites also take large and zero ids. Streams past
+// objectSlab allocations cross slab boundaries.
 func FuzzAnalyzerMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 1, 10, 4, 1, 3, 2, 1, 0, 0, 1, 20, 5, 1, 7}, uint32(0))
 	f.Add([]byte{0, 2, 40, 3, 2, 5, 4, 5, 9, 3, 5, 2, 6, 2, 1, 2, 9, 1}, uint32(1))
@@ -146,6 +184,8 @@ func FuzzAnalyzerMatchesReference(f *testing.F) {
 	// Alloc, access, realloc, access, free, alloc over neighbouring
 	// slots: two objects a round, so the rounds fill two slabs and more.
 	f.Add(bytes.Repeat([]byte{0, 1, 9, 4, 1, 3, 3, 1, 2, 6, 2, 1, 2, 2, 0, 1, 3, 0}, objectSlab+5), uint32(5))
+	// One heap reference, then two bitmap words of unknown frees.
+	f.Add(append([]byte{0, 1, 10, 4, 1, 3}, bytes.Repeat([]byte{2, 9, 1}, 130)...), uint32(0))
 
 	f.Fuzz(func(t *testing.T, data []byte, spread uint32) {
 		evs := fuzzEvents(data)
@@ -159,8 +199,12 @@ func FuzzAnalyzerMatchesReference(f *testing.F) {
 		}
 		an.SetInstr(uint64(len(data)))
 		ref.SetInstr(uint64(len(data)))
-		if got, want := an.Finish(), ref.Finish(); !reflect.DeepEqual(got, want) {
-			t.Errorf("analysis differs from the reference:\n got %+v\nwant %+v", got, want)
+		got, want := an.Finish(), ref.Finish()
+		checkRefEvents(t, got, ref.refAt)
+		rest := *got
+		rest.RefEvents = nil
+		if !reflect.DeepEqual(&rest, want) {
+			t.Errorf("analysis differs from the reference:\n got %+v\nwant %+v", &rest, want)
 		}
 	})
 }

@@ -13,6 +13,7 @@ package trace
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -110,8 +111,12 @@ type Analysis struct {
 	// that hit a live heap object, the ObjectID, in trace order. Accesses
 	// to non-heap addresses are dropped.
 	Refs []mem.ObjectID
-	// RefAt[i] is the event index of Refs[i] (for time-bucketed heatmaps).
-	RefAt []int
+	// RefEvents is a bitmap over event indices (bit e is bit e%64 of
+	// word e/64): bit e is set exactly when event e is an access that hit
+	// a live heap object, so the i-th set bit is the event of Refs[i].
+	// It has ⌈Events/64⌉ words when Refs is non-empty and is nil
+	// otherwise. EachRef walks it beside Refs.
+	RefEvents []uint64
 	// HeapAccesses / TotalAccesses split access events into those that hit
 	// a live object and all of them.
 	HeapAccesses  uint64
@@ -238,25 +243,28 @@ func (an *Analyzer) Feed(ev Event) {
 				obj.Reads++
 			}
 			a.Refs = append(a.Refs, obj.ID)
-			a.RefAt = append(a.RefAt, i)
+			w := i >> 6
+			for len(a.RefEvents) <= w {
+				a.RefEvents = append(a.RefEvents, 0)
+			}
+			a.RefEvents[w] |= 1 << (i & 63)
 		}
 	}
 }
 
-// Reserve is a capacity hint: it grows Refs and RefAt so that accesses
-// heap references in all fit without reallocating. A run's heap
-// references are at most its access events, so an access count already
-// measured for the same run is a safe bound. The analysis is identical
-// with or without the hint.
+// Reserve is a capacity hint: it grows Refs so that accesses heap
+// references in all fit without reallocating. A run's heap references
+// are at most its access events, so an access count already measured
+// for the same run is a safe bound. The event bitmap, one bit per event
+// against Refs' 64 per reference, grows as it is fed. The analysis is
+// identical with or without the hint.
 func (an *Analyzer) Reserve(accesses uint64) {
 	a := an.a
 	have := uint64(len(a.Refs))
 	if accesses <= have || accesses > math.MaxInt {
 		return
 	}
-	n := int(accesses - have)
-	a.Refs = slices.Grow(a.Refs, n)
-	a.RefAt = slices.Grow(a.RefAt, n)
+	a.Refs = slices.Grow(a.Refs, int(accesses-have))
 }
 
 // SetInstr records the traced run's dynamic instruction count.
@@ -316,7 +324,11 @@ func (an *Analyzer) Finish() *Analysis {
 	if len(a.Refs) == 0 {
 		// An unused Reserve leaves empty non-nil slices; an unreserved
 		// analysis without heap references has nil ones.
-		a.Refs, a.RefAt = nil, nil
+		a.Refs, a.RefEvents = nil, nil
+	} else {
+		// Feed grows the bitmap to the last heap reference's word; the
+		// events after it take the rest of the ⌈Events/64⌉ words.
+		a.RefEvents = append(a.RefEvents, make([]uint64, (a.Events+63)/64-len(a.RefEvents))...)
 	}
 	return a
 }
@@ -330,6 +342,19 @@ func Analyze(t *Trace) *Analysis {
 	}
 	an.SetInstr(t.Instr)
 	return an.Finish()
+}
+
+// EachRef calls fn for every heap reference in trace order with the
+// referenced object and the event index of the access: the i-th call is
+// Refs[i] and the i-th set bit of RefEvents.
+func (a *Analysis) EachRef(fn func(id mem.ObjectID, event int)) {
+	i := 0
+	for w, word := range a.RefEvents {
+		for ; word != 0; word &= word - 1 {
+			fn(a.Refs[i], w<<6|bits.TrailingZeros64(word))
+			i++
+		}
+	}
 }
 
 // Object returns the object with the given id, or nil.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"math/bits"
 	"reflect"
 	"strings"
 	"testing"
@@ -93,8 +94,12 @@ func TestAnalyzeRefs(t *testing.T) {
 	if a.HeapAccesses != 5 || a.TotalAccesses != 5 {
 		t.Errorf("accesses: heap=%d total=%d", a.HeapAccesses, a.TotalAccesses)
 	}
-	if len(a.RefAt) != len(a.Refs) {
-		t.Error("RefAt length mismatch")
+	var set int
+	for _, w := range a.RefEvents {
+		set += bits.OnesCount64(w)
+	}
+	if set != len(a.Refs) {
+		t.Errorf("RefEvents has %d set bits for %d refs", set, len(a.Refs))
 	}
 }
 
@@ -109,9 +114,11 @@ func TestAnalyzeNonHeapAccess(t *testing.T) {
 }
 
 // TestAnalyzerReserveIsCapacityOnly: Reserve only sizes the reference
-// string. Below, at and above the needed size, before or after feeding
-// has started, and on a stream without heap references, the analysis
-// DeepEquals the unreserved one.
+// string and its event bitmap. Below, at and above the needed size,
+// before or after feeding has started, and on a stream without heap
+// references, the analysis DeepEquals the unreserved one, whose bitmap
+// has ⌈Events/64⌉ words, or is nil on the stream without heap
+// references.
 func TestAnalyzerReserveIsCapacityOnly(t *testing.T) {
 	evs := healthEvents(500, 500, 3)
 	nonHeap := []Event{{Kind: KindAlloc, Site: 1, Addr: 0x1000, Size: 16}, {Kind: KindAccess, Addr: 0x9000, Size: 8}}
@@ -129,6 +136,12 @@ func TestAnalyzerReserveIsCapacityOnly(t *testing.T) {
 	}{{"health", evs}, {"non-heap", nonHeap}} {
 		want := analyze(stream.evs, func(*Analyzer, int) {})
 		need := uint64(len(want.Refs))
+		switch {
+		case need == 0 && want.RefEvents != nil:
+			t.Errorf("%s: no heap references but RefEvents = %v, want nil", stream.name, want.RefEvents)
+		case need > 0 && len(want.RefEvents) != (want.Events+63)/64:
+			t.Errorf("%s: RefEvents has %d words for %d events", stream.name, len(want.RefEvents), want.Events)
+		}
 		cases := []struct {
 			name    string
 			at      int
